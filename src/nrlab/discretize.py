@@ -68,6 +68,18 @@ class QuadratureGrid:
     def mask_minus(self) -> np.ndarray:
         return self.nodes[:, -1] < 0.0
 
+    def half_indices(self) -> list:
+        """Node indices of the plus and the minus half, skipping an empty one.
+
+        Every pair the Neumann kernels couple lies inside one of these
+        sets; a node on the interface belongs to neither, so it is
+        rejected.
+        """
+        plus, minus = self.mask_plus, self.mask_minus
+        if not np.all(plus | minus):
+            raise ValueError("grid places nodes on the interface x_n = 0")
+        return [np.flatnonzero(m) for m in (plus, minus) if np.any(m)]
+
     @property
     def id(self) -> str:
         cells = "x".join(str(s) for s in self.shape)
@@ -146,6 +158,21 @@ class OperatorMatrix:
     def matrix(self) -> np.ndarray:
         return self.kernel * self.weight
 
+    def half_blocks(self) -> list:
+        """The plus-plus and minus-minus blocks of `matrix`, or [matrix].
+
+        The blocks are returned only when both cross-half blocks are
+        exactly zero, which is what the kernel gate guarantees for every
+        assembled operator; then the singular values of `matrix` are the
+        union of those of the blocks.
+        """
+        plus, minus = self.grid.mask_plus, self.grid.mask_minus
+        if not np.all(plus | minus) or np.any(self.kernel[np.ix_(plus, minus)]) or np.any(
+            self.kernel[np.ix_(minus, plus)]
+        ):
+            return [self.matrix]
+        return [self.kernel[np.ix_(m, m)] * self.weight for m in (plus, minus) if np.any(m)]
+
 
 @dataclass
 class Symbol:
@@ -170,6 +197,24 @@ def _row_blocks(total: int, block: int = 512):
         yield start, min(start + block, total)
 
 
+def _same_half_kernel(params: KernelParams, grid: QuadratureGrid, bv=None) -> np.ndarray:
+    """K_ell(x_i, x_j), times b(x_i) - b(x_j) when bv is given, on grid x grid.
+
+    The kernel is evaluated on same-half pairs only; the cross-half
+    entries, which the gate makes vanish, stay exact zeros.
+    """
+    x = grid.nodes
+    kernel = np.zeros((len(x), len(x)))
+    for idx in grid.half_indices():
+        xh = x[idx]
+        for i0, i1 in _row_blocks(len(idx)):
+            K = riesz_kernel(params, xh[i0:i1, None, :], xh[None, :, :], singular="zero")
+            if bv is not None:
+                K = (bv[idx[i0:i1], None] - bv[None, idx]) * K
+            kernel[idx[i0:i1, None], idx] = K
+    return kernel
+
+
 def assemble_commutator(b, ell: int, grid: QuadratureGrid) -> OperatorMatrix:
     """Dense matrix of (b(x_i) - b(x_j)) K_ell(x_i, x_j) w, zero diagonal.
 
@@ -181,10 +226,7 @@ def assemble_commutator(b, ell: int, grid: QuadratureGrid) -> OperatorMatrix:
     bv = np.asarray(b(x) if callable(b) else b, dtype=float)
     if bv.shape != (len(x),):
         raise ValueError("symbol must evaluate to one value per node")
-    kernel = np.empty((len(x), len(x)))
-    for i0, i1 in _row_blocks(len(x)):
-        K = riesz_kernel(params, x[i0:i1, None, :], x[None, :, :], singular="zero")
-        kernel[i0:i1] = (bv[i0:i1, None] - bv[None, :]) * K
+    kernel = _same_half_kernel(params, grid, bv)
     name = getattr(b, "name", "symbol")
     return OperatorMatrix(kernel, grid.weight, grid, {"symbol": name, "ell": ell, "grid": grid.id})
 
@@ -195,11 +237,7 @@ def assemble_riesz(ell: int, grid: QuadratureGrid) -> OperatorMatrix:
     First-order quadrature only: without the commutator factor the
     principal-value singularity is not resolved by the midpoint rule.
     """
-    params = KernelParams(grid.dim, ell)
-    x = grid.nodes
-    kernel = np.empty((len(x), len(x)))
-    for i0, i1 in _row_blocks(len(x)):
-        kernel[i0:i1] = riesz_kernel(params, x[i0:i1, None, :], x[None, :, :], singular="zero")
+    kernel = _same_half_kernel(KernelParams(grid.dim, ell), grid)
     return OperatorMatrix(kernel, grid.weight, grid, {"symbol": "", "ell": ell, "grid": grid.id})
 
 

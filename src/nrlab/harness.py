@@ -513,6 +513,11 @@ def ratio_study(cfg: ExperimentConfig) -> Report:
                 ratios.setdefault(sym.name, {})[N] = ratio
     n_top = cfg.grid_sizes[-1]
     top = [r[n_top] for r in ratios.values() if n_top in r]
+    if not top:
+        raise ValueError(
+            f"ratio study has no summary: no non-control symbol of family {cfg.family!r} "
+            f"is resolved at the top grid size N={n_top}"
+        )
     drift = {}
     if len(cfg.grid_sizes) >= 2:
         n_prev = cfg.grid_sizes[-2]
@@ -661,28 +666,38 @@ def lower_bound_audit(cfg: ExperimentConfig, N: int = None) -> Report:
 def upper_bound_audit(cfg: ExperimentConfig, N: int = None) -> Report:
     """Checks weak-Schatten(commutator) <= kernel-factorization bound
     times the configured slack, plus the exact half-space split of the
-    mixed weak norm (cross-half blocks vanish identically)."""
+    mixed weak norm: the Riesz kernel is exactly 0.0 on every cross-half
+    pair of the grid, and the full mixed norm is at most the sum of the
+    two same-half ones."""
     if cfg.p <= max(cfg.n, 2):
         raise ValueError("upper-bound audit requires p > max(n, 2)")
     N = N if N is not None else cfg.grid_sizes[0]
     rows = []
     spectra = {}
     passed = True
+    # assembly never evaluates cross-half pairs, so the gate is checked
+    # on the kernel itself, once for the grid all symbols share
+    grid = make_grid(cfg.n, cfg.box, N)
+    params = KernelParams(cfg.n, cfg.ell)
+    plus, minus = grid.mask_plus, grid.mask_minus
+    xp, xm = grid.nodes[plus], grid.nodes[minus]
+    cross_zero = bool(
+        np.all(riesz_kernel(params, xp[:, None, :], xm[None, :, :]) == 0.0)
+        and np.all(riesz_kernel(params, xm[:, None, :], xp[None, :, :]) == 0.0)
+    )
     for sym in symbol_family(cfg.family, cfg.n):
-        grid, op, spec, s_norm = _schatten_of_symbol(sym, cfg, N, cfg.p)
+        _, op, spec, s_norm = _schatten_of_symbol(sym, cfg, N, cfg.p)
         weak = weak_schatten_norm(spec, cfg.p)
         bound = russo_bound(op, cfg.p)
         spectra[f"upper_{sym.name}_N{N}"] = (
             spec,
             {"p": cfg.p, "schatten": s_norm, "weak_schatten": weak, "russo_bound": bound},
         )
-        plus, minus = grid.mask_plus, grid.mask_minus
         k_full = mixed_norm(op.kernel, cfg.p, "weak", op.weight, op.weight)
         k_plus = mixed_norm(op.kernel[np.ix_(plus, plus)], cfg.p, "weak", op.weight, op.weight)
         k_minus = mixed_norm(op.kernel[np.ix_(minus, minus)], cfg.p, "weak", op.weight, op.weight)
-        cross = op.kernel[np.ix_(plus, minus)]
         ok = weak <= bound * cfg.russo_slack
-        split_ok = k_full <= k_plus + k_minus + 1e-12 and not np.any(cross)
+        split_ok = k_full <= k_plus + k_minus + 1e-12 and cross_zero
         passed &= ok and split_ok
         rows.append(
             ReportRow(
@@ -835,6 +850,18 @@ def verify_suite(cfg: ExperimentConfig) -> Report:
     checks.append(_check("schatten2_frobenius", s2_err, 1e-10, s2_err <= 1e-10))
     weak_ok = weak_schatten_norm(spec, cfg.p) <= schatten_norm(spec, cfg.p)
     checks.append(_check("weak_le_strong", 0.0, 0.0, weak_ok))
+    # sum s_k^4 = ||T^T T||_F^2 on assembled commutators, through the
+    # eigvalsh branch (ell = 1) and the block-SVD branch (ell = n)
+    odd = next(sym for sym in symbol_family("default", n) if sym.name == "odd_bump")
+    small = make_grid(n, cfg.box, 16)
+    s4_err = 0.0
+    for ell in sorted({1, n}):
+        op = assemble_commutator(odd, ell, small)
+        s4 = float(np.sum(singular_values(op).values ** 4))
+        gram = op.matrix.T @ op.matrix
+        fro2 = float(np.sum(gram * gram))
+        s4_err = max(s4_err, abs(s4 - fro2) / fro2)
+    checks.append(_check("schatten4_trace_identity", s4_err, 1e-12, s4_err <= 1e-12))
     g = rng.normal(size=30)
     h = rng.normal(size=30)
     pprime = cfg.p / (cfg.p - 1.0)

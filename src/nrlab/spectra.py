@@ -1,5 +1,14 @@
 """Singular spectra, Schatten and weak Schatten norms, mixed kernel norms.
 
+Spectra are taken block by block.  An operator whose cross-half blocks
+are exactly zero (every assembled Neumann operator: the kernel gate
+kills cross-half pairs) is split into its plus-plus and minus-minus
+blocks, and its singular values are the union of theirs.  A block that
+is exactly zero has a zero spectrum; an exactly symmetric block (the
+commutator for ell < n, where K_ell(y,x) = -K_ell(x,y) bit for bit) has
+the absolute values of its eigenvalues (`eigvalsh`); any other block
+goes through a values-only SVD.
+
 The weak-norm upper bound implemented by `russo_bound` is the kernel
 factorization
 
@@ -43,33 +52,30 @@ class SingularSpectrum:
     def __len__(self):
         return self.values.size
 
-    def schatten(self, p: float) -> float:
-        return schatten_norm(self, p)
 
-    def weak(self, p: float) -> float:
-        return weak_schatten_norm(self, p)
-
-
-def _as_matrix(M) -> np.ndarray:
-    mat = getattr(M, "matrix", M)
-    return np.asarray(mat, dtype=float)
+def _block_singular_values(block: np.ndarray) -> np.ndarray:
+    if not np.any(block):
+        # control symbols: an identically zero commutator stays cheap at
+        # any grid size
+        return np.zeros(min(block.shape))
+    if np.array_equal(block, block.T):
+        return np.abs(np.linalg.eigvalsh(block))
+    return np.linalg.svd(block, compute_uv=False)
 
 
 def singular_values(M) -> SingularSpectrum:
-    """Descending singular values of a dense matrix (or OperatorMatrix).
+    """Descending singular values of a dense matrix or an OperatorMatrix.
 
-    An exactly-zero matrix short-circuits to a zero spectrum; this keeps
-    control symbols (whose commutator matrix is identically zero) cheap
-    at any grid size.
+    An OperatorMatrix is split by its `half_blocks`; a plain matrix is
+    one block.  See the module docstring for how each block is handled.
     """
-    mat = _as_matrix(M)
-    if mat.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("non-finite entries in matrix")
-    if not np.any(mat):
-        return SingularSpectrum(np.zeros(min(mat.shape)))
-    return SingularSpectrum(np.linalg.svd(mat, compute_uv=False))
+    blocks = M.half_blocks() if hasattr(M, "half_blocks") else [np.asarray(M, dtype=float)]
+    for block in blocks:
+        if block.ndim != 2:
+            raise ValueError("expected a 2-d matrix")
+        if not np.all(np.isfinite(block)):
+            raise ValueError("non-finite entries in matrix")
+    return SingularSpectrum(np.concatenate([_block_singular_values(b) for b in blocks]))
 
 
 def _spectrum_values(s) -> np.ndarray:

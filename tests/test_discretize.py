@@ -110,6 +110,60 @@ def test_commutator_sign_flips_with_symbol():
     assert np.array_equal(op_neg.matrix, -op_pos.matrix)
 
 
+def test_commutator_cross_half_entries_are_positive_zero():
+    grid = make_grid(2, BOX, 16)
+    for ell in (1, 2):
+        op = assemble_commutator(lambda p: _bump(p, (0.2, 0.0), 0.8), ell, grid)
+        for rows, cols in ((grid.mask_plus, grid.mask_minus), (grid.mask_minus, grid.mask_plus)):
+            cross = op.matrix[np.ix_(rows, cols)]
+            assert np.all(cross == 0.0) and not np.any(np.signbit(cross))
+
+
+def test_commutator_symmetric_exactly_for_tangential_ell():
+    # K_l(y, x) = -K_l(x, y) bit for bit for l < n; the normal kernel's
+    # reflected term is swap-symmetric instead
+    grid = make_grid(2, BOX, 16)
+    m1 = assemble_commutator(_bump, 1, grid).matrix
+    m2 = assemble_commutator(_bump, 2, grid).matrix
+    assert np.array_equal(m1, m1.T)
+    assert not np.array_equal(m2, m2.T)
+
+
+def test_half_blocks_split_and_fallback():
+    grid = make_grid(2, BOX, 8)
+    op = assemble_commutator(lambda p: _bump(p, (0.2, 0.0), 0.8), 2, grid)
+    plus, minus = grid.mask_plus, grid.mask_minus
+    blocks = op.half_blocks()
+    assert len(blocks) == 2
+    assert np.array_equal(blocks[0], op.matrix[np.ix_(plus, plus)])
+    assert np.array_equal(blocks[1], op.matrix[np.ix_(minus, minus)])
+    # one non-zero cross-half entry: no split, the whole matrix is one block
+    kernel = op.kernel.copy()
+    kernel[np.flatnonzero(plus)[0], np.flatnonzero(minus)[3]] = 0.5
+    leaky = OperatorMatrix(kernel, grid.weight, grid)
+    (whole,) = leaky.half_blocks()
+    assert np.array_equal(whole, leaky.matrix)
+
+
+def test_half_indices_reject_interface_nodes():
+    nodes = np.array([[0.25, 0.0], [0.25, 0.5]])
+    grid = QuadratureGrid(
+        box=np.array([[0.0, 0.5], [-0.25, 0.75]]),
+        shape=(1, 2),
+        axes=[np.array([0.25]), np.array([0.0, 0.5])],
+        nodes=nodes,
+        spacing=np.array([0.5, 0.5]),
+        weight=0.25,
+    )
+    with pytest.raises(ValueError, match="interface"):
+        grid.half_indices()
+    with pytest.raises(ValueError, match="interface"):
+        assemble_commutator(lambda p: np.asarray(p)[..., 1], 1, grid)
+    one_half = make_grid(2, ((0.0, 1.0), (0.0, 1.0)), 4)
+    (idx,) = one_half.half_indices()
+    assert np.array_equal(idx, np.arange(16))
+
+
 def test_operator_matrix_validation():
     grid = make_grid(2, BOX, 4)
     with pytest.raises(ValueError):

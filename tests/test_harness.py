@@ -153,6 +153,15 @@ def test_ratio_study_smoke_rows_and_spectra():
         assert math.isfinite(rep.summary[key])
 
 
+def test_ratio_study_without_resolved_symbol_names_cause(monkeypatch):
+    from nrlab import harness
+
+    controls = lambda n: [s for s in symbol_family("default", n) if s.kind == "perhalf-constant"]
+    monkeypatch.setitem(harness._FAMILIES, "controls", controls)
+    with pytest.raises(ValueError, match="no non-control symbol .* resolved at the top grid size N=16"):
+        ratio_study(ExperimentConfig(**SMOKE, family="controls"))
+
+
 def test_divergence_study_smoke_controls_exact_zero():
     cfg = ExperimentConfig(p=2.0, family="divergence", grid_sizes=(8, 16))
     rep = divergence_study(cfg)
@@ -222,6 +231,20 @@ def test_upper_audit_smoke_split_and_rows():
             assert row.schatten > 0.0 and row.aux["russo_bound"] > 0.0
 
 
+def test_upper_audit_checks_the_kernel_gate(monkeypatch):
+    # assembly leaves cross-half entries at zero without evaluating them,
+    # so the audit's split check must read the kernel itself
+    from nrlab.kernels import riesz_kernel
+
+    def ungated(params, x, y, singular="raise"):
+        return riesz_kernel(params, x, y, singular) + 1.0
+
+    monkeypatch.setattr("nrlab.harness.riesz_kernel", ungated)
+    rep = upper_bound_audit(ExperimentConfig(p=4.0, grid_sizes=(16,), russo_slack=100.0), N=16)
+    assert not rep.passed
+    assert all(row.note == "bound violated" for row in rep.rows)
+
+
 def test_sign_witness_audit_smoke():
     cfg = ExperimentConfig(grid_sizes=(16,))
     sign_bad, mag_bad, margin = sign_witness_audit(cfg, ell=1, count=8)
@@ -243,6 +266,7 @@ def test_verify_suite_all_checks_pass():
         "haar_gram_identity",
         "conditional_expectation_tower",
         "schatten2_frobenius",
+        "schatten4_trace_identity",
         "witness_sign_constant_ell1",
     ):
         assert expected in notes

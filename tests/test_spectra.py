@@ -5,6 +5,8 @@ factorization upper bound."""
 import numpy as np
 import pytest
 
+from nrlab.discretize import OperatorMatrix, assemble_commutator, make_grid
+from nrlab.harness import symbol_family
 from nrlab.spectra import (
     SingularSpectrum,
     mixed_norm,
@@ -103,6 +105,54 @@ def test_spectrum_invariant_under_permutation():
     s0 = singular_values(m).values
     s1 = singular_values(m[perm][:, perm]).values
     assert np.allclose(s0, s1, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# block spectra of assembled commutators
+
+
+def _commutator(name, ell, N=16):
+    sym = next(s for s in symbol_family("default", 2) if s.name == name)
+    return assemble_commutator(sym, ell, make_grid(2, ((-2.0, 2.0), (-2.0, 2.0)), N))
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+@pytest.mark.parametrize("name", ["bump_a35", "odd_bump"])
+def test_block_spectrum_matches_full_svd(name, ell):
+    op = _commutator(name, ell)
+    plus_block, minus_block = op.half_blocks()
+    # bump_a35 lives in the plus half; odd_bump straddles the interface
+    assert np.any(minus_block) == (name == "odd_bump")
+    s = singular_values(op).values
+    full = np.linalg.svd(op.matrix, compute_uv=False)
+    assert s.size == full.size
+    assert np.max(np.abs(s - full)) <= 1e-13 * full[0]
+
+
+def test_leaky_cross_half_entry_gives_full_spectrum():
+    op = _commutator("odd_bump", 1, N=8)
+    kernel = op.kernel.copy()
+    kernel[0, -1] = 3.0
+    leaky = OperatorMatrix(kernel, op.weight, op.grid)
+    s = singular_values(leaky).values
+    full = np.linalg.svd(leaky.matrix, compute_uv=False)
+    assert np.max(np.abs(s - full)) <= 1e-13 * full[0]
+
+
+def test_control_commutators_have_zero_spectrum():
+    for name in ("halfconst", "uniform"):
+        for ell in (1, 2):
+            s = singular_values(_commutator(name, ell)).values
+            assert s.size == 256 and np.all(s == 0.0)
+
+
+def test_symmetric_matrix_spectrum_is_absolute_eigenvalues():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(9, 9))
+    sym = a + a.T
+    assert np.min(np.linalg.eigvalsh(sym)) < 0.0
+    s = singular_values(sym).values
+    assert np.allclose(s, np.linalg.svd(sym, compute_uv=False), rtol=0, atol=1e-13 * s[0])
 
 
 # ---------------------------------------------------------------------------
