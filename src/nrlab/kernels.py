@@ -173,17 +173,24 @@ def riesz_kernel(
     if x.shape[-1] != n or y.shape[-1] != n:
         raise ValueError(f"points must have {n} coordinates")
 
-    d = x - y
-    r2 = np.sum(d**2, axis=-1)
+    # per-coordinate differences and squared distances, summed term by
+    # term in coordinate order (the order a reduction over the last axis
+    # uses), so r2 and refl2 are bit-identical to np.sum(d**2, axis=-1);
+    # refl2 holds the tangential sum until r2 is formed from it
+    d = [x[..., j] - y[..., j] for j in range(n)]
     sn = x[..., -1] + y[..., -1]
-    refl2 = np.sum(d[..., :-1] ** 2, axis=-1) + sn**2
+    refl2 = d[0] * d[0]
+    for dj in d[1:-1]:
+        refl2 += dj * dj
+    r2 = refl2 + d[-1] * d[-1]
+    refl2 += sn * sn
 
     gate = x[..., -1] * y[..., -1] >= 0.0
     coincident = gate & (r2 == 0.0)
     if np.any(coincident):
         if singular == "raise":
             raise ValueError("kernel singularity: x = y within one half-space")
-    num1 = d[..., ell - 1]
+    num1 = d[ell - 1]
     num2 = sn if ell == n else num1
     expo = (n + 1) / 2
     with np.errstate(divide="ignore", invalid="ignore"):

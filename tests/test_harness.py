@@ -1,6 +1,7 @@
 """Experiment harness: config round-trips, symbol families, study drivers
 at smoke scale, the verification suite, CSV determinism, and the CLI."""
 
+import itertools
 import math
 from pathlib import Path
 
@@ -8,10 +9,14 @@ import numpy as np
 import pytest
 
 from nrlab.cli import main as cli_main
-from nrlab.discretize import assemble_commutator, make_grid, read_matrix
+from nrlab.discretize import assemble_commutator, ball_microgrid, make_grid, read_matrix
+from nrlab.dyadic import Cube, box_midpoint_mean, build_system, median
 from nrlab.harness import (
     ExperimentConfig,
     ReportRow,
+    _nwo_statistic,
+    _oscillation_partials,
+    _resolved_k_max,
     divergence_study,
     lattice_shift_sample,
     lower_bound_audit,
@@ -24,6 +29,8 @@ from nrlab.harness import (
     write_rows_csv,
     write_spectrum_csv,
 )
+from nrlab.kernels import KernelParams, riesz_kernel, sign_witness
+from nrlab.spectra import mixed_norm
 
 SMOKE = dict(p=4.0, grid_sizes=(8, 16), t_per_decade=6, shift_per_decade=6, shift_angles=8)
 
@@ -61,6 +68,27 @@ def test_config_rejects_bad_box():
 def test_config_rejects_ell_out_of_range():
     with pytest.raises(ValueError, match="ell"):
         ExperimentConfig(ell=3)
+
+
+def test_config_rejects_nonpositive_lattice_shift_count():
+    with pytest.raises(ValueError, match="num_lattice_shifts"):
+        ExperimentConfig(num_lattice_shifts=0)
+
+
+def test_config_rejects_k_min_above_stat_k_max():
+    with pytest.raises(ValueError, match="k_min"):
+        ExperimentConfig(k_min=3, stat_k_max=2)
+
+
+def test_config_rejects_nonpositive_witness_offset():
+    with pytest.raises(ValueError, match="witness_A"):
+        ExperimentConfig(witness_A=0.0)
+
+
+@pytest.mark.parametrize("p", [-1.0, 0.0, math.nan, math.inf])
+def test_config_rejects_bad_p(p):
+    with pytest.raises(ValueError, match="p must be finite and > 0"):
+        ExperimentConfig(p=p)
 
 
 def test_config_updated_returns_modified_copy():
@@ -197,6 +225,111 @@ def test_divergence_oscillation_statistic_grows():
             assert stats[-1] > stats[0] > 0.0
 
 
+# ---------------------------------------------------------------------------
+# dyadic statistics against per-cube references
+
+
+def _cubes_by_generation(cfg, shift, k_max):
+    for half in ("plus", "minus"):
+        system = build_system(half, shift, cfg.box, (cfg.k_min, k_max))
+        for k in system.generations():
+            yield k, system.cubes[k]
+
+
+def _children(Q, levels):
+    for s in itertools.product(range(2**levels), repeat=Q.n):
+        yield Cube(Q.k + levels, tuple(2**levels * m + si for m, si in zip(Q.m, s)), Q.shift, Q.half)
+
+
+def _oscillation_per_cube(sym, cfg, ppa=6):
+    """One box_midpoint_mean call per grandchild, cube by cube."""
+    gens = list(range(cfg.k_min, cfg.stat_k_max + 1))
+    per_shift = []
+    for shift in lattice_shift_sample(cfg.n, cfg.num_lattice_shifts):
+        totals = dict.fromkeys(gens, 0.0)
+        for k in gens:
+            for half in ("plus", "minus"):
+                system = build_system(half, shift, cfg.box, (cfg.k_min, cfg.stat_k_max))
+                for Q in system.cubes[k]:
+                    means = np.array([box_midpoint_mean(sym.func, g.box, ppa) for g in _children(Q, 2)])
+                    osc = float(np.mean(np.abs(means[:, None] - means[None, :])))
+                    totals[k] += osc**cfg.n
+        per_shift.append([totals[k] for k in gens])
+    per_shift = np.asarray(per_shift)
+    return {
+        k: float(np.max(np.sum(per_shift[:, : i + 1], axis=1)) ** (1.0 / cfg.n)) for i, k in enumerate(gens)
+    }
+
+
+def _nwo_per_cube(sym, cfg, k_max, child_ppa=6, ball_ppa=8):
+    """One witness ball and one kernel call per child, cube by cube."""
+    params = KernelParams(cfg.n, cfg.ell)
+    best = 0.0
+    for shift in lattice_shift_sample(cfg.n, cfg.num_lattice_shifts):
+        total = 0.0
+        for _, cubes in _cubes_by_generation(cfg, shift, k_max):
+            for Q in cubes:
+                y, wy = ball_microgrid(sign_witness(Q, params, cfg.witness_A)[1], ball_ppa)
+                by = sym(y)
+                alpha = median(by)
+                inner = [0.0, 0.0]
+                for child in _children(Q, 1):
+                    axes = [lo + (np.arange(child_ppa) + 0.5) * (hi - lo) / child_ppa for lo, hi in child.box]
+                    x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, Q.n)
+                    wx = (child.side / child_ppa) ** Q.n
+                    bx = sym(x)
+                    integrand = (bx[:, None] - by[None, :]) * riesz_kernel(
+                        params, x[:, None, :], y[None, :, :], singular="zero"
+                    )
+                    for s, (e, f) in enumerate(((bx <= alpha, by >= alpha), (bx > alpha, by <= alpha))):
+                        inner[s] += abs(float(np.sum(integrand[np.ix_(e, f)])) * wx * wy) / Q.volume
+                total += inner[0] ** cfg.p + inner[1] ** cfg.p
+        best = max(best, total)
+    return best
+
+
+def test_oscillation_statistic_matches_per_cube_means_bit_for_bit():
+    cfg = ExperimentConfig(p=2.0, ell=2, family="divergence", num_lattice_shifts=2, stat_k_max=1)
+    for sym in symbol_family("divergence", 2):
+        assert _oscillation_partials(sym, cfg) == _oscillation_per_cube(sym, cfg)
+
+
+@pytest.mark.parametrize("name", ["bump_a35", "odd_bump"])
+def test_nwo_statistic_matches_per_cube_sums(name):
+    cfg = ExperimentConfig(p=4.0, num_lattice_shifts=3)
+    sym = next(s for s in symbol_family("default", 2) if s.name == name)
+    k_max = _resolved_k_max(make_grid(2, cfg.box, 16), cfg.stat_k_max)
+    got = _nwo_statistic(sym, cfg, k_max)
+    want = _nwo_per_cube(sym, cfg, k_max)
+    assert want > 0.0
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_dyadic_statistics_exact_zero_for_controls():
+    osc_cfg = ExperimentConfig(p=2.0, family="divergence", num_lattice_shifts=2)
+    nwo_cfg = ExperimentConfig(p=4.0, num_lattice_shifts=2)
+    k_max = _resolved_k_max(make_grid(2, nwo_cfg.box, 16), nwo_cfg.stat_k_max)
+    for sym in symbol_family("default", 2):
+        if sym.kind == "perhalf-constant":
+            assert all(v == 0.0 for v in _oscillation_partials(sym, osc_cfg).values())
+            assert _nwo_statistic(sym, nwo_cfg, k_max) == 0.0
+
+
+def test_nwo_statistic_rejects_uneven_witness_grids(monkeypatch):
+    from nrlab import harness
+
+    calls = []
+
+    def shrinking(ball, ppa):
+        y, w = ball_microgrid(ball, ppa)
+        calls.append(len(y))
+        return (y[:-1], w) if len(calls) == 2 else (y, w)
+
+    monkeypatch.setattr(harness, "ball_microgrid", shrinking)
+    with pytest.raises(ValueError, match="differ in node count"):
+        _nwo_statistic(symbol_family("default", 2)[0], ExperimentConfig(num_lattice_shifts=1), 0)
+
+
 def test_lower_audit_smoke_statistics_structure():
     cfg = ExperimentConfig(
         p=4.0,
@@ -229,6 +362,35 @@ def test_upper_audit_smoke_split_and_rows():
         assert full <= row.aux["mixed_plus"] + row.aux["mixed_minus"] + 1e-12
         if row.symbol not in ("halfconst", "uniform"):
             assert row.schatten > 0.0 and row.aux["russo_bound"] > 0.0
+
+
+def test_upper_audit_mixed_full_equals_whole_kernel_norm():
+    cfg = ExperimentConfig(p=4.0, grid_sizes=(16,), russo_slack=100.0)
+    rep = upper_bound_audit(cfg, N=16)
+    grid = make_grid(2, cfg.box, 16)
+    for sym, row in zip(symbol_family("default", 2), rep.rows):
+        op = assemble_commutator(sym, cfg.ell, grid)
+        assert row.aux["mixed_full"] == mixed_norm(op.kernel, cfg.p, "weak", op.weight, op.weight)
+
+
+def test_upper_audit_mixed_full_reads_leaky_cross_blocks(monkeypatch):
+    # a non-zero cross-half entry is not in either block's columns, so the
+    # whole norm must then come from the whole kernel
+    from nrlab.discretize import OperatorMatrix
+
+    def leaky(sym, ell, grid):
+        op = assemble_commutator(sym, ell, grid)
+        kernel = op.kernel.copy()
+        kernel[np.flatnonzero(grid.mask_plus)[0], np.flatnonzero(grid.mask_minus)[0]] = 50.0
+        return OperatorMatrix(kernel, op.weight, grid)
+
+    monkeypatch.setattr("nrlab.harness.assemble_commutator", leaky)
+    cfg = ExperimentConfig(p=4.0, grid_sizes=(16,), russo_slack=100.0)
+    rep = upper_bound_audit(cfg, N=16)
+    grid = make_grid(2, cfg.box, 16)
+    for sym, row in zip(symbol_family("default", 2), rep.rows):
+        op = leaky(sym, cfg.ell, grid)
+        assert row.aux["mixed_full"] == mixed_norm(op.kernel, cfg.p, "weak", op.weight, op.weight)
 
 
 def test_upper_audit_checks_the_kernel_gate(monkeypatch):

@@ -164,6 +164,42 @@ def test_riesz_singularity_handling():
     assert riesz_kernel(params, [0.5, 0.5], [0.5, 0.5], singular="zero") == 0.0
 
 
+def _riesz_reduction_form(params, x, y):
+    """The kernel with squared distances taken as np.sum reductions over
+    the coordinate axis, singular pairs mapped to zero."""
+    n, ell = params.n, params.ell
+    d = x - y
+    r2 = np.sum(d**2, axis=-1)
+    sn = x[..., -1] + y[..., -1]
+    refl2 = np.sum(d[..., :-1] ** 2, axis=-1) + sn**2
+    gate = x[..., -1] * y[..., -1] >= 0.0
+    coincident = gate & (r2 == 0.0)
+    num1 = d[..., ell - 1]
+    num2 = sn if ell == n else num1
+    expo = (n + 1) / 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = -params.cn * (num1 / r2**expo + num2 / refl2**expo)
+    return np.where(gate & ~coincident, val, 0.0)
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_riesz_bit_identical_to_reduction_form(ell):
+    # per-coordinate squared sums add the same terms in the same order
+    # as the reduction: every value and every sign bit agrees
+    rng = np.random.default_rng(23)
+    params = KernelParams(2, ell)
+    pts = rng.normal(size=(300, 2))
+    pts[:40, 1] = 0.0  # interface points couple to both halves
+    pts[40:60] = pts[60:80]  # repeated points: coincident pairs
+    x, y = pts[:, None, :], pts[None, :, :]
+    got = riesz_kernel(params, x, y, singular="zero")
+    want = _riesz_reduction_form(params, x, y)
+    cross = x[..., -1] * y[..., -1] < 0.0
+    assert np.any(cross) and np.count_nonzero(np.all(x == y, axis=-1)) > len(pts)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def _neumann_heat_dl(t, x, y, ell, n):
     """Analytic d/dx_ell of the half-space Neumann heat kernel (same-half
     points), used as the subordination-integral oracle."""
