@@ -158,28 +158,20 @@ class OperatorMatrix:
     def matrix(self) -> np.ndarray:
         return self.kernel * self.weight
 
-    def half_masks(self):
-        """The plus and minus node masks when both cross-half blocks of
-        `kernel` are exactly zero, which is what the kernel gate
-        guarantees for every assembled operator; else None."""
+    def half_blocks(self) -> list:
+        """The plus-plus and minus-minus blocks of `matrix`, or [matrix].
+
+        The blocks are returned only when both cross-half blocks are
+        exactly zero, which is what the kernel gate guarantees for every
+        assembled operator; then the singular values of `matrix` are the
+        union of those of the blocks.
+        """
         plus, minus = self.grid.mask_plus, self.grid.mask_minus
         if not np.all(plus | minus) or np.any(self.kernel[np.ix_(plus, minus)]) or np.any(
             self.kernel[np.ix_(minus, plus)]
         ):
-            return None
-        return [plus, minus]
-
-    def half_blocks(self) -> list:
-        """The plus-plus and minus-minus blocks of `matrix`, or [matrix].
-
-        The blocks are returned only when `half_masks` finds the
-        cross-half blocks exactly zero; then the singular values of
-        `matrix` are the union of those of the blocks.
-        """
-        masks = self.half_masks()
-        if masks is None:
             return [self.matrix]
-        return [self.kernel[np.ix_(m, m)] * self.weight for m in masks if np.any(m)]
+        return [self.kernel[np.ix_(m, m)] * self.weight for m in (plus, minus) if np.any(m)]
 
 
 @dataclass

@@ -31,7 +31,6 @@ __all__ = [
     "schatten_norm",
     "weak_schatten_norm",
     "mixed_norm",
-    "block_diagonal_mixed_norms",
     "russo_bound",
 ]
 
@@ -140,15 +139,8 @@ def mixed_norm(K, p: float, mode: str = "weak", row_weights=None, col_weights=No
     if mode not in ("strong", "weak"):
         raise ValueError("mode must be 'strong' or 'weak'")
     mat, wx, wy = _kernel_and_weights(K, row_weights, col_weights)
-    return _outer_norm(_column_norms(mat, p, wx), p, mode, wy)
-
-
-def _column_norms(mat, p: float, wx) -> np.ndarray:
-    return np.sum(np.abs(mat) ** p * wx[:, None], axis=0) ** (1.0 / p)
-
-
-def _outer_norm(inner, p: float, mode: str, wy) -> float:
     q = p / (p - 1.0)
+    inner = np.sum(np.abs(mat) ** p * wx[:, None], axis=0) ** (1.0 / p)
     if mode == "strong":
         return float(np.sum(inner**q * wy) ** (1.0 / q))
     order = np.argsort(inner)[::-1]
@@ -157,26 +149,6 @@ def _outer_norm(inner, p: float, mode: str, wy) -> float:
     if g[0] == 0.0:
         return 0.0
     return float(np.max(g * cum ** (1.0 / q)))
-
-
-def block_diagonal_mixed_norms(blocks, p: float, weight: float) -> tuple:
-    """Weak mixed norms of the diagonal blocks of a block-diagonal kernel,
-    and of the whole kernel, with one uniform quadrature weight.
-
-    A column of the whole kernel holds one block's column plus exact
-    zeros, so its inner norm is that block column's; the whole norm is
-    the weak outer norm over the union of all block columns and equals
-    `mixed_norm` of the assembled kernel without reading its zero blocks.
-    Returns (list of per-block norms, whole norm); p > 2 required.
-    """
-    if p <= 2:
-        raise ValueError("mixed norm requires p > 2")
-    inner = [
-        _column_norms(np.asarray(b, dtype=float), p, np.full(len(b), float(weight))) for b in blocks
-    ]
-    union = np.concatenate(inner)
-    per_block = [_outer_norm(g, p, "weak", np.full(g.size, float(weight))) for g in inner]
-    return per_block, _outer_norm(union, p, "weak", np.full(union.size, float(weight)))
 
 
 def russo_bound(Kc, p: float, row_weights=None, col_weights=None) -> float:

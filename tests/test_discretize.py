@@ -135,8 +135,6 @@ def test_half_blocks_split_and_fallback():
     plus, minus = grid.mask_plus, grid.mask_minus
     blocks = op.half_blocks()
     assert len(blocks) == 2
-    masks = op.half_masks()
-    assert np.array_equal(masks[0], plus) and np.array_equal(masks[1], minus)
     assert np.array_equal(blocks[0], op.matrix[np.ix_(plus, plus)])
     assert np.array_equal(blocks[1], op.matrix[np.ix_(minus, minus)])
     # one non-zero cross-half entry: no split, the whole matrix is one block
@@ -145,7 +143,6 @@ def test_half_blocks_split_and_fallback():
     leaky = OperatorMatrix(kernel, grid.weight, grid)
     (whole,) = leaky.half_blocks()
     assert np.array_equal(whole, leaky.matrix)
-    assert leaky.half_masks() is None
 
 
 def test_half_indices_reject_interface_nodes():

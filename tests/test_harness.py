@@ -30,7 +30,7 @@ from nrlab.harness import (
     write_spectrum_csv,
 )
 from nrlab.kernels import KernelParams, riesz_kernel, sign_witness
-from nrlab.spectra import mixed_norm
+from nrlab.spectra import mixed_norm, russo_bound
 
 SMOKE = dict(p=4.0, grid_sizes=(8, 16), t_per_decade=6, shift_per_decade=6, shift_angles=8)
 
@@ -365,12 +365,15 @@ def test_upper_audit_smoke_split_and_rows():
 
 
 def test_upper_audit_mixed_full_equals_whole_kernel_norm():
+    # the audit shares one whole-kernel pass between mixed_full and the
+    # Russo bound; both must equal the standalone computations exactly
     cfg = ExperimentConfig(p=4.0, grid_sizes=(16,), russo_slack=100.0)
     rep = upper_bound_audit(cfg, N=16)
     grid = make_grid(2, cfg.box, 16)
     for sym, row in zip(symbol_family("default", 2), rep.rows):
         op = assemble_commutator(sym, cfg.ell, grid)
         assert row.aux["mixed_full"] == mixed_norm(op.kernel, cfg.p, "weak", op.weight, op.weight)
+        assert row.aux["russo_bound"] == russo_bound(op, cfg.p)
 
 
 def test_upper_audit_mixed_full_reads_leaky_cross_blocks(monkeypatch):

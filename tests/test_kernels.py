@@ -182,14 +182,14 @@ def _riesz_reduction_form(params, x, y):
     return np.where(gate & ~coincident, val, 0.0)
 
 
-@pytest.mark.parametrize("ell", [1, 2])
-def test_riesz_bit_identical_to_reduction_form(ell):
+@pytest.mark.parametrize("n,ell", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
+def test_riesz_bit_identical_to_reduction_form(n, ell):
     # per-coordinate squared sums add the same terms in the same order
     # as the reduction: every value and every sign bit agrees
     rng = np.random.default_rng(23)
-    params = KernelParams(2, ell)
-    pts = rng.normal(size=(300, 2))
-    pts[:40, 1] = 0.0  # interface points couple to both halves
+    params = KernelParams(n, ell)
+    pts = rng.normal(size=(300, n))
+    pts[:40, -1] = 0.0  # interface points couple to both halves
     pts[40:60] = pts[60:80]  # repeated points: coincident pairs
     x, y = pts[:, None, :], pts[None, :, :]
     got = riesz_kernel(params, x, y, singular="zero")

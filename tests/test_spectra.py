@@ -9,7 +9,6 @@ from nrlab.discretize import OperatorMatrix, assemble_commutator, make_grid
 from nrlab.harness import symbol_family
 from nrlab.spectra import (
     SingularSpectrum,
-    block_diagonal_mixed_norms,
     mixed_norm,
     russo_bound,
     schatten_norm,
@@ -257,19 +256,3 @@ def test_russo_matches_manual_composition():
     assert russo_bound(K, 3.0, row_weights=w, col_weights=w) == pytest.approx(
         np.sqrt(direct * adjoint), rel=1e-14
     )
-
-
-def test_block_diagonal_mixed_norms_match_whole_kernel():
-    # uneven blocks placed on the diagonal of a zero kernel: the norms
-    # from the blocks' columns equal those of the assembled kernel exactly
-    rng = np.random.default_rng(29)
-    blocks = [rng.normal(size=(7, 7)), rng.normal(size=(4, 4)) * 3.0]
-    whole = np.zeros((11, 11))
-    whole[:7, :7], whole[7:, 7:] = blocks
-    w = 0.0625
-    per_block, full = block_diagonal_mixed_norms(blocks, 4.0, w)
-    assert full == mixed_norm(whole, 4.0, "weak", row_weights=w, col_weights=w)
-    assert per_block == [mixed_norm(b, 4.0, "weak", row_weights=w, col_weights=w) for b in blocks]
-    assert full <= sum(per_block)
-    with pytest.raises(ValueError, match="p > 2"):
-        block_diagonal_mixed_norms(blocks, 2.0, w)
