@@ -5,7 +5,10 @@ axis every node carries the same weight w = cell volume, no node ever
 sits on the interface x_n = 0, and matrix entries carry one factor of w
 so the discrete operator acts on l2(grid, w).  Singular-kernel matrices
 use a zero diagonal (principal-value convention; for the commutator the
-factor b(x)-b(y) vanishes there anyway).
+factor b(x)-b(y) vanishes there anyway).  Operators are stored as their
+two same-half blocks.  Neither the Riesz blocks nor the semigroup's axis
+matrices depend on the symbol: callers build them once per grid (and
+time) and apply them to every symbol.
 
 The semigroup is applied in factored form, one axis at a time, which is
 algebraically identical to the dense midpoint-rule matrix but costs
@@ -28,10 +31,13 @@ __all__ = [
     "QuadratureGrid",
     "OperatorMatrix",
     "Symbol",
+    "check_grid",
     "make_grid",
     "assemble_commutator",
     "assemble_riesz",
     "apply_semigroup",
+    "apply_axis_matrices",
+    "heat_axis_matrices",
     "export_matrix",
     "read_matrix",
     "ball_microgrid",
@@ -100,8 +106,9 @@ class QuadratureGrid:
         return np.ravel_multi_index(tuple(multi), self.shape)
 
 
-def make_grid(n: int, box, N: int) -> QuadratureGrid:
-    """Cell-center quadrature grid with N cells per axis.
+def check_grid(n: int, box, N: int):
+    """The box as an (n, 2) array and N as an int, or a ValueError naming
+    the rule they break.
 
     N must be at least 4; when the box crosses the interface N must also
     keep every node off x_n = 0 (even N does, for a symmetric box).
@@ -112,6 +119,17 @@ def make_grid(n: int, box, N: int) -> QuadratureGrid:
     N = int(N)
     if N < 4:
         raise ValueError("N must be at least 4")
+    lo, hi = box[-1]
+    dx = (hi - lo) / N
+    normal = lo + (np.arange(N) + 0.5) * dx
+    if lo < 0.0 < hi and np.any(np.abs(normal) < 1e-12 * dx):
+        raise ValueError("grid places nodes on the interface; use even N")
+    return box, N
+
+
+def make_grid(n: int, box, N: int) -> QuadratureGrid:
+    """Cell-center quadrature grid with N cells per axis (see `check_grid`)."""
+    box, N = check_grid(n, box, N)
     shape = (N,) * n
     axes, spacing = [], []
     for j in range(n):
@@ -119,8 +137,6 @@ def make_grid(n: int, box, N: int) -> QuadratureGrid:
         axes.append(box[j, 0] + (np.arange(N) + 0.5) * dx)
         spacing.append(dx)
     spacing = np.asarray(spacing)
-    if box[-1, 0] < 0.0 < box[-1, 1] and np.any(np.abs(axes[-1]) < 1e-12 * spacing[-1]):
-        raise ValueError("grid places nodes on the interface; use even N")
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     return QuadratureGrid(
         box=box,
@@ -134,44 +150,45 @@ def make_grid(n: int, box, N: int) -> QuadratureGrid:
 
 @dataclass
 class OperatorMatrix:
-    """Dense kernel samples on grid x grid plus the quadrature weight.
+    """Kernel samples on the two same-half node blocks plus the quadrature weight.
 
-    `kernel` holds raw kernel values K(x_i, x_j); the discrete operator
-    on l2(grid, w) is `matrix` = kernel * w, whose singular values are
-    the ones all Schatten statistics use.
+    `blocks` holds raw kernel values K(x_i, x_j) on the plus-plus and the
+    minus-minus node pairs, in the order of `grid.half_indices()`.  The
+    kernel gate makes every cross-half value vanish, so no array holds
+    one: the discrete operator on l2(grid, w) is block-diagonal, its
+    blocks are `half_blocks()` = blocks * w, and its singular values are
+    the union of theirs.  `kernel` and `matrix` build the whole M x M
+    array, with +0.0 cross-half entries, for the consumers that read it.
     """
 
-    kernel: np.ndarray
+    blocks: list
     weight: float
     grid: QuadratureGrid
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.kernel = np.asarray(self.kernel, dtype=float)
-        m = len(self.grid.nodes)
-        if self.kernel.shape != (m, m):
-            raise ValueError("matrix shape inconsistent with grid size")
-        if not np.all(np.isfinite(self.kernel)):
+        self.blocks = [np.asarray(B, dtype=float) for B in self.blocks]
+        sizes = [(len(idx), len(idx)) for idx in self.grid.half_indices()]
+        if [B.shape for B in self.blocks] != sizes:
+            raise ValueError("blocks inconsistent with the grid's half sizes")
+        if not all(np.all(np.isfinite(B)) for B in self.blocks):
             raise ValueError("non-finite entries in matrix")
+
+    @property
+    def kernel(self) -> np.ndarray:
+        m = len(self.grid.nodes)
+        full = np.zeros((m, m))
+        for idx, B in zip(self.grid.half_indices(), self.blocks):
+            full[np.ix_(idx, idx)] = B
+        return full
 
     @property
     def matrix(self) -> np.ndarray:
         return self.kernel * self.weight
 
     def half_blocks(self) -> list:
-        """The plus-plus and minus-minus blocks of `matrix`, or [matrix].
-
-        The blocks are returned only when both cross-half blocks are
-        exactly zero, which is what the kernel gate guarantees for every
-        assembled operator; then the singular values of `matrix` are the
-        union of those of the blocks.
-        """
-        plus, minus = self.grid.mask_plus, self.grid.mask_minus
-        if not np.all(plus | minus) or np.any(self.kernel[np.ix_(plus, minus)]) or np.any(
-            self.kernel[np.ix_(minus, plus)]
-        ):
-            return [self.matrix]
-        return [self.kernel[np.ix_(m, m)] * self.weight for m in (plus, minus) if np.any(m)]
+        """The plus-plus and minus-minus blocks of `matrix`."""
+        return [B * self.weight for B in self.blocks]
 
 
 @dataclass
@@ -197,48 +214,44 @@ def _row_blocks(total: int, block: int = 512):
         yield start, min(start + block, total)
 
 
-def _same_half_kernel(params: KernelParams, grid: QuadratureGrid, bv=None) -> np.ndarray:
-    """K_ell(x_i, x_j), times b(x_i) - b(x_j) when bv is given, on grid x grid.
+def assemble_riesz(ell: int, grid: QuadratureGrid) -> OperatorMatrix:
+    """Same-half blocks of K_ell(x_i, x_j) w with zero diagonal.
 
-    The kernel is evaluated on same-half pairs only; the cross-half
-    entries, which the gate makes vanish, stay exact zeros.
+    The kernel does not depend on the symbol, so one operator per grid
+    serves every commutator assembled on it.  First-order quadrature
+    only: without the commutator factor the principal-value singularity
+    is not resolved by the midpoint rule.
     """
-    x = grid.nodes
-    kernel = np.zeros((len(x), len(x)))
+    params = KernelParams(grid.dim, ell)
+    blocks = []
     for idx in grid.half_indices():
-        xh = x[idx]
+        xh = grid.nodes[idx]
+        block = np.empty((len(idx), len(idx)))
         for i0, i1 in _row_blocks(len(idx)):
-            K = riesz_kernel(params, xh[i0:i1, None, :], xh[None, :, :], singular="zero")
-            if bv is not None:
-                K = (bv[idx[i0:i1], None] - bv[None, idx]) * K
-            kernel[idx[i0:i1, None], idx] = K
-    return kernel
+            block[i0:i1] = riesz_kernel(params, xh[i0:i1, None, :], xh[None, :, :], singular="zero")
+        blocks.append(block)
+    return OperatorMatrix(blocks, grid.weight, grid, {"symbol": "", "ell": ell, "grid": grid.id})
 
 
-def assemble_commutator(b, ell: int, grid: QuadratureGrid) -> OperatorMatrix:
-    """Dense matrix of (b(x_i) - b(x_j)) K_ell(x_i, x_j) w, zero diagonal.
+def assemble_commutator(b, riesz: OperatorMatrix) -> OperatorMatrix:
+    """Blocks of (b(x_i) - b(x_j)) K_ell(x_i, x_j) w, zero diagonal, from
+    the Riesz operator of the grid (`assemble_riesz`).
 
     Exactly zero for per-half-constant b: the kernel gate kills pairs in
     distinct halves and b(x) - b(y) is identically zero within one half.
     """
-    params = KernelParams(grid.dim, ell)
+    grid = riesz.grid
     x = grid.nodes
     bv = np.asarray(b(x) if callable(b) else b, dtype=float)
     if bv.shape != (len(x),):
         raise ValueError("symbol must evaluate to one value per node")
-    kernel = _same_half_kernel(params, grid, bv)
-    name = getattr(b, "name", "symbol")
-    return OperatorMatrix(kernel, grid.weight, grid, {"symbol": name, "ell": ell, "grid": grid.id})
-
-
-def assemble_riesz(ell: int, grid: QuadratureGrid) -> OperatorMatrix:
-    """Dense matrix of K_ell(x_i, x_j) w with zero diagonal.
-
-    First-order quadrature only: without the commutator factor the
-    principal-value singularity is not resolved by the midpoint rule.
-    """
-    kernel = _same_half_kernel(KernelParams(grid.dim, ell), grid)
-    return OperatorMatrix(kernel, grid.weight, grid, {"symbol": "", "ell": ell, "grid": grid.id})
+    blocks = []
+    for idx, K in zip(grid.half_indices(), riesz.blocks):
+        block = bv[idx, None] - bv[None, idx]
+        block *= K
+        blocks.append(block)
+    meta = {"symbol": getattr(b, "name", "symbol"), "ell": riesz.meta["ell"], "grid": grid.id}
+    return OperatorMatrix(blocks, riesz.weight, grid, meta)
 
 
 def _heat_1d(t: float, d: np.ndarray) -> np.ndarray:
@@ -262,7 +275,16 @@ def _interval_neumann_1d(t: float, x: np.ndarray, y: np.ndarray, a: float, b: fl
     return out
 
 
-def _axis_matrices(t: float, grid: QuadratureGrid, kernel: str) -> list:
+def heat_axis_matrices(t: float, grid: QuadratureGrid, kernel: str = "neumann") -> list:
+    """Per-axis midpoint-rule matrices of the heat semigroup at time t.
+
+    They do not depend on the field, so a caller that evolves several
+    fields builds them once and hands each field to `apply_axis_matrices`.
+    """
+    if t <= 0:
+        raise ValueError("t must be positive")
+    if kernel not in ("neumann", "full", "neumann-box"):
+        raise ValueError("kernel must be 'neumann', 'full' or 'neumann-box'")
     mats = []
     for j in range(grid.dim):
         c = grid.axes[j]
@@ -289,6 +311,14 @@ def _axis_matrices(t: float, grid: QuadratureGrid, kernel: str) -> list:
     return mats
 
 
+def apply_axis_matrices(values: np.ndarray, mats: list, grid: QuadratureGrid) -> np.ndarray:
+    """Contract one field with per-axis matrices, one tensordot per axis."""
+    out = values.reshape(grid.shape)
+    for j, mat in enumerate(mats):
+        out = np.moveaxis(np.tensordot(mat, out, axes=(1, j)), 0, j)
+    return out.reshape(-1)
+
+
 def apply_semigroup(f: SampledField, t: float, grid: QuadratureGrid, kernel: str = "neumann") -> SampledField:
     """Midpoint-rule heat semigroup at time t, factored axis by axis.
 
@@ -300,21 +330,16 @@ def apply_semigroup(f: SampledField, t: float, grid: QuadratureGrid, kernel: str
     points at every t; the Besov heat route uses it to keep the norm of
     a constant at zero instead of at box-truncation size.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if kernel not in ("neumann", "full", "neumann-box"):
-        raise ValueError("kernel must be 'neumann', 'full' or 'neumann-box'")
+    mats = heat_axis_matrices(t, grid, kernel)
     if f.values.shape != (len(grid.nodes),):
         raise ValueError("field does not match grid")
-    out = f.values.reshape(grid.shape)
-    for j, mat in enumerate(_axis_matrices(t, grid, kernel)):
-        out = np.moveaxis(np.tensordot(mat, out, axes=(1, j)), 0, j)
-    return SampledField(grid, out.reshape(-1))
+    return SampledField(grid, apply_axis_matrices(f.values, mats, grid))
 
 
 def export_matrix(op: OperatorMatrix, path):
-    """Binary export: 32-byte header (magic, n, N, ell), then the weighted
-    matrix as column-major float64; metadata sidecar at <path>.cfg."""
+    """Binary export: 32-byte header (magic, n, N, ell), then the whole
+    weighted matrix, cross-half entries +0.0, as column-major float64;
+    metadata sidecar at <path>.cfg."""
     path = str(path)
     mat = op.matrix
     n = op.grid.dim

@@ -21,7 +21,9 @@ from .discretize import (
     Symbol,
     apply_semigroup,
     assemble_commutator,
+    assemble_riesz,
     ball_microgrid,
+    check_grid,
     make_grid,
 )
 from .dyadic import (
@@ -110,16 +112,39 @@ class ExperimentConfig:
             raise ValueError("grid size ladder must be strictly increasing")
         if not 1 <= self.ell <= self.n:
             raise ValueError("ell must lie in 1..n")
-        # fields the dyadic statistics read; a bad value would otherwise
-        # surface minutes later as an empty sup or a silent FAIL
-        if not (math.isfinite(self.p) and self.p > 0.0):
-            raise ValueError(f"p must be finite and > 0, got {self.p}")
-        if self.num_lattice_shifts < 1:
-            raise ValueError(f"num_lattice_shifts must be >= 1, got {self.num_lattice_shifts}")
+        if not self.grid_sizes:
+            raise ValueError("grid_sizes must name at least one grid size")
+        for N in self.grid_sizes:
+            try:
+                check_grid(self.n, self.box, N)
+            except ValueError as exc:
+                raise ValueError(f"grid_sizes entry {N} is rejected: {exc}") from None
+        # a bad value would otherwise surface minutes later, inside an
+        # SVD, as an empty sup or as a silent FAIL
+        for name in (
+            "p",
+            "t_min",
+            "t_max",
+            "ratio_spread_max",
+            "ratio_drift_max",
+            "divergence_growth_min",
+            "audit_C_energy",
+            "audit_C_nwo",
+            "audit_C_tail",
+            "audit_C_double",
+            "russo_slack",
+            "witness_A",
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not self.t_min < self.t_max:
+            raise ValueError(f"t_min must be < t_max, got {self.t_min} >= {self.t_max}")
+        for name in ("t_per_decade", "shift_per_decade", "shift_angles", "num_lattice_shifts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.k_min > self.stat_k_max:
             raise ValueError(f"k_min must be <= stat_k_max, got {self.k_min} > {self.stat_k_max}")
-        if not self.witness_A > 0.0:
-            raise ValueError(f"witness_A must be > 0, got {self.witness_A}")
 
     def to_dict(self) -> dict:
         out = {}
@@ -316,24 +341,29 @@ def _resolved_k_max(grid, hi: int) -> int:
     return min(k, hi)
 
 
-def _both_systems(cfg: ExperimentConfig, shift, k_max: int):
+def _lattice_systems(cfg: ExperimentConfig, k_max: int) -> list:
+    """The plus and minus dyadic systems of every lattice shift, in the
+    order of `lattice_shift_sample`; the first pair is unshifted.
+
+    They do not depend on the symbol, so a study builds them once and
+    every symbol's statistics read them."""
     return [
-        build_system(half, shift, cfg.box, (cfg.k_min, k_max))
-        for half in ("plus", "minus")
+        [build_system(half, shift, cfg.box, (cfg.k_min, k_max)) for half in ("plus", "minus")]
+        for shift in lattice_shift_sample(cfg.n, cfg.num_lattice_shifts)
     ]
 
 
-def _energy_statistic(fld: SampledField, cfg: ExperimentConfig, k_max: int) -> float:
+def _energy_statistic(fld: SampledField, cfg: ExperimentConfig, systems: list) -> float:
     best = 0.0
-    for shift in lattice_shift_sample(cfg.n, cfg.num_lattice_shifts):
+    for pair in systems:
         total = 0.0
-        for system in _both_systems(cfg, shift, k_max):
+        for system in pair:
             total += dyadic_energy_sum(fld, system, cfg.p)
         best = max(best, total)
     return best
 
 
-def _nwo_statistic(sym: Symbol, cfg: ExperimentConfig, k_max: int, child_ppa: int = 6, ball_ppa: int = 8) -> float:
+def _nwo_statistic(sym: Symbol, cfg: ExperimentConfig, systems: list, child_ppa: int = 6, ball_ppa: int = 8) -> float:
     """Sum over halves, generations and admissible cubes of
     (sum_children |<T e, f>|)^p with e, f the normalized indicators built
     from the witness-ball median split, maximized over the lattice shift
@@ -349,9 +379,9 @@ def _nwo_statistic(sym: Symbol, cfg: ExperimentConfig, k_max: int, child_ppa: in
     cube by cube."""
     params = KernelParams(cfg.n, cfg.ell)
     best = 0.0
-    for shift in lattice_shift_sample(cfg.n, cfg.num_lattice_shifts):
+    for pair in systems:
         total = 0.0
-        for system in _both_systems(cfg, shift, k_max):
+        for system in pair:
             for k in system.generations():
                 cubes = system.cubes[k]
                 if not cubes:
@@ -408,12 +438,13 @@ def _cube_micropoints(Q, ppa: int):
     return _subcube_midpoints(Q.shift, Q.k, [Q], 0, ppa)[0, 0], (Q.side / ppa) ** Q.n
 
 
-def _tail_statistic(fld: SampledField, cfg: ExperimentConfig, k_max: int) -> float:
+def _tail_statistic(fld: SampledField, cfg: ExperimentConfig, pair: list) -> float:
     """sum over halves and generations of 2^{nk} ||b - E_k(b)||_p^p, the
-    L^p distance to the generation-k averages, over covered nodes."""
+    L^p distance to the generation-k averages, over covered nodes of the
+    unshifted plus and minus systems `pair`."""
     total = 0.0
     grid = fld.grid
-    for system in _both_systems(cfg, np.zeros(cfg.n), k_max):
+    for system in pair:
         for k in system.generations():
             ek = conditional_expectation(fld, k, system).values
             covered = np.zeros(len(grid.nodes), dtype=bool)
@@ -439,10 +470,11 @@ def _double_integral_statistic(fld: SampledField, cfg: ExperimentConfig) -> floa
     return total
 
 
-def _oscillation_partials(sym: Symbol, cfg: ExperimentConfig, ppa: int = 6) -> dict:
+def _oscillation_partials(sym: Symbol, cfg: ExperimentConfig, systems: list, ppa: int = 6) -> dict:
     """Cumulative dyadic oscillation statistic per top generation K:
     sup over lattice shifts of (sum_{k<=K} sum_Q osc_Q^n)^{1/n}, where
     osc_Q is the mean absolute gap between generation-(k+2) sub-averages.
+    `systems` are the lattice systems over generations k_min..stat_k_max.
 
     Evaluated per (shift, half, generation), over all the cubes of the
     generation at once: one symbol call on the midpoint nodes of every
@@ -450,14 +482,12 @@ def _oscillation_partials(sym: Symbol, cfg: ExperimentConfig, ppa: int = 6) -> d
     per cube.  The sub-averages equal `box_midpoint_mean` on each
     grandchild bit for bit, and osc_Q^n is summed in cube order."""
     out = {}
-    shifts = lattice_shift_sample(cfg.n, cfg.num_lattice_shifts)
     gens = range(cfg.k_min, cfg.stat_k_max + 1)
-    per_shift = np.zeros((len(shifts), len(gens)))
-    for si, shift in enumerate(shifts):
-        systems = _both_systems(cfg, shift, cfg.stat_k_max)
+    per_shift = np.zeros((len(systems), len(gens)))
+    for si, pair in enumerate(systems):
         for ki, k in enumerate(gens):
             gen_total = 0.0
-            for system in systems:
+            for system in pair:
                 cubes = system.cubes[k]
                 if not cubes:
                     continue
@@ -476,11 +506,10 @@ def _oscillation_partials(sym: Symbol, cfg: ExperimentConfig, ppa: int = 6) -> d
 # studies
 
 
-def _schatten_of_symbol(sym: Symbol, cfg: ExperimentConfig, N: int, p: float):
-    grid = make_grid(cfg.n, cfg.box, N)
-    op = assemble_commutator(sym, cfg.ell, grid)
+def _commutator_spectrum(sym: Symbol, riesz, p: float):
+    op = assemble_commutator(sym, riesz)
     spec = singular_values(op)
-    return grid, op, spec, schatten_norm(spec, p)
+    return op, spec, schatten_norm(spec, p)
 
 
 def ratio_study(cfg: ExperimentConfig) -> Report:
@@ -503,13 +532,12 @@ def ratio_study(cfg: ExperimentConfig) -> Report:
     for N in cfg.grid_sizes:
         grid = make_grid(cfg.n, cfg.box, N)
         shift_grid = default_shift_grid(grid, cfg.shift_per_decade, cfg.shift_angles)
-        for sym in family:
-            op = assemble_commutator(sym, cfg.ell, grid)
-            spec = singular_values(op)
+        riesz = assemble_riesz(cfg.ell, grid)
+        heat = besov_heat_norm(family, params, grid, t_grid)
+        for sym, b_heat in zip(family, heat):
+            _, spec, s_norm = _commutator_spectrum(sym, riesz, cfg.p)
             if N == cfg.grid_sizes[-1]:
                 spectra[f"ratio_{sym.name}_N{N}"] = (spec, None)
-            s_norm = schatten_norm(spec, cfg.p)
-            b_heat = besov_heat_norm(sym, params, grid, t_grid)
             b_ext = besov_neumann_norm(sym, params, grid, shift_grid)
             degenerate = sym.kind == "perhalf-constant"
             if degenerate:
@@ -576,16 +604,20 @@ def divergence_study(cfg: ExperimentConfig) -> Report:
     if cfg.p != cfg.n:
         raise ValueError("divergence study requires p = n")
     family = symbol_family(cfg.family, cfg.n)
-    rows = []
     spectra = {}
+    norms = {}
+    for N in cfg.grid_sizes:
+        riesz = assemble_riesz(cfg.ell, make_grid(cfg.n, cfg.box, N))
+        for sym in family:
+            _, spec, norms[sym.name, N] = _commutator_spectrum(sym, riesz, cfg.p)
+            spectra[f"divergence_{sym.name}_N{N}"] = (spec, None)
+    systems = _lattice_systems(cfg, cfg.stat_k_max)
+    rows = []
     growth_ok = True
     controls_ok = True
     for sym in family:
-        values = []
-        for N in cfg.grid_sizes:
-            _, op, spec, s_norm = _schatten_of_symbol(sym, cfg, N, cfg.p)
-            spectra[f"divergence_{sym.name}_N{N}"] = (spec, None)
-            values.append(s_norm)
+        values = [norms[sym.name, N] for N in cfg.grid_sizes]
+        for N, s_norm in zip(cfg.grid_sizes, values):
             rows.append(
                 ReportRow(
                     "divergence",
@@ -602,7 +634,7 @@ def divergence_study(cfg: ExperimentConfig) -> Report:
         else:
             increasing = all(b > a for a, b in zip(values, values[1:]))
             growth_ok &= increasing and values[-1] >= cfg.divergence_growth_min * values[0]
-        partials = _oscillation_partials(sym, cfg)
+        partials = _oscillation_partials(sym, cfg, systems)
         for K, stat in partials.items():
             rows.append(
                 ReportRow(
@@ -641,14 +673,16 @@ def lower_bound_audit(cfg: ExperimentConfig, N: int = None) -> Report:
         "double": cfg.audit_C_double,
     }
     constants = {name: [] for name in limits}
+    grid = make_grid(cfg.n, cfg.box, N)
+    riesz = assemble_riesz(cfg.ell, grid)
+    systems = _lattice_systems(cfg, _resolved_k_max(grid, cfg.stat_k_max))
     for sym in family:
-        grid, op, spec, s_norm = _schatten_of_symbol(sym, cfg, N, cfg.p)
+        _, spec, s_norm = _commutator_spectrum(sym, riesz, cfg.p)
         fld = SampledField(grid, sym(grid.nodes))
-        k_max = _resolved_k_max(grid, cfg.stat_k_max)
         stats = {
-            "energy": _energy_statistic(fld, cfg, k_max),
-            "nwo": _nwo_statistic(sym, cfg, k_max),
-            "tail": _tail_statistic(fld, cfg, k_max),
+            "energy": _energy_statistic(fld, cfg, systems),
+            "nwo": _nwo_statistic(sym, cfg, systems),
+            "tail": _tail_statistic(fld, cfg, systems[0]),
             "double": _double_integral_statistic(fld, cfg),
         }
         degenerate = sym.kind == "perhalf-constant"
@@ -702,26 +736,26 @@ def upper_bound_audit(cfg: ExperimentConfig, N: int = None) -> Report:
     # on the kernel itself, once for the grid all symbols share
     grid = make_grid(cfg.n, cfg.box, N)
     params = KernelParams(cfg.n, cfg.ell)
-    plus, minus = grid.mask_plus, grid.mask_minus
-    xp, xm = grid.nodes[plus], grid.nodes[minus]
+    xp, xm = grid.nodes[grid.mask_plus], grid.nodes[grid.mask_minus]
     cross_zero = bool(
         np.all(riesz_kernel(params, xp[:, None, :], xm[None, :, :]) == 0.0)
         and np.all(riesz_kernel(params, xm[:, None, :], xp[None, :, :]) == 0.0)
     )
+    riesz = assemble_riesz(cfg.ell, grid)
     for sym in symbol_family(cfg.family, cfg.n):
-        _, op, spec, s_norm = _schatten_of_symbol(sym, cfg, N, cfg.p)
+        op, spec, s_norm = _commutator_spectrum(sym, riesz, cfg.p)
         weak = weak_schatten_norm(spec, cfg.p)
         # the full mixed norm is the direct half of the Russo bound, as
         # russo_bound computes it: one whole-kernel pass serves both
-        k_full = mixed_norm(op.kernel, cfg.p, "weak", op.weight, op.weight)
-        adjoint = mixed_norm(op.kernel.T, cfg.p, "weak", op.weight, op.weight)
+        kernel = op.kernel
+        k_full = mixed_norm(kernel, cfg.p, "weak", op.weight, op.weight)
+        adjoint = mixed_norm(kernel.T, cfg.p, "weak", op.weight, op.weight)
         bound = float(np.sqrt(k_full * adjoint))
         spectra[f"upper_{sym.name}_N{N}"] = (
             spec,
             {"p": cfg.p, "schatten": s_norm, "weak_schatten": weak, "russo_bound": bound},
         )
-        k_plus = mixed_norm(op.kernel[np.ix_(plus, plus)], cfg.p, "weak", op.weight, op.weight)
-        k_minus = mixed_norm(op.kernel[np.ix_(minus, minus)], cfg.p, "weak", op.weight, op.weight)
+        k_plus, k_minus = (mixed_norm(B, cfg.p, "weak", op.weight, op.weight) for B in op.blocks)
         ok = weak <= bound * cfg.russo_slack
         split_ok = k_full <= k_plus + k_minus + 1e-12 and cross_zero
         passed &= ok and split_ok
@@ -882,7 +916,7 @@ def verify_suite(cfg: ExperimentConfig) -> Report:
     small = make_grid(n, cfg.box, 16)
     s4_err = 0.0
     for ell in sorted({1, n}):
-        op = assemble_commutator(odd, ell, small)
+        op = assemble_commutator(odd, assemble_riesz(ell, small))
         s4 = float(np.sum(singular_values(op).values ** 4))
         gram = op.matrix.T @ op.matrix
         fro2 = float(np.sum(gram * gram))

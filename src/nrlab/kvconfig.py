@@ -3,7 +3,8 @@
 One `key = value` pair per line; `#` starts a comment.  Values are
 parsed as int, float, bool, a comma-separated list of those, or left as
 strings.  Writing is deterministic: keys in insertion order, floats in
-repr form (shortest round-trip), lists comma-joined.
+repr form (shortest round-trip), lists comma-joined.  Writing refuses a
+pair that would not read back exactly as given.
 """
 
 from __future__ import annotations
@@ -55,13 +56,30 @@ def _format_scalar(v) -> str:
 
 
 def format_kv(data: dict) -> str:
+    """The text of `data`, or a ValueError naming the first pair that
+    would not read back exactly as given.
+
+    A list of fewer than two items ends in a comma, so it reads back as
+    a list.  Refused, for example: strings that parse as another type
+    ('1', 'true', 'x,y'), strings with surrounding blanks, a '#' or a
+    line break, NaN, and nested lists.
+    """
     lines = []
     for key, val in data.items():
         if isinstance(val, (list, tuple)):
-            rendered = ", ".join(_format_scalar(v) for v in val)
+            rendered = ", ".join(_format_scalar(v) for v in val) + ("," if len(val) < 2 else "")
+            expected = list(val)
         else:
             rendered = _format_scalar(val)
-        lines.append(f"{key} = {rendered}")
+            expected = val
+        line = f"{key} = {rendered}"
+        try:
+            exact = parse_kv_text(line) == {key: expected}
+        except ValueError:
+            exact = False
+        if not exact:
+            raise ValueError(f"key {key!r}: value {val!r} would not read back unchanged")
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 

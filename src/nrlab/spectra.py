@@ -1,9 +1,9 @@
 """Singular spectra, Schatten and weak Schatten norms, mixed kernel norms.
 
-Spectra are taken block by block.  An operator whose cross-half blocks
-are exactly zero (every assembled Neumann operator: the kernel gate
-kills cross-half pairs) is split into its plus-plus and minus-minus
-blocks, and its singular values are the union of theirs.  A block that
+Spectra are taken block by block.  An assembled Neumann operator is
+stored as its plus-plus and minus-minus blocks (the kernel gate kills
+cross-half pairs), and its singular values are the union of theirs; a
+plain matrix is one block.  A block that
 is exactly zero has a zero spectrum; an exactly symmetric block (the
 commutator for ell < n, where K_ell(y,x) = -K_ell(x,y) bit for bit) has
 the absolute values of its eigenvalues (`eigvalsh`); any other block
@@ -140,7 +140,11 @@ def mixed_norm(K, p: float, mode: str = "weak", row_weights=None, col_weights=No
         raise ValueError("mode must be 'strong' or 'weak'")
     mat, wx, wy = _kernel_and_weights(K, row_weights, col_weights)
     q = p / (p - 1.0)
-    inner = np.sum(np.abs(mat) ** p * wx[:, None], axis=0) ** (1.0 / p)
+    # in place, so a whole-grid kernel costs one temporary of its size
+    terms = np.abs(mat)
+    terms **= p
+    terms *= wx[:, None]
+    inner = np.sum(terms, axis=0) ** (1.0 / p)
     if mode == "strong":
         return float(np.sum(inner**q * wy) ** (1.0 / q))
     order = np.argsort(inner)[::-1]

@@ -2,6 +2,8 @@
 detection on per-half constants, homogeneity, translation invariance,
 self-refinement stability and the single-term extension reduction."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from nrlab.besov import (
     default_time_grid,
     even_extension,
 )
-from nrlab.discretize import make_grid
+from nrlab.discretize import apply_semigroup, make_grid
+from nrlab.dyadic import SampledField
 
 BOX = ((-2.0, 2.0), (-2.0, 2.0))
 PARAMS = BesovParams(alpha=0.5, p=4.0, q=4.0)
@@ -91,14 +94,41 @@ def test_even_extension_minus_half_source():
 
 def test_heat_norm_vanishes_on_per_half_constants():
     grid = make_grid(2, BOX, 32)
-    val = besov_heat_norm(_halfconst, PARAMS, grid)
+    (val,) = besov_heat_norm([_halfconst], PARAMS, grid)
     assert val <= 1e-6
+
+
+def _heat_norm_by_semigroup(b, params, grid, t_grid):
+    """One symbol's heat-route norm with one `apply_semigroup` call per
+    t-node and side step."""
+    t_used = t_grid[t_grid >= float(np.max(grid.spacing)) ** 2]
+    fld = SampledField(grid, b(grid.nodes))
+    integrand_q = np.empty(t_used.size)
+    for i, t in enumerate(t_used):
+        up = apply_semigroup(fld, t * math.exp(0.05), grid, kernel="neumann-box")
+        dn = apply_semigroup(fld, t * math.exp(-0.05), grid, kernel="neumann-box")
+        deriv = -(up.values - dn.values) / (2.0 * 0.05)
+        lp = float(np.sum(np.abs(deriv) ** params.p) * grid.weight) ** (1.0 / params.p)
+        integrand_q[i] = (t ** (-params.alpha) * lp) ** params.q
+    return float(np.trapezoid(integrand_q, np.log(t_used))) ** (1.0 / params.q)
+
+
+def test_heat_norm_family_matches_per_symbol_semigroup_bit_for_bit():
+    # at N = 32 a contraction of all fields at once already moves the
+    # control's rounding residue, so this also pins the per-field order
+    grid = make_grid(2, BOX, 32)
+    t_grid = default_time_grid(1e-3, 10.0, 16)
+    family = [_bump, _halfconst, lambda p: _bump(p, (0.3, -0.4), 0.6)]
+    norms = besov_heat_norm(family, PARAMS, grid, t_grid)
+    assert len(norms) == len(family)
+    for b, norm in zip(family, norms):
+        assert norm == _heat_norm_by_semigroup(b, PARAMS, grid, t_grid)
+        assert besov_heat_norm([b], PARAMS, grid, t_grid) == [norm]
 
 
 def test_heat_norm_homogeneity():
     grid = make_grid(2, BOX, 24)
-    base = besov_heat_norm(_bump, PARAMS, grid)
-    doubled = besov_heat_norm(lambda p: 2.0 * _bump(p), PARAMS, grid)
+    base, doubled = besov_heat_norm([_bump, lambda p: 2.0 * _bump(p)], PARAMS, grid)
     assert base > 0
     assert doubled == pytest.approx(2.0 * base, rel=1e-10)
 
@@ -108,11 +138,11 @@ def test_heat_norm_self_refinement():
     # resolution floor, so the comparison measures quadrature error and
     # not the widening integration domain
     t_lo = (4.0 / 48) ** 2
-    coarse = besov_heat_norm(
-        _bump, PARAMS, make_grid(2, BOX, 48), default_time_grid(t_lo, 10.0, 16)
+    (coarse,) = besov_heat_norm(
+        [_bump], PARAMS, make_grid(2, BOX, 48), default_time_grid(t_lo, 10.0, 16)
     )
-    fine = besov_heat_norm(
-        _bump, PARAMS, make_grid(2, BOX, 96), default_time_grid(t_lo, 10.0, 32)
+    (fine,) = besov_heat_norm(
+        [_bump], PARAMS, make_grid(2, BOX, 96), default_time_grid(t_lo, 10.0, 32)
     )
     assert coarse > 0 and fine > 0
     assert abs(fine - coarse) / fine < 0.05
@@ -121,12 +151,12 @@ def test_heat_norm_self_refinement():
 def test_heat_norm_error_paths():
     grid = make_grid(2, BOX, 16)
     with pytest.raises(ValueError, match="empty t grid"):
-        besov_heat_norm(_bump, PARAMS, grid, t_grid=np.array([]))
+        besov_heat_norm([_bump], PARAMS, grid, t_grid=np.array([]))
     with pytest.raises(ValueError, match="positive"):
-        besov_heat_norm(_bump, PARAMS, grid, t_grid=np.array([-1.0, 1.0]))
+        besov_heat_norm([_bump], PARAMS, grid, t_grid=np.array([-1.0, 1.0]))
     with pytest.raises(ValueError, match="resolution floor"):
         # every node sits below max(spacing)^2 = 1/16
-        besov_heat_norm(_bump, PARAMS, grid, t_grid=np.array([1e-5, 2e-5]))
+        besov_heat_norm([_bump], PARAMS, grid, t_grid=np.array([1e-5, 2e-5]))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +245,7 @@ def test_neumann_norm_single_term_reduction():
 
 def test_heat_and_extension_routes_comparable():
     grid = make_grid(2, BOX, 32)
-    heat = besov_heat_norm(_bump, PARAMS, grid)
+    (heat,) = besov_heat_norm([_bump], PARAMS, grid)
     ext = besov_neumann_norm(_bump, PARAMS, grid)
     assert heat > 0 and ext > 0
     assert 0.1 <= heat / ext <= 10.0

@@ -5,9 +5,15 @@ oracles are conservation, gating, composition and the even-extension
 route; export is checked byte-for-byte."""
 
 import math
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nrlab.discretize import (
     OperatorMatrix,
@@ -21,6 +27,7 @@ from nrlab.discretize import (
     read_matrix,
 )
 from nrlab.dyadic import SampledField
+from nrlab.harness import symbol_family
 from nrlab.kernels import Ball, KernelParams, riesz_kernel
 
 BOX = ((-2.0, 2.0), (-2.0, 2.0))
@@ -81,7 +88,7 @@ def test_commutator_per_half_constant_is_exact_zero():
 
     for N in (16, 32, 64):
         grid = make_grid(2, BOX, N)
-        op = assemble_commutator(b, 1, grid)
+        op = assemble_commutator(b, assemble_riesz(1, grid))
         assert not np.any(op.matrix)
 
 
@@ -95,7 +102,7 @@ def test_commutator_two_node_hand_value():
         spacing=np.array([0.5, 0.5]),
         weight=1.0,
     )
-    op = assemble_commutator(lambda p: np.asarray(p)[..., 1], 2, grid)
+    op = assemble_commutator(lambda p: np.asarray(p)[..., 1], assemble_riesz(2, grid))
     k12 = riesz_kernel(KernelParams(2, 2), nodes[0], nodes[1])
     k21 = riesz_kernel(KernelParams(2, 2), nodes[1], nodes[0])
     assert op.matrix[0, 0] == 0.0 and op.matrix[1, 1] == 0.0
@@ -105,15 +112,15 @@ def test_commutator_two_node_hand_value():
 
 def test_commutator_sign_flips_with_symbol():
     grid = make_grid(2, BOX, 16)
-    op_pos = assemble_commutator(_bump, 1, grid)
-    op_neg = assemble_commutator(lambda p: -_bump(p), 1, grid)
+    op_pos = assemble_commutator(_bump, assemble_riesz(1, grid))
+    op_neg = assemble_commutator(lambda p: -_bump(p), assemble_riesz(1, grid))
     assert np.array_equal(op_neg.matrix, -op_pos.matrix)
 
 
 def test_commutator_cross_half_entries_are_positive_zero():
     grid = make_grid(2, BOX, 16)
     for ell in (1, 2):
-        op = assemble_commutator(lambda p: _bump(p, (0.2, 0.0), 0.8), ell, grid)
+        op = assemble_commutator(lambda p: _bump(p, (0.2, 0.0), 0.8), assemble_riesz(ell, grid))
         for rows, cols in ((grid.mask_plus, grid.mask_minus), (grid.mask_minus, grid.mask_plus)):
             cross = op.matrix[np.ix_(rows, cols)]
             assert np.all(cross == 0.0) and not np.any(np.signbit(cross))
@@ -123,26 +130,68 @@ def test_commutator_symmetric_exactly_for_tangential_ell():
     # K_l(y, x) = -K_l(x, y) bit for bit for l < n; the normal kernel's
     # reflected term is swap-symmetric instead
     grid = make_grid(2, BOX, 16)
-    m1 = assemble_commutator(_bump, 1, grid).matrix
-    m2 = assemble_commutator(_bump, 2, grid).matrix
+    m1 = assemble_commutator(_bump, assemble_riesz(1, grid)).matrix
+    m2 = assemble_commutator(_bump, assemble_riesz(2, grid)).matrix
     assert np.array_equal(m1, m1.T)
     assert not np.array_equal(m2, m2.T)
 
 
-def test_half_blocks_split_and_fallback():
+def test_half_blocks_split():
     grid = make_grid(2, BOX, 8)
-    op = assemble_commutator(lambda p: _bump(p, (0.2, 0.0), 0.8), 2, grid)
+    op = assemble_commutator(lambda p: _bump(p, (0.2, 0.0), 0.8), assemble_riesz(2, grid))
     plus, minus = grid.mask_plus, grid.mask_minus
     blocks = op.half_blocks()
     assert len(blocks) == 2
     assert np.array_equal(blocks[0], op.matrix[np.ix_(plus, plus)])
     assert np.array_equal(blocks[1], op.matrix[np.ix_(minus, minus)])
-    # one non-zero cross-half entry: no split, the whole matrix is one block
-    kernel = op.kernel.copy()
-    kernel[np.flatnonzero(plus)[0], np.flatnonzero(minus)[3]] = 0.5
-    leaky = OperatorMatrix(kernel, grid.weight, grid)
-    (whole,) = leaky.half_blocks()
-    assert np.array_equal(whole, leaky.matrix)
+
+
+def _per_symbol_matrix(b, ell, grid):
+    """The whole weighted commutator matrix from one kernel pass per
+    symbol: same-half pairs in row chunks of 512, cross-half entries left
+    at +0.0."""
+    params = KernelParams(grid.dim, ell)
+    bv = b(grid.nodes)
+    kernel = np.zeros((len(bv), len(bv)))
+    for idx in grid.half_indices():
+        xh = grid.nodes[idx]
+        for i0 in range(0, len(idx), 512):
+            rows = idx[i0 : i0 + 512]
+            K = riesz_kernel(params, xh[i0 : i0 + 512, None, :], xh[None, :, :], singular="zero")
+            kernel[rows[:, None], idx] = (bv[rows, None] - bv[None, idx]) * K
+    return kernel * grid.weight
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_shared_riesz_blocks_match_per_symbol_assembly(ell):
+    # N = 40 puts 800 nodes in each half, so the rows span two chunks
+    grid = make_grid(2, BOX, 40)
+    riesz = assemble_riesz(ell, grid)
+    for sym in symbol_family("default", 2):
+        op = assemble_commutator(sym, riesz)
+        want = _per_symbol_matrix(sym, ell, grid)
+        assert np.array_equal(op.matrix, want)
+        for idx, block in zip(grid.half_indices(), op.half_blocks()):
+            assert np.array_equal(block, want[np.ix_(idx, idx)])
+
+
+def test_stored_blocks_are_exactly_symmetric_for_tangential_ell():
+    grid = make_grid(2, BOX, 16)
+    riesz = assemble_riesz(1, grid)
+    assert all(np.array_equal(K, -K.T) for K in riesz.blocks)
+    for sym in symbol_family("default", 2):
+        for B in assemble_commutator(sym, riesz).blocks:
+            assert np.array_equal(B, B.T)
+
+
+def test_control_blocks_are_exact_zeros():
+    grid = make_grid(2, BOX, 16)
+    controls = [s for s in symbol_family("default", 2) if s.kind == "perhalf-constant"]
+    for ell in (1, 2):
+        riesz = assemble_riesz(ell, grid)
+        for sym in controls:
+            for B in assemble_commutator(sym, riesz).blocks:
+                assert np.all(B == 0.0)
 
 
 def test_half_indices_reject_interface_nodes():
@@ -158,7 +207,7 @@ def test_half_indices_reject_interface_nodes():
     with pytest.raises(ValueError, match="interface"):
         grid.half_indices()
     with pytest.raises(ValueError, match="interface"):
-        assemble_commutator(lambda p: np.asarray(p)[..., 1], 1, grid)
+        assemble_riesz(1, grid)
     one_half = make_grid(2, ((0.0, 1.0), (0.0, 1.0)), 4)
     (idx,) = one_half.half_indices()
     assert np.array_equal(idx, np.arange(16))
@@ -166,14 +215,14 @@ def test_half_indices_reject_interface_nodes():
 
 def test_operator_matrix_validation():
     grid = make_grid(2, BOX, 4)
-    with pytest.raises(ValueError):
-        OperatorMatrix(
-            kernel=np.ones((3, 4)), weight=grid.weight, grid=grid, meta={}
-        )
-    bad = np.zeros((16, 16))
+    with pytest.raises(ValueError, match="half sizes"):
+        OperatorMatrix(blocks=[np.ones((8, 8))], weight=grid.weight, grid=grid, meta={})
+    with pytest.raises(ValueError, match="half sizes"):
+        OperatorMatrix(blocks=[np.ones((8, 8)), np.ones((8, 7))], weight=grid.weight, grid=grid, meta={})
+    bad = np.zeros((8, 8))
     bad[0, 0] = np.inf
-    with pytest.raises(ValueError):
-        OperatorMatrix(kernel=bad, weight=grid.weight, grid=grid, meta={})
+    with pytest.raises(ValueError, match="non-finite"):
+        OperatorMatrix(blocks=[np.zeros((8, 8)), bad], weight=grid.weight, grid=grid, meta={})
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +349,7 @@ def test_semigroup_rejects_bad_t():
 
 def test_matrix_export_roundtrip(tmp_path):
     grid = make_grid(2, ((-1.0, 1.0), (-1.0, 1.0)), 8)
-    op = assemble_commutator(_bump, 2, grid)
+    op = assemble_commutator(_bump, assemble_riesz(2, grid))
     path = tmp_path / "mat.bin"
     export_matrix(op, path)
     mat, header, sidecar = read_matrix(path)
@@ -313,6 +362,46 @@ def test_matrix_export_roundtrip(tmp_path):
     assert blob[:7] == b"NRLMAT1"
     payload = np.frombuffer(blob[32:], dtype="<f8").reshape((64, 64), order="F")
     assert np.array_equal(payload, op.matrix)
+
+
+def test_export_bytes_are_zeros_plus_blocks(tmp_path):
+    grid = make_grid(2, BOX, 8)
+    odd = next(s for s in symbol_family("default", 2) if s.name == "odd_bump")
+    op = assemble_commutator(odd, assemble_riesz(2, grid))
+    path = tmp_path / "mat.bin"
+    export_matrix(op, path)
+    whole = np.zeros((64, 64))
+    for idx, block in zip(grid.half_indices(), op.half_blocks()):
+        whole[np.ix_(idx, idx)] = block
+    blob = path.read_bytes()
+    assert blob == struct.pack("<8sqqq", b"NRLMAT1\x00", 2, 8, 2) + whole.astype("<f8").tobytes(order="F")
+    payload = np.frombuffer(blob[32:], dtype="<f8").reshape((64, 64), order="F")
+    plus, minus = grid.mask_plus, grid.mask_minus
+    for cross in (payload[np.ix_(plus, minus)], payload[np.ix_(minus, plus)]):
+        assert np.all(cross == 0.0) and not np.any(np.signbit(cross))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    N=st.sampled_from([4, 6, 8]),
+    ell=st.sampled_from([1, 2]),
+    width=st.floats(0.25, 8.0),
+    height=st.floats(0.25, 8.0),
+    data=st.data(),
+)
+def test_export_read_roundtrip_property(N, ell, width, height, data):
+    grid = make_grid(2, ((-0.5 * width, 0.5 * width), (-height, height)), N)
+    values = data.draw(arrays(np.float64, len(grid.nodes), elements=st.floats(-1e6, 1e6)))
+    op = assemble_commutator(values, assemble_riesz(ell, grid))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mat.bin"
+        export_matrix(op, path)
+        mat, header, sidecar = read_matrix(path)
+    # bit for bit, signed zeros included
+    assert mat.tobytes() == op.matrix.tobytes()
+    assert header == {"n": 2, "N": N, "ell": ell}
+    assert sidecar["weight"] == op.weight
+    assert sidecar["box"] == [float(v) for v in grid.box.reshape(-1)]
 
 
 def test_read_matrix_rejects_bad_magic(tmp_path):

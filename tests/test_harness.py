@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from nrlab.cli import main as cli_main
-from nrlab.discretize import assemble_commutator, ball_microgrid, make_grid, read_matrix
+from nrlab.discretize import assemble_commutator, assemble_riesz, ball_microgrid, make_grid, read_matrix
 from nrlab.dyadic import Cube, box_midpoint_mean, build_system, median
 from nrlab.harness import (
     ExperimentConfig,
     ReportRow,
+    _lattice_systems,
     _nwo_statistic,
     _oscillation_partials,
     _resolved_k_max,
@@ -89,6 +90,67 @@ def test_config_rejects_nonpositive_witness_offset():
 def test_config_rejects_bad_p(p):
     with pytest.raises(ValueError, match="p must be finite and > 0"):
         ExperimentConfig(p=p)
+
+
+@pytest.mark.parametrize(
+    "overrides, match",
+    [
+        ({"t_min": 5.0, "t_max": 1.0}, "t_min must be < t_max"),
+        ({"t_min": 0.0}, "t_min must be finite and > 0"),
+        ({"t_max": math.inf}, "t_max must be finite and > 0"),
+        ({"t_per_decade": 0}, "t_per_decade must be >= 1"),
+        ({"shift_per_decade": 0}, "shift_per_decade must be >= 1"),
+        ({"shift_angles": 0}, "shift_angles must be >= 1"),
+        ({"grid_sizes": (31,)}, "grid_sizes entry 31 .*interface"),
+        ({"grid_sizes": (2, 16)}, "grid_sizes entry 2 .*at least 4"),
+        ({"grid_sizes": ()}, "grid_sizes must name"),
+        ({"audit_C_energy": -1.0}, "audit_C_energy must be finite and > 0"),
+        ({"audit_C_nwo": math.nan}, "audit_C_nwo must be finite and > 0"),
+        ({"audit_C_tail": 0.0}, "audit_C_tail must be finite and > 0"),
+        ({"audit_C_double": math.inf}, "audit_C_double must be finite and > 0"),
+        ({"ratio_spread_max": math.nan}, "ratio_spread_max must be finite and > 0"),
+        ({"ratio_drift_max": -0.1}, "ratio_drift_max must be finite and > 0"),
+        ({"divergence_growth_min": math.nan}, "divergence_growth_min must be finite and > 0"),
+        ({"russo_slack": 0.0}, "russo_slack must be finite and > 0"),
+    ],
+    ids=[
+        "t_min_not_below_t_max",
+        "t_min",
+        "t_max",
+        "t_per_decade",
+        "shift_per_decade",
+        "shift_angles",
+        "grid_sizes_odd",
+        "grid_sizes_small",
+        "grid_sizes_empty",
+        "audit_C_energy",
+        "audit_C_nwo",
+        "audit_C_tail",
+        "audit_C_double",
+        "ratio_spread_max",
+        "ratio_drift_max",
+        "divergence_growth_min",
+        "russo_slack",
+    ],
+)
+def test_config_rejects_bad_field(overrides, match):
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig(**overrides)
+
+
+def test_config_and_make_grid_share_the_grid_check():
+    for N in (31, 2):
+        with pytest.raises(ValueError) as from_grid:
+            make_grid(2, ExperimentConfig().box, N)
+        with pytest.raises(ValueError) as from_config:
+            ExperimentConfig(grid_sizes=(N,))
+        assert str(from_grid.value) in str(from_config.value)
+
+
+def test_config_single_grid_size_roundtrips(tmp_path):
+    cfg = ExperimentConfig(grid_sizes=(32,))
+    cfg.to_file(tmp_path / "run.cfg")
+    assert ExperimentConfig.from_file(tmp_path / "run.cfg") == cfg
 
 
 def test_config_updated_returns_modified_copy():
@@ -179,6 +241,38 @@ def test_ratio_study_smoke_rows_and_spectra():
             assert row.aux["weak_schatten"] <= row.schatten + 1e-12
     for key in ("min_ratio", "max_ratio", "spread", "max_drift"):
         assert math.isfinite(rep.summary[key])
+
+
+def _count_calls(monkeypatch, module, names):
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
+
+
+def test_studies_build_symbol_independent_operators_once_per_grid(monkeypatch):
+    from nrlab import harness
+
+    calls = _count_calls(monkeypatch, harness, ("assemble_riesz", "besov_heat_norm", "build_system"))
+    ratio_study(ExperimentConfig(**SMOKE))
+    assert calls == {"assemble_riesz": 2, "besov_heat_norm": 2, "build_system": 0}
+
+    calls.update(dict.fromkeys(calls, 0))
+    divergence_study(ExperimentConfig(p=2.0, family="divergence", grid_sizes=(8, 16), num_lattice_shifts=2))
+    assert calls == {"assemble_riesz": 2, "besov_heat_norm": 0, "build_system": 2 * 2}
+
+    calls.update(dict.fromkeys(calls, 0))
+    audit = dict(audit_C_energy=1e9, audit_C_nwo=1e9, audit_C_tail=1e9, audit_C_double=1e9)
+    lower_bound_audit(ExperimentConfig(p=4.0, grid_sizes=(16,), num_lattice_shifts=3, **audit), N=16)
+    assert calls == {"assemble_riesz": 1, "besov_heat_norm": 0, "build_system": 2 * 3}
 
 
 def test_ratio_study_without_resolved_symbol_names_cause(monkeypatch):
@@ -290,8 +384,9 @@ def _nwo_per_cube(sym, cfg, k_max, child_ppa=6, ball_ppa=8):
 
 def test_oscillation_statistic_matches_per_cube_means_bit_for_bit():
     cfg = ExperimentConfig(p=2.0, ell=2, family="divergence", num_lattice_shifts=2, stat_k_max=1)
+    systems = _lattice_systems(cfg, cfg.stat_k_max)
     for sym in symbol_family("divergence", 2):
-        assert _oscillation_partials(sym, cfg) == _oscillation_per_cube(sym, cfg)
+        assert _oscillation_partials(sym, cfg, systems) == _oscillation_per_cube(sym, cfg)
 
 
 @pytest.mark.parametrize("name", ["bump_a35", "odd_bump"])
@@ -299,7 +394,7 @@ def test_nwo_statistic_matches_per_cube_sums(name):
     cfg = ExperimentConfig(p=4.0, num_lattice_shifts=3)
     sym = next(s for s in symbol_family("default", 2) if s.name == name)
     k_max = _resolved_k_max(make_grid(2, cfg.box, 16), cfg.stat_k_max)
-    got = _nwo_statistic(sym, cfg, k_max)
+    got = _nwo_statistic(sym, cfg, _lattice_systems(cfg, k_max))
     want = _nwo_per_cube(sym, cfg, k_max)
     assert want > 0.0
     assert abs(got - want) <= 1e-12 * want
@@ -311,8 +406,9 @@ def test_dyadic_statistics_exact_zero_for_controls():
     k_max = _resolved_k_max(make_grid(2, nwo_cfg.box, 16), nwo_cfg.stat_k_max)
     for sym in symbol_family("default", 2):
         if sym.kind == "perhalf-constant":
-            assert all(v == 0.0 for v in _oscillation_partials(sym, osc_cfg).values())
-            assert _nwo_statistic(sym, nwo_cfg, k_max) == 0.0
+            osc = _oscillation_partials(sym, osc_cfg, _lattice_systems(osc_cfg, osc_cfg.stat_k_max))
+            assert all(v == 0.0 for v in osc.values())
+            assert _nwo_statistic(sym, nwo_cfg, _lattice_systems(nwo_cfg, k_max)) == 0.0
 
 
 def test_nwo_statistic_rejects_uneven_witness_grids(monkeypatch):
@@ -327,7 +423,8 @@ def test_nwo_statistic_rejects_uneven_witness_grids(monkeypatch):
 
     monkeypatch.setattr(harness, "ball_microgrid", shrinking)
     with pytest.raises(ValueError, match="differ in node count"):
-        _nwo_statistic(symbol_family("default", 2)[0], ExperimentConfig(num_lattice_shifts=1), 0)
+        cfg = ExperimentConfig(num_lattice_shifts=1)
+        _nwo_statistic(symbol_family("default", 2)[0], cfg, _lattice_systems(cfg, 0))
 
 
 def test_lower_audit_smoke_statistics_structure():
@@ -371,29 +468,9 @@ def test_upper_audit_mixed_full_equals_whole_kernel_norm():
     rep = upper_bound_audit(cfg, N=16)
     grid = make_grid(2, cfg.box, 16)
     for sym, row in zip(symbol_family("default", 2), rep.rows):
-        op = assemble_commutator(sym, cfg.ell, grid)
+        op = assemble_commutator(sym, assemble_riesz(cfg.ell, grid))
         assert row.aux["mixed_full"] == mixed_norm(op.kernel, cfg.p, "weak", op.weight, op.weight)
         assert row.aux["russo_bound"] == russo_bound(op, cfg.p)
-
-
-def test_upper_audit_mixed_full_reads_leaky_cross_blocks(monkeypatch):
-    # a non-zero cross-half entry is not in either block's columns, so the
-    # whole norm must then come from the whole kernel
-    from nrlab.discretize import OperatorMatrix
-
-    def leaky(sym, ell, grid):
-        op = assemble_commutator(sym, ell, grid)
-        kernel = op.kernel.copy()
-        kernel[np.flatnonzero(grid.mask_plus)[0], np.flatnonzero(grid.mask_minus)[0]] = 50.0
-        return OperatorMatrix(kernel, op.weight, grid)
-
-    monkeypatch.setattr("nrlab.harness.assemble_commutator", leaky)
-    cfg = ExperimentConfig(p=4.0, grid_sizes=(16,), russo_slack=100.0)
-    rep = upper_bound_audit(cfg, N=16)
-    grid = make_grid(2, cfg.box, 16)
-    for sym, row in zip(symbol_family("default", 2), rep.rows):
-        op = leaky(sym, cfg.ell, grid)
-        assert row.aux["mixed_full"] == mixed_norm(op.kernel, cfg.p, "weak", op.weight, op.weight)
 
 
 def test_upper_audit_checks_the_kernel_gate(monkeypatch):
@@ -568,7 +645,7 @@ def test_cli_export_matrix_roundtrip(tmp_path):
     assert path.exists() and Path(str(path) + ".cfg").exists()
     matrix, header, sidecar = read_matrix(path)
     grid = make_grid(2, ((-2.0, 2.0), (-2.0, 2.0)), 8)
-    op = assemble_commutator(symbol_family("default", 2)[0], 1, grid)
+    op = assemble_commutator(symbol_family("default", 2)[0], assemble_riesz(1, grid))
     assert np.array_equal(matrix, op.matrix)
     assert header == {"n": 2, "N": 8, "ell": 1}
     assert sidecar["symbol"] == "bump_a35"
