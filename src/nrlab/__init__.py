@@ -31,7 +31,6 @@ from .dyadic import (
     haar_basis,
     martingale_difference,
     median,
-    median_split,
     separated_subcubes,
 )
 from .harness import (

@@ -2,11 +2,15 @@
 
 A system is the standard binary lattice of side 2^-k translated by one
 global shift vector h (|h| < 1), restricted to a bounding box and to one
-closed half-space.  Cubes that straddle the interface x_n = 0 are kept
-in a separate list and never enter averages or energy sums.  The global
-shift realizes adjacent systems via h in {0, 1/3}^n: relative to the
-unshifted lattice the per-generation offset alternates between 1/3 and
-2/3 of the side, which is the usual one-third trick.
+closed half-space.  Cubes that straddle the interface x_n = 0 are not
+admissible and are dropped.  The global shift realizes adjacent systems
+via h in {0, 1/3}^n: relative to the unshifted lattice the
+per-generation offset alternates between 1/3 and 2/3 of the side, which
+is the usual one-third trick.
+
+Averages and energy sums label the grid nodes once per generation
+(`DyadicSystem.labels`: the position of each node's admissible cube, or
+-1) and reduce over the labels with `np.bincount`.
 
 Sampled data lives on a quadrature grid (see discretize.QuadratureGrid);
 this module only assumes the grid exposes `nodes`, `spacing` and node
@@ -31,8 +35,6 @@ __all__ = [
     "conditional_expectation",
     "martingale_difference",
     "median",
-    "median_split",
-    "companion_split",
     "dyadic_energy_sum",
     "separated_subcubes",
     "gradient_oscillation_check",
@@ -89,10 +91,6 @@ class Cube:
         lo, hi = self.vertex[-1], self.vertex[-1] + self.side
         return lo >= 0.0 if self.half == "plus" else hi <= 0.0
 
-    def straddles(self) -> bool:
-        lo = self.vertex[-1]
-        return lo < 0.0 < lo + self.side
-
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         lo = self.vertex
@@ -102,7 +100,7 @@ class Cube:
 
 @dataclass
 class DyadicSystem:
-    """Admissible (and straddling) cubes of one shifted lattice on a box."""
+    """Admissible cubes of one shifted lattice on a box."""
 
     half: str
     shift: tuple
@@ -110,16 +108,10 @@ class DyadicSystem:
     k_min: int
     k_max: int
     cubes: dict = field(default_factory=dict)
-    straddling: dict = field(default_factory=dict)
     _index: dict = field(default_factory=dict, repr=False)
 
     def generations(self) -> range:
         return range(self.k_min, self.k_max + 1)
-
-    def at(self, k: int) -> list:
-        if k not in self.cubes:
-            raise ValueError(f"generation {k} outside system range")
-        return self.cubes[k]
 
     def get(self, k: int, m: tuple):
         return self._index.get((k, tuple(m)))
@@ -137,20 +129,42 @@ class DyadicSystem:
     def parent(self, Q: Cube):
         return self.get(Q.k - 1, tuple(mi // 2 for mi in Q.m))
 
-    def cube_containing(self, x: np.ndarray, k: int):
-        """Admissible generation-k cube containing x, or None."""
-        x = np.asarray(x, dtype=float)
+    def labels(self, nodes: np.ndarray, k: int) -> np.ndarray:
+        """Position in `cubes[k]` of the cube holding each node, or -1.
+
+        Floor division gives a node's lattice index per axis, correct to
+        +-1; testing those three candidates against the float vertex
+        shift + side * m, as `Cube.contains` does, settles it.  Where two
+        float boxes overlap by an ulp, the later cube takes the node, as
+        a last-write scan over `cubes[k]` would.  A generation's admissible
+        cubes form one rectangular index block enumerated in C order, so
+        the position is the raveled offset of the index in that block.
+        """
+        nodes = np.asarray(nodes, dtype=float)
+        out = np.full(len(nodes), -1)
+        cubes = self.cubes[k]
+        if not cubes:
+            return out
+        shift = np.asarray(self.shift)
         side = 2.0 ** (-k)
-        m = tuple(int(np.floor(v)) for v in (x - np.asarray(self.shift)) / side)
-        return self.get(k, m)
+        first, last = np.asarray(cubes[0].m), np.asarray(cubes[-1].m)
+        floor = np.floor((nodes - shift) / side)
+        offset = np.full(nodes.shape, -1)
+        for step in (-1.0, 0.0, 1.0):
+            m = floor + step
+            vertex = shift + side * m
+            hit = (nodes >= vertex) & (nodes < vertex + side) & (m >= first) & (m <= last)
+            offset = np.where(hit, m.astype(int) - first, offset)
+        ok = np.all(offset >= 0, axis=1)
+        out[ok] = np.ravel_multi_index(tuple(offset[ok].T), tuple(last - first + 1))
+        return out
 
 
 def build_system(half: str, shift, box, k_range) -> DyadicSystem:
     """Enumerate the admissible cubes of a shifted lattice on box x half.
 
-    Cubes fully contained in the bounding box are kept; those inside the
-    closed half-space are admissible, those crossing x_n = 0 are flagged
-    as straddling, and cubes on the wrong side are dropped.
+    Cubes fully contained in the bounding box and inside the closed
+    half-space are admissible; every other cube is dropped.
 
     Raises "degenerate domain" when the box does not meet the requested
     half-space.
@@ -177,15 +191,8 @@ def build_system(half: str, shift, box, k_range) -> DyadicSystem:
             lo = int(np.ceil((box[j, 0] - shift[j]) / side - 1e-9))
             hi = int(np.floor((box[j, 1] - shift[j]) / side + 1e-9)) - 1
             ranges.append(range(lo, hi + 1))
-        admissible, crossing = [], []
-        for m in itertools.product(*ranges):
-            Q = Cube(k, m, shift, half)
-            if Q.in_half():
-                admissible.append(Q)
-            elif Q.straddles():
-                crossing.append(Q)
+        admissible = [Q for Q in (Cube(k, m, shift, half) for m in itertools.product(*ranges)) if Q.in_half()]
         system.cubes[k] = admissible
-        system.straddling[k] = crossing
         for Q in admissible:
             system._index[(k, Q.m)] = Q
     return system
@@ -270,25 +277,37 @@ def _require_resolved(grid, k: int):
         raise ValueError(f"grid too coarse for generation {k}")
 
 
+def _cube_means(values: np.ndarray, labels: np.ndarray, count: int) -> np.ndarray:
+    """Mean of values over the nodes of each of `count` labelled cubes.
+
+    A block of equal values gets that value itself, not sum/count, so
+    energy sums detect (per-half-)constant fields as exact zeros."""
+    inside = labels >= 0
+    lab, vals = labels[inside], values[inside]
+    size = np.bincount(lab, minlength=count)
+    if np.any(size == 0):
+        raise ValueError("grid too coarse")
+    lo = np.full(count, np.inf)
+    hi = np.full(count, -np.inf)
+    np.minimum.at(lo, lab, vals)
+    np.maximum.at(hi, lab, vals)
+    return np.where(lo == hi, lo, np.bincount(lab, vals, count) / size)
+
+
 def conditional_expectation(f: SampledField, k: int, system: DyadicSystem) -> SampledField:
     """Average f over each admissible generation-k cube.
 
-    Nodes not covered by an admissible cube (straddling or outside the
-    box coverage) keep their original values; all downstream sums only
-    ever look at nodes inside admissible cubes.
+    Nodes not covered by an admissible cube (next to the interface or
+    outside the box coverage) keep their original values; all downstream
+    sums only ever look at nodes inside admissible cubes.
     """
     _require_resolved(f.grid, k)
     if k not in system.cubes:
         raise ValueError(f"generation {k} outside system range")
+    labels = system.labels(f.grid.nodes, k)
+    inside = labels >= 0
     out = f.values.copy()
-    for Q in system.cubes[k]:
-        mask = nodes_in_cube(f.grid, Q)
-        if not np.any(mask):
-            raise ValueError("grid too coarse")
-        vals = f.values[mask]
-        # constant blocks average to the exact constant, so energy sums
-        # detect (per-half-)constant fields as exact zeros
-        out[mask] = vals[0] if np.all(vals == vals[0]) else vals.mean()
+    out[inside] = _cube_means(f.values, labels, len(system.cubes[k]))[labels[inside]]
     return SampledField(f.grid, out)
 
 
@@ -311,32 +330,9 @@ def median(values, S=None) -> float:
         vals = vals[S]
     if vals.size == 0:
         raise ValueError("median of an empty node set")
-    sorted_vals = np.sort(vals)
-    half = vals.size / 2.0
-    for a in np.unique(sorted_vals):
-        if np.count_nonzero(vals > a) <= half and np.count_nonzero(vals < a) <= half:
-            return float(a)
-    raise AssertionError("unreachable: a sample median always exists")
-
-
-def median_split(Q: Cube, b: SampledField, alpha: float):
-    """Split Q's nodes by level: E1 = {b <= alpha}, E2 = {b > alpha}.
-
-    Returns two integer index arrays into the grid's node list.
-    """
-    idx = np.flatnonzero(nodes_in_cube(b.grid, Q))
-    vals = b.values[idx]
-    return idx[vals <= alpha], idx[vals > alpha]
-
-
-def companion_split(mask, values, alpha: float):
-    """Level split used on the companion ball: F1 = {v >= alpha},
-    F2 = {v <= alpha}.  `mask` is boolean over nodes; values on ties land
-    in both halves, mirroring the closed inequalities."""
-    vals = values.values if isinstance(values, SampledField) else np.asarray(values, float)
-    idx = np.flatnonzero(np.asarray(mask))
-    sel = vals[idx]
-    return idx[sel >= alpha], idx[sel <= alpha]
+    # the lower median: at most (size - 1) // 2 values lie below it and at
+    # most size // 2 above, and every smaller sample value has more above
+    return float(np.sort(vals)[(vals.size - 1) // 2])
 
 
 def dyadic_energy_sum(b: SampledField, system: DyadicSystem, p: float) -> float:
@@ -353,9 +349,8 @@ def dyadic_energy_sum(b: SampledField, system: DyadicSystem, p: float) -> float:
     total = 0.0
     for k in range(system.k_min, system.k_max):
         delta = martingale_difference(b, k, system).values
-        for Q in system.cubes[k]:
-            mask = nodes_in_cube(b.grid, Q)
-            total += float(np.mean(np.abs(delta[mask]) ** p))
+        labels = system.labels(b.grid.nodes, k)
+        total += float(np.sum(_cube_means(np.abs(delta) ** p, labels, len(system.cubes[k]))))
     return total
 
 

@@ -83,7 +83,6 @@ class ExperimentConfig:
     shift_per_decade: int = 16
     shift_angles: int = 16
     witness_A: float = 16.0
-    margin: float = 0.25
     num_lattice_shifts: int = 9
     k_min: int = -1
     stat_k_max: int = 2
@@ -372,9 +371,10 @@ def _nwo_statistic(sym: Symbol, cfg: ExperimentConfig, systems: list, child_ppa:
     so plain midpoint micro-quadrature of the double integral is accurate.
 
     Evaluated per (shift, half, generation), over all the cubes of the
-    generation at once: the witness-ball micro-grids are stacked into one
-    (cubes, N_y, n) array, the children's micro-points into one
-    (cubes, 2^n, ppa^n, n) array, and one symbol call per side and one
+    generation at once: one witness-ball micro-grid is built for the
+    first cube and translated to every cube's witness centre, giving one
+    (cubes, N_y, n) array; the children's micro-points form one
+    (cubes, 2^n, ppa^n, n) array; and one symbol call per side and one
     kernel call cover the generation.  Only the median split is taken
     cube by cube."""
     params = KernelParams(cfg.n, cfg.ell)
@@ -386,14 +386,11 @@ def _nwo_statistic(sym: Symbol, cfg: ExperimentConfig, systems: list, child_ppa:
                 cubes = system.cubes[k]
                 if not cubes:
                     continue
-                balls = [ball_microgrid(sign_witness(Q, params, cfg.witness_A)[1], ball_ppa) for Q in cubes]
-                if len({len(y) for y, _ in balls}) != 1:
-                    raise ValueError(
-                        f"witness-ball micro-grids of generation {k} differ in node count; "
-                        "a micro-node lies on a ball edge"
-                    )
-                y_nodes = np.stack([y for y, _ in balls])
-                wy = balls[0][1]
+                # one generation's witness balls differ only by their centres
+                witness = [sign_witness(Q, params, cfg.witness_A) for Q in cubes]
+                y_first, wy = ball_microgrid(witness[0][1], ball_ppa)
+                centres = np.array([y0 for y0, _, _ in witness])
+                y_nodes = y_first + (centres - centres[0])[:, None, :]
                 by = sym(y_nodes.reshape(-1, cfg.n)).reshape(y_nodes.shape[:2])
                 alpha = np.array([median(row) for row in by])
                 x_nodes = _subcube_midpoints(system.shift, k, cubes, 1, child_ppa)
@@ -447,9 +444,7 @@ def _tail_statistic(fld: SampledField, cfg: ExperimentConfig, pair: list) -> flo
     for system in pair:
         for k in system.generations():
             ek = conditional_expectation(fld, k, system).values
-            covered = np.zeros(len(grid.nodes), dtype=bool)
-            for Q in system.cubes[k]:
-                covered |= nodes_in_cube(grid, Q)
+            covered = system.labels(grid.nodes, k) >= 0
             diff = np.abs(fld.values[covered] - ek[covered]) ** cfg.p
             total += 2.0 ** (cfg.n * k) * float(np.sum(diff)) * grid.weight
     return total

@@ -1,7 +1,8 @@
 """Dyadic machinery: lattice properties brute-forced over several
-generations, Haar orthonormality/reconstruction, martingale identities
-with frozen hand-computed values, medians and level splits, energy sums,
-separated subcubes and the gradient-oscillation ratio."""
+generations, node labels and the labelled reductions against a per-cube
+node scan, Haar orthonormality/reconstruction, martingale identities
+with frozen hand-computed values, medians, energy sums, separated
+subcubes and the gradient-oscillation ratio."""
 
 import itertools
 import math
@@ -17,16 +18,22 @@ from nrlab.dyadic import (
     SampledField,
     box_midpoint_mean,
     build_system,
-    companion_split,
     conditional_expectation,
     dyadic_energy_sum,
     gradient_oscillation_check,
     haar_basis,
     martingale_difference,
     median,
-    median_split,
     nodes_in_cube,
     separated_subcubes,
+)
+from nrlab.harness import (
+    ExperimentConfig,
+    _lattice_systems,
+    _resolved_k_max,
+    _tail_statistic,
+    lattice_shift_sample,
+    symbol_family,
 )
 
 BOX2 = ((0.0, 2.0), (0.0, 2.0))
@@ -47,22 +54,18 @@ def _field(func, grid):
 
 def test_build_system_standard_unit_generation():
     sys0 = build_system("plus", (0.0, 0.0), ((-2, 2), (0, 2)), (0, 0))
-    boxes = sorted(tuple(Q.m) for Q in sys0.at(0))
+    boxes = sorted(tuple(Q.m) for Q in sys0.cubes[0])
     assert boxes == sorted(
         (i, j) for i in range(-2, 2) for j in range(0, 2)
     )
-    assert sys0.straddling[0] == []
 
 
 def test_build_system_shifted_flags_straddlers():
     sysh = build_system("plus", (1 / 3, 1 / 3), ((-2, 2), (-2, 2)), (0, 0))
-    for Q in sysh.at(0):
+    for Q in sysh.cubes[0]:
         assert Q.vertex[1] >= 0.0
-    straddle_js = {Q.m[1] for Q in sysh.straddling[0]}
-    assert straddle_js == {-1}
-    for Q in sysh.straddling[0]:
-        lo, hi = Q.box[1]
-        assert lo < 0.0 < hi
+    # the row m_2 = -1 spans (-2/3, 1/3) across the interface and is dropped
+    assert min(Q.m[1] for Q in sysh.cubes[0]) == 0
 
 
 def test_build_system_errors():
@@ -90,8 +93,9 @@ def test_lattice_properties_brute_force(half, shift):
     rng = np.random.default_rng(23)
 
     for k in system.generations():
-        cubes = system.at(k) + system.straddling[k]
-        assert cubes, f"generation {k} empty"
+        cubes = system.cubes[k]
+        if not cubes:
+            continue  # coarsest shifted generation: every cube straddles
         lo, hi = _boxes(cubes)
         # (I) disjointness within a generation: no pairwise box overlap
         # (eps absorbs the one-ulp slack of vertex = shift + side*m sums)
@@ -103,12 +107,15 @@ def test_lattice_properties_brute_force(half, shift):
         )
         np.fill_diagonal(overlap, False)
         assert not overlap.any()
-        # (I) covering: interior points of box cap half lie in exactly one
-        # kept cube (away from the frame, where cubes may be clipped)
+        # (I) covering: interior points of box cap half whose lattice cube
+        # lies in the half lie in exactly one kept cube (away from the
+        # frame, where cubes may be clipped)
         side = 2.0 ** (-k)
         pts = rng.uniform(-2 + side, 2 - side, size=(500, 2))
         pts[:, 1] = np.abs(pts[:, 1]) * (1 if half == "plus" else -1)
         pts = pts[np.abs(pts[:, 1]) > 1e-9]
+        floor_n = shift[1] + side * np.floor((pts[:, 1] - shift[1]) / side)
+        pts = pts[floor_n >= 0.0] if half == "plus" else pts[floor_n + side <= 0.0]
         counts = np.sum(
             np.all((pts[:, None, :] >= lo[None]) & (pts[:, None, :] < hi[None]), axis=-1),
             axis=1,
@@ -117,10 +124,10 @@ def test_lattice_properties_brute_force(half, shift):
 
     gens = list(system.generations())
     for kc, kf in itertools.combinations(gens, 2):
-        if not system.at(kc) or not system.at(kf):
+        if not system.cubes[kc] or not system.cubes[kf]:
             continue  # coarsest shifted generation may be all-straddling
-        lo_c, hi_c = _boxes(system.at(kc))
-        lo_f, hi_f = _boxes(system.at(kf))
+        lo_c, hi_c = _boxes(system.cubes[kc])
+        lo_f, hi_f = _boxes(system.cubes[kf])
         eps = 1e-12
         inter = np.all(
             (lo_f[:, None, :] + eps < hi_c[None, :, :])
@@ -142,7 +149,7 @@ def test_lattice_properties_brute_force(half, shift):
 
     # (IV) every admissible cube splits into exactly 2^n admissible children
     for k in gens[:-1]:
-        for Q in system.at(k):
+        for Q in system.cubes[k]:
             kids = system.children(Q)
             assert len(kids) == 4
             assert sum(c.volume for c in kids) == pytest.approx(Q.volume, rel=1e-12)
@@ -152,17 +159,146 @@ def test_lattice_properties_brute_force(half, shift):
                 assert system.parent(c) == Q
 
 
-def test_cube_containing_roundtrip():
-    system = build_system("plus", (1 / 3, 1 / 3), ((-2, 2), (-2, 2)), (0, 3))
-    rng = np.random.default_rng(4)
-    for _ in range(100):
-        k = rng.integers(0, 4)
-        pts = rng.uniform(-1, 1, size=2)
-        pts[1] = abs(pts[1]) + 0.4
-        Q = system.cube_containing(pts, int(k))
-        if Q is not None:
-            assert Q.contains(pts[None])[0]
-            assert Q.k == k
+# ---------------------------------------------------------------------------
+# node labels and labelled reductions against the per-cube node scan
+
+
+def _scan_labels(grid, cubes):
+    """Position of each node's cube by testing every node against every
+    cube; a node claimed by two cubes is an error."""
+    labels = np.full(len(grid.nodes), -1)
+    hits = np.zeros(len(grid.nodes), dtype=int)
+    for i, Q in enumerate(cubes):
+        mask = nodes_in_cube(grid, Q)
+        labels[mask] = i
+        hits += mask
+    assert hits.max(initial=0) <= 1
+    return labels
+
+
+def _scan_conditional_expectation(f, k, system):
+    out = f.values.copy()
+    for Q in system.cubes[k]:
+        mask = nodes_in_cube(f.grid, Q)
+        if not np.any(mask):
+            raise ValueError("grid too coarse")
+        vals = f.values[mask]
+        out[mask] = vals[0] if np.all(vals == vals[0]) else vals.mean()
+    return out
+
+
+def _scan_energy_sum(b, system, p):
+    total = 0.0
+    for k in range(system.k_min, system.k_max):
+        delta = _scan_conditional_expectation(b, k + 1, system) - _scan_conditional_expectation(b, k, system)
+        for Q in system.cubes[k]:
+            total += float(np.mean(np.abs(delta[nodes_in_cube(b.grid, Q)]) ** p))
+    return total
+
+
+def _scan_tail(fld, p, pair):
+    total = 0.0
+    for system in pair:
+        for k in system.generations():
+            ek = _scan_conditional_expectation(fld, k, system)
+            covered = np.zeros(len(fld.grid.nodes), dtype=bool)
+            for Q in system.cubes[k]:
+                covered |= nodes_in_cube(fld.grid, Q)
+            diff = np.abs(fld.values[covered] - ek[covered]) ** p
+            total += 2.0 ** (fld.grid.dim * k) * float(np.sum(diff)) * fld.grid.weight
+    return total
+
+
+def _close(got, want, rel=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    return np.all(np.where(want == 0.0, got == 0.0, np.abs(got - want) <= rel * np.abs(want)))
+
+
+@pytest.mark.parametrize("N", [12, 16, 24, 32, 40, 64])
+def test_labels_match_the_node_scan(N):
+    cfg = ExperimentConfig()
+    grid = make_grid(2, cfg.box, N)
+    k_max = _resolved_k_max(grid, cfg.stat_k_max)
+    for shift in lattice_shift_sample(2, 9):
+        for half in ("plus", "minus"):
+            system = build_system(half, shift, cfg.box, (cfg.k_min, k_max))
+            for k in system.generations():
+                want = _scan_labels(grid, system.cubes[k])
+                assert np.array_equal(system.labels(grid.nodes, k), want), (shift, half, k)
+
+
+def test_labels_match_cube_contains_at_float_vertices():
+    # points on and one ulp either side of every float vertex, where the
+    # floor of (x - shift) / side can land one index off and where
+    # neighbouring float boxes can overlap; the last cube holding a point
+    # takes it
+    for shift in lattice_shift_sample(2, 9):
+        for half in ("plus", "minus"):
+            system = build_system(half, shift, ((-2, 2), (-2, 2)), (-1, 3))
+            for k in system.generations():
+                cubes = system.cubes[k]
+                if not cubes:
+                    continue
+                corners = np.array([Q.vertex for Q in cubes] + [Q.vertex + Q.side for Q in cubes])
+                pts = np.concatenate([corners, np.nextafter(corners, -np.inf), np.nextafter(corners, np.inf)])
+                inside = np.array([Q.contains(pts) for Q in cubes])
+                want = np.where(inside.any(axis=0), len(cubes) - 1 - inside[::-1].argmax(axis=0), -1)
+                assert np.array_equal(system.labels(pts, k), want), (shift, half, k)
+
+
+@pytest.mark.parametrize("name", ["bump_a35", "odd_bump"])
+def test_labelled_reductions_match_the_node_scan(name):
+    cfg = ExperimentConfig(p=4.0)
+    grid = make_grid(2, cfg.box, 32)
+    sym = next(s for s in symbol_family("default", 2) if s.name == name)
+    fld = SampledField(grid, sym(grid.nodes))
+    systems = _lattice_systems(cfg, _resolved_k_max(grid, cfg.stat_k_max))
+    energies, tails = [], []
+    for pair in systems:
+        for system in pair:
+            for k in system.generations():
+                got = conditional_expectation(fld, k, system).values
+                assert _close(got, _scan_conditional_expectation(fld, k, system))
+            energies.append((dyadic_energy_sum(fld, system, cfg.p), _scan_energy_sum(fld, system, cfg.p)))
+        tails.append((_tail_statistic(fld, cfg, pair), _scan_tail(fld, cfg.p, pair)))
+    for got, want in energies + tails:
+        assert _close(got, want)
+    assert min(max(want for _, want in energies), min(want for _, want in tails)) > 0.0
+
+
+def test_labelled_reductions_keep_constant_blocks_and_zeros():
+    cfg = ExperimentConfig(p=4.0)
+    grid = make_grid(2, cfg.box, 32)
+    systems = _lattice_systems(cfg, _resolved_k_max(grid, cfg.stat_k_max))
+    for pair in systems:
+        for system in pair:
+            for k in system.generations():
+                # one inexact constant per cube: each block must average to
+                # its constant bit for bit
+                labels = system.labels(grid.nodes, k)
+                blocks = SampledField(grid, np.where(labels >= 0, 0.1 * labels + 1.0 / 3.0, 0.7))
+                got = conditional_expectation(blocks, k, system).values
+                assert np.array_equal(got, blocks.values)
+                assert np.array_equal(got, _scan_conditional_expectation(blocks, k, system))
+        for sym in symbol_family("default", 2):
+            if sym.kind == "perhalf-constant":
+                fld = SampledField(grid, sym(grid.nodes))
+                assert all(dyadic_energy_sum(fld, system, cfg.p) == 0.0 for system in pair)
+                assert _tail_statistic(fld, cfg, pair) == 0.0
+
+
+def test_labelled_reductions_reject_an_empty_cube():
+    # the grid covers only a corner of the system's box, so most cubes of
+    # the resolved generation hold no node
+    grid = make_grid(2, ((0.0, 1.0), (0.0, 1.0)), 16)
+    system = build_system("plus", (0.0, 0.0), BOX2, (0, 1))
+    f = _field(_chi_unit, grid)
+    with pytest.raises(ValueError, match="grid too coarse"):
+        _scan_conditional_expectation(f, 1, system)
+    with pytest.raises(ValueError, match="grid too coarse"):
+        conditional_expectation(f, 1, system)
+    with pytest.raises(ValueError, match="grid too coarse"):
+        dyadic_energy_sum(f, system, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +434,7 @@ def test_martingale_parseval_at_p2():
         delta = martingale_difference(f, k, system).values
         lhs = 0.0
         rhs = 0.0
-        for Q in system.at(k):
+        for Q in system.cubes[k]:
             mask = nodes_in_cube(grid, Q)
             lhs += float(np.mean(delta[mask] ** 2))
             for h in haar_basis(Q):
@@ -308,7 +444,7 @@ def test_martingale_parseval_at_p2():
 
 
 # ---------------------------------------------------------------------------
-# medians and level splits
+# medians
 
 
 def test_median_frozen_examples():
@@ -344,32 +480,6 @@ def test_median_is_smallest_admissible_sample(values):
 def test_median_empty_error():
     with pytest.raises(ValueError, match="empty node set"):
         median(np.array([1.0, 2.0]), S=np.array([False, False]))
-
-
-def test_median_split_two_level_symbol():
-    grid = make_grid(2, ((-2.0, 2.0), (-2.0, 2.0)), 16)
-    system = build_system("plus", (0.0, 0.0), ((-2.0, 2.0), (-2.0, 2.0)), (-1, 0))
-    b = SampledField(grid, (grid.nodes[:, 0] > 0).astype(float))
-    Q = system.at(-1)[0]  # [-2,0) x [0,2)
-    mask = nodes_in_cube(grid, Q)
-    alpha = median(b, S=mask)
-    assert alpha == 0.0
-    e1, e2 = median_split(Q, b, alpha)
-    assert set(e1) | set(e2) == set(np.flatnonzero(mask))
-    assert set(e1) & set(e2) == set()
-    assert np.all(b.values[e1] <= alpha)
-    assert np.all(b.values[e2] > alpha)
-    # counting inequalities from the median make each part >= |Q|/2 ... |Q|
-    assert len(e1) >= mask.sum() / 2
-    assert len(e2) <= mask.sum() / 2
-
-
-def test_companion_split_overlaps_on_ties():
-    vals = np.array([0.0, 1.0, 2.0, 1.0])
-    mask = np.array([True, True, True, True])
-    f1, f2 = companion_split(mask, vals, 1.0)
-    assert sorted(f1) == [1, 2, 3]
-    assert sorted(f2) == [0, 1, 3]
 
 
 # ---------------------------------------------------------------------------

@@ -411,20 +411,21 @@ def test_dyadic_statistics_exact_zero_for_controls():
             assert _nwo_statistic(sym, nwo_cfg, _lattice_systems(nwo_cfg, k_max)) == 0.0
 
 
-def test_nwo_statistic_rejects_uneven_witness_grids(monkeypatch):
+def test_nwo_statistic_builds_one_witness_grid_per_generation(monkeypatch):
     from nrlab import harness
 
     calls = []
 
-    def shrinking(ball, ppa):
-        y, w = ball_microgrid(ball, ppa)
-        calls.append(len(y))
-        return (y[:-1], w) if len(calls) == 2 else (y, w)
+    def counting(ball, ppa):
+        calls.append(ball.radius)
+        return ball_microgrid(ball, ppa)
 
-    monkeypatch.setattr(harness, "ball_microgrid", shrinking)
-    with pytest.raises(ValueError, match="differ in node count"):
-        cfg = ExperimentConfig(num_lattice_shifts=1)
-        _nwo_statistic(symbol_family("default", 2)[0], cfg, _lattice_systems(cfg, 0))
+    monkeypatch.setattr(harness, "ball_microgrid", counting)
+    cfg = ExperimentConfig(num_lattice_shifts=2)
+    systems = _lattice_systems(cfg, 1)
+    _nwo_statistic(symbol_family("default", 2)[0], cfg, systems)
+    generations = [k for pair in systems for system in pair for k in system.generations() if system.cubes[k]]
+    assert calls == [2.0 ** (-k) / 12.0 for k in generations]
 
 
 def test_lower_audit_smoke_statistics_structure():

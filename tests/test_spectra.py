@@ -4,9 +4,11 @@ factorization upper bound."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrlab.discretize import assemble_commutator, assemble_riesz, make_grid
-from nrlab.harness import symbol_family
+from nrlab.harness import _bump_symbol, _odd_bump_symbol, symbol_family
 from nrlab.spectra import (
     SingularSpectrum,
     mixed_norm,
@@ -143,6 +145,30 @@ def test_symmetric_matrix_spectrum_is_absolute_eigenvalues():
     assert np.min(np.linalg.eigvalsh(sym)) < 0.0
     s = singular_values(sym).values
     assert np.allclose(s, np.linalg.svd(sym, compute_uv=False), rtol=0, atol=1e-13 * s[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    make=st.sampled_from([_bump_symbol, _odd_bump_symbol]),
+    cx=st.floats(-1.5, 1.5),
+    cy=st.floats(-1.5, 1.5),
+    radius=st.floats(0.3, 1.2),
+    amplitude=st.floats(-3.0, 3.0).filter(lambda a: abs(a) >= 0.05),
+    N=st.sampled_from([8, 10, 12, 14, 16]),
+    ell=st.sampled_from([1, 2]),
+)
+def test_block_spectrum_identities_property(make, cx, cy, radius, amplitude, N, ell):
+    sym = make("random", (cx, cy), radius, amplitude)
+    op = assemble_commutator(sym, assemble_riesz(ell, make_grid(2, ((-2.0, 2.0), (-2.0, 2.0)), N)))
+    s = singular_values(op).values
+    # the union of the two blocks' spectra is the whole matrix's spectrum
+    full = np.linalg.svd(op.matrix, compute_uv=False)
+    assert s.size == full.size
+    assert np.max(np.abs(s - full)) <= 1e-13 * full[0]
+    # S^4 trace identity: sum s_k^4 = ||T^T T||_F^2
+    gram = op.matrix.T @ op.matrix
+    fro2 = float(np.sum(gram * gram))
+    assert abs(float(np.sum(s**4)) - fro2) <= 1e-12 * fro2
 
 
 # ---------------------------------------------------------------------------
