@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -193,7 +193,7 @@ class OperatorMatrix:
 
 @dataclass
 class Symbol:
-    """Closed-form symbol b with optional gradient and a degeneracy tag.
+    """Closed-form symbol b with a degeneracy tag.
 
     kind "perhalf-constant" marks controls (constant on each open half)
     whose commutator vanishes identically; studies report them but never
@@ -202,7 +202,6 @@ class Symbol:
 
     name: str
     func: Callable
-    grad: Optional[Callable] = None
     kind: str = "generic"
 
     def __call__(self, x):

@@ -294,13 +294,9 @@ def _cube_means(values: np.ndarray, labels: np.ndarray, count: int) -> np.ndarra
     return np.where(lo == hi, lo, np.bincount(lab, vals, count) / size)
 
 
-def conditional_expectation(f: SampledField, k: int, system: DyadicSystem) -> SampledField:
-    """Average f over each admissible generation-k cube.
-
-    Nodes not covered by an admissible cube (next to the interface or
-    outside the box coverage) keep their original values; all downstream
-    sums only ever look at nodes inside admissible cubes.
-    """
+def _labelled_expectation(f: SampledField, k: int, system: DyadicSystem) -> tuple:
+    """The generation-k labels of the grid nodes, and f averaged over each
+    labelled cube (unlabelled nodes keep their values)."""
     _require_resolved(f.grid, k)
     if k not in system.cubes:
         raise ValueError(f"generation {k} outside system range")
@@ -308,7 +304,17 @@ def conditional_expectation(f: SampledField, k: int, system: DyadicSystem) -> Sa
     inside = labels >= 0
     out = f.values.copy()
     out[inside] = _cube_means(f.values, labels, len(system.cubes[k]))[labels[inside]]
-    return SampledField(f.grid, out)
+    return labels, out
+
+
+def conditional_expectation(f: SampledField, k: int, system: DyadicSystem) -> SampledField:
+    """Average f over each admissible generation-k cube.
+
+    Nodes not covered by an admissible cube (next to the interface or
+    outside the box coverage) keep their original values; all downstream
+    sums only ever look at nodes inside admissible cubes.
+    """
+    return SampledField(f.grid, _labelled_expectation(f, k, system)[1])
 
 
 def martingale_difference(f: SampledField, k: int, system: DyadicSystem) -> SampledField:
@@ -346,11 +352,14 @@ def dyadic_energy_sum(b: SampledField, system: DyadicSystem, p: float) -> float:
     """
     if p < 1:
         raise ValueError("p must be >= 1")
+    if system.k_min >= system.k_max:
+        return 0.0  # empty sum
+    # one labelling and average per generation, shared by two differences
+    gens = system.generations()
+    levels = [_labelled_expectation(b, k, system) for k in gens]
     total = 0.0
-    for k in range(system.k_min, system.k_max):
-        delta = martingale_difference(b, k, system).values
-        labels = system.labels(b.grid.nodes, k)
-        total += float(np.sum(_cube_means(np.abs(delta) ** p, labels, len(system.cubes[k]))))
+    for k, (labels, coarse), (_, fine) in zip(gens, levels, levels[1:]):
+        total += float(np.sum(_cube_means(np.abs(fine - coarse) ** p, labels, len(system.cubes[k]))))
     return total
 
 
@@ -398,17 +407,16 @@ def gradient_oscillation_check(b, x0: np.ndarray, k: int, points_per_axis: int =
     """Compare the separated-subcube mean gap against 2^-k |grad b(x0)|.
 
     b is a closed-form symbol (anything callable on (..., n) arrays, or
-    an object with `.func` and optionally `.grad`).  The cube is the
-    generation-k cube of the unshifted lattice containing x0, a_j is the
-    sign of the j-th partial derivative (ties resolved to +1), and the
-    two subcube means are evaluated by midpoint quadrature.
+    an object with `.func`); its gradient at x0 is `numeric_gradient`.
+    The cube is the generation-k cube of the unshifted lattice containing
+    x0, a_j is the sign of the j-th partial derivative (ties resolved to
+    +1), and the two subcube means are evaluated by midpoint quadrature.
 
     Returns (lhs, rhs, lhs/rhs).
     """
     x0 = np.asarray(x0, dtype=float)
     func = getattr(b, "func", b)
-    grad_fn = getattr(b, "grad", None)
-    grad = np.asarray(grad_fn(x0) if grad_fn is not None else numeric_gradient(func, x0))
+    grad = numeric_gradient(func, x0)
     norm = float(np.linalg.norm(grad))
     if norm < 1e-12:
         raise ValueError("degenerate gradient")

@@ -144,6 +144,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.k_min > self.stat_k_max:
             raise ValueError(f"k_min must be <= stat_k_max, got {self.k_min} > {self.stat_k_max}")
+        if self.family not in _FAMILIES:
+            raise ValueError(f"family must be one of {sorted(_FAMILIES)}, got {self.family!r}")
 
     def to_dict(self) -> dict:
         out = {}

@@ -187,7 +187,7 @@ def test_criterion_05_ratio_study_both_directions():
         rep = ratio_study(cfg)
         elapsed = time.perf_counter() - t0
         s = rep.summary
-        ok &= s["spread"] <= 20.0 and s["max_drift"] < 0.15 and elapsed <= 900.0
+        ok &= s["spread"] <= 20.0 and s["max_drift"] < 0.15 and elapsed <= 180.0
         details.append(
             f"ell={ell}: spread={s['spread']:.2f}, drift={s['max_drift']:.3f}, {elapsed:.0f} s"
         )
@@ -208,7 +208,7 @@ def test_criterion_06_endpoint_divergence():
         rep.summary["growth_ok"]
         and rep.summary["controls_zero"]
         and documented
-        and elapsed <= 600.0
+        and elapsed <= 60.0
     )
     _verdict(
         6,
@@ -226,7 +226,7 @@ def test_criterion_07_lower_bound_audit():
     elapsed = time.perf_counter() - t0
     s = rep.summary
     band_ok = s["energy_C_spread"] <= s["stability_band"] and s["nwo_C_spread"] <= s["stability_band"]
-    ok = rep.passed and band_ok and elapsed <= 600.0
+    ok = rep.passed and band_ok and elapsed <= 60.0
     _verdict(
         7,
         "lower-bound audit (energy + NWO vs Schatten, C stable to +-25%)",
@@ -242,7 +242,7 @@ def test_criterion_08_upper_bound_audit():
     rep = upper_bound_audit(cfg, N=32)
     elapsed = time.perf_counter() - t0
     slacks = [r.ratio for r in rep.rows if not math.isnan(r.ratio)]
-    ok = rep.passed and max(slacks) <= 1.1 and elapsed <= 300.0
+    ok = rep.passed and max(slacks) <= 1.1 and elapsed <= 60.0
     _verdict(
         8,
         "upper-bound audit (weak Schatten <= factorization bound x 1.1)",

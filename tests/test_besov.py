@@ -1,11 +1,14 @@
 """Besov norms by the heat, difference and extension routes: zero
 detection on per-half constants, homogeneity, translation invariance,
-self-refinement stability and the single-term extension reduction."""
+self-refinement stability, the single-term extension reduction, and the
+radius x direction shift sample against a per-shift reference loop."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrlab.besov import (
     BesovParams,
@@ -18,6 +21,7 @@ from nrlab.besov import (
 )
 from nrlab.discretize import apply_semigroup, make_grid
 from nrlab.dyadic import SampledField
+from nrlab.harness import symbol_family
 
 BOX = ((-2.0, 2.0), (-2.0, 2.0))
 PARAMS = BesovParams(alpha=0.5, p=4.0, q=4.0)
@@ -53,9 +57,14 @@ def test_time_and_shift_grids():
     assert len(t) >= 16 * 4
     grid = make_grid(2, BOX, 16)
     shifts = default_shift_grid(grid, per_decade=8, angles=8)
-    radii = np.linalg.norm(shifts, axis=1)
-    assert radii.min() == pytest.approx(2 * np.max(grid.spacing), rel=1e-12)
-    assert radii.max() == pytest.approx(np.hypot(4.0, 4.0), rel=1e-12)
+    radii = default_time_grid(2 * np.max(grid.spacing), np.hypot(4.0, 4.0), 8)
+    theta = 2 * np.pi * np.arange(8) / 8
+    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    assert shifts.shape == (radii.size, 8, 2)
+    assert np.array_equal(shifts, radii[:, None, None] * dirs[None])
+    norms = np.linalg.norm(shifts, axis=-1)
+    assert norms.min() == pytest.approx(2 * np.max(grid.spacing), rel=1e-12)
+    assert norms.max() == pytest.approx(np.hypot(4.0, 4.0), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +207,7 @@ def test_diff_norm_translation_invariance():
     radii = default_time_grid(2 * dx, 1.0, 12)
     theta = 2 * np.pi * np.arange(12) / 12
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    shifts = (radii[:, None, None] * dirs[None]).reshape(-1, 2)
+    shifts = radii[:, None, None] * dirs[None]
     base = besov_diff_norm(lambda p: _bump(p, (0.0, 0.0), 0.5), PARAMS, grid, shifts)
     moved = besov_diff_norm(
         lambda p: _bump(np.asarray(p) - v, (0.0, 0.0), 0.5), PARAMS, grid, shifts
@@ -209,12 +218,106 @@ def test_diff_norm_translation_invariance():
 
 def test_diff_norm_error_paths():
     grid = make_grid(2, BOX, 16)
-    with pytest.raises(ValueError, match="empty shift grid"):
-        besov_diff_norm(_bump, PARAMS, grid, shift_grid=np.empty((0, 2)))
-    with pytest.raises(ValueError, match="exclude 0"):
-        besov_diff_norm(
-            _bump, PARAMS, grid, shift_grid=np.array([[0.0, 0.0], [0.5, 0.0]])
-        )
+    shifts = default_shift_grid(grid, 4, 4)
+    bad = {
+        "radii, directions, n=2": [
+            shifts.reshape(-1, 2),  # a flat (S, n) list
+            np.arange(1.0, 49.0).reshape(16, 3) / 20,  # not 24 two-coordinate shifts
+            np.concatenate([shifts, shifts[..., :1]], axis=-1),  # last axis 3 != n
+        ],
+        "at least 2 radii": [shifts[:1], np.empty((0, 4, 2)), np.empty((3, 0, 2))],
+        "exclude 0": [np.concatenate([0.0 * shifts[:1], shifts])],
+        "increase": [shifts[::-1], np.concatenate([shifts[:1], shifts])],
+    }
+    for match, grids in bad.items():
+        for shift_grid in grids:
+            with pytest.raises(ValueError, match=match):
+                besov_diff_norm(_bump, PARAMS, grid, shift_grid=shift_grid)
+            with pytest.raises(ValueError, match=match):
+                besov_neumann_norm(_bump, PARAMS, grid, shift_grid=shift_grid)
+
+
+def test_diff_norm_calls_the_symbol_once_per_radius():
+    grid = make_grid(2, BOX, 16)
+    shifts = default_shift_grid(grid, 8, 8)
+    shapes = []
+
+    def counted(points):
+        shapes.append(np.shape(points))
+        return _bump(points)
+
+    assert besov_diff_norm(counted, PARAMS, grid, shifts) > 0
+    assert len(shapes) == 1 + len(shifts)
+    assert shapes[0] == grid.nodes.shape
+    assert set(shapes[1:]) == {(8,) + grid.nodes.shape}
+
+
+# ---------------------------------------------------------------------------
+# the shift sample against a per-shift loop over a flat shift list
+
+
+def _decoded_shift_weights(shifts):
+    """Log-polar weights r^n dlog(r) dtheta of a flat (S, n) product
+    sample, its radii recovered by grouping rounded logs."""
+    radii = np.linalg.norm(shifts, axis=1)
+    uniq = np.unique(np.round(np.log(radii), 9))
+    dlog = np.zeros(uniq.size)
+    dlog[1:-1] = (uniq[2:] - uniq[:-2]) / 2.0
+    dlog[0] = (uniq[1] - uniq[0]) / 2.0
+    dlog[-1] = (uniq[-1] - uniq[-2]) / 2.0
+    which = np.searchsorted(uniq, np.round(np.log(radii), 9))
+    counts = np.bincount(which, minlength=uniq.size)
+    n = shifts.shape[1]
+    sphere = 2.0 if n == 1 else 2.0 * np.pi if n == 2 else 4.0 * np.pi
+    return radii**n * dlog[which] * (sphere / counts[which])
+
+
+def _diff_norm_by_shift(f, params, grid, shifts):
+    """The difference-route norm with one symbol call per shift."""
+    shifts = np.reshape(shifts, (-1, grid.dim))
+    radii = np.linalg.norm(shifts, axis=1)
+    func = getattr(f, "func", f)
+    base = np.asarray(func(grid.nodes), dtype=float)
+    total = 0.0
+    for s, r, w in zip(shifts, radii, _decoded_shift_weights(shifts)):
+        diff = np.asarray(func(grid.nodes + s), dtype=float) - base
+        lp = float(np.sum(np.abs(diff) ** params.p) * grid.weight) ** (1.0 / params.p)
+        total += w * lp**params.q / r ** (grid.dim + params.q * params.alpha)
+    return total ** (1.0 / params.q)
+
+
+def _neumann_norm_by_shift(b, params, grid, shifts):
+    return sum(_diff_norm_by_shift(even_extension(b, h), params, grid, shifts) for h in ("plus", "minus"))
+
+
+@pytest.mark.parametrize("N", [16, 24])
+def test_diff_and_neumann_norms_match_the_per_shift_loop(N):
+    grid = make_grid(2, BOX, N)
+    shifts = default_shift_grid(grid)
+    got = besov_diff_norm(_bump, PARAMS, grid, shifts)
+    assert got == pytest.approx(_diff_norm_by_shift(_bump, PARAMS, grid, shifts), rel=1e-12, abs=0.0)
+    for family in ("default", "divergence"):
+        for sym in symbol_family(family, 2):
+            got = besov_neumann_norm(sym, PARAMS, grid, shifts)
+            want = _neumann_norm_by_shift(sym, PARAMS, grid, shifts)
+            if sym.kind == "perhalf-constant":
+                assert got == want == 0.0, sym.name
+            else:
+                assert got > 0.0 and got == pytest.approx(want, rel=1e-12, abs=0.0), sym.name
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    per_decade=st.integers(1, 12),
+    angles=st.integers(1, 12),
+    N=st.sampled_from([4, 6, 8, 10, 12, 14, 16, 18, 20]),
+)
+def test_diff_norm_matches_the_per_shift_loop_on_any_sample(per_decade, angles, N):
+    grid = make_grid(2, BOX, N)
+    shifts = default_shift_grid(grid, per_decade, angles)
+    for f in (_bump, even_extension(lambda p: _bump(p, (0.3, -0.4), 0.9), "minus")):
+        want = _diff_norm_by_shift(f, PARAMS, grid, shifts)
+        assert besov_diff_norm(f, PARAMS, grid, shifts) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from nrlab.discretize import make_grid
 from nrlab.dyadic import (
     Cube,
+    DyadicSystem,
     SampledField,
     box_midpoint_mean,
     build_system,
@@ -27,6 +28,7 @@ from nrlab.dyadic import (
     nodes_in_cube,
     separated_subcubes,
 )
+from nrlab.dyadic import _cube_means
 from nrlab.harness import (
     ExperimentConfig,
     _lattice_systems,
@@ -264,6 +266,38 @@ def test_labelled_reductions_match_the_node_scan(name):
     for got, want in energies + tails:
         assert _close(got, want)
     assert min(max(want for _, want in energies), min(want for _, want in tails)) > 0.0
+
+
+def test_energy_sum_labels_each_generation_once(monkeypatch):
+    # the sum over martingale differences as `martingale_difference` forms
+    # them labels each inner generation three times; one labelling per
+    # generation must give the same sums bit for bit
+    cfg = ExperimentConfig(p=4.0)
+    grid = make_grid(2, cfg.box, 32)
+    fields = [SampledField(grid, sym(grid.nodes)) for sym in symbol_family("default", 2)]
+    systems = [s for pair in _lattice_systems(cfg, _resolved_k_max(grid, cfg.stat_k_max)) for s in pair]
+
+    def by_differences(f, s):
+        total = 0.0
+        for k in range(s.k_min, s.k_max):
+            delta = martingale_difference(f, k, s).values
+            total += float(np.sum(_cube_means(np.abs(delta) ** cfg.p, s.labels(grid.nodes, k), len(s.cubes[k]))))
+        return total
+
+    want = [by_differences(f, s) for s in systems for f in fields]
+    calls = []
+    labels = DyadicSystem.labels
+
+    def counted(self, nodes, k):
+        calls.append(k)
+        return labels(self, nodes, k)
+
+    monkeypatch.setattr(DyadicSystem, "labels", counted)
+    for s in systems:
+        for f in fields:
+            calls.clear()
+            assert dyadic_energy_sum(f, s, cfg.p) == want.pop(0)
+            assert calls == list(s.generations())
 
 
 def test_labelled_reductions_keep_constant_blocks_and_zeros():

@@ -112,6 +112,7 @@ def test_config_rejects_bad_p(p):
         ({"ratio_drift_max": -0.1}, "ratio_drift_max must be finite and > 0"),
         ({"divergence_growth_min": math.nan}, "divergence_growth_min must be finite and > 0"),
         ({"russo_slack": 0.0}, "russo_slack must be finite and > 0"),
+        ({"family": "nosuch"}, r"family must be one of \['default', 'divergence'\], got 'nosuch'"),
     ],
     ids=[
         "t_min_not_below_t_max",
@@ -131,6 +132,7 @@ def test_config_rejects_bad_p(p):
         "ratio_drift_max",
         "divergence_growth_min",
         "russo_slack",
+        "family",
     ],
 )
 def test_config_rejects_bad_field(overrides, match):
