@@ -172,7 +172,8 @@ def besov_diff_norm(f, params: BesovParams, grid: QuadratureGrid, shift_grid=Non
         raise ValueError("shift grid radii must increase along the first axis")
     edged = np.pad(log_r, 1, mode="edge")
     dlog = (edged[2:] - edged[:-2]) / 2.0
-    sphere = 2.0 if n == 1 else 2.0 * np.pi if n == 2 else 4.0 * np.pi
+    # |S^{n-1}| = 2 pi^(n/2) / Gamma(n/2); the n = 1 case is kept as the exact 2
+    sphere = 2.0 if n == 1 else 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)
     weights = radii**n * dlog[:, None] * (sphere / shifts.shape[1])
 
     func = getattr(f, "func", f)

@@ -364,25 +364,29 @@ def _energy_statistic(fld: SampledField, cfg: ExperimentConfig, systems: list) -
     return best
 
 
-def _nwo_statistic(sym: Symbol, cfg: ExperimentConfig, systems: list, child_ppa: int = 6, ball_ppa: int = 8) -> float:
-    """Sum over halves, generations and admissible cubes of
-    (sum_children |<T e, f>|)^p with e, f the normalized indicators built
-    from the witness-ball median split, maximized over the lattice shift
-    sample; each shifted system obeys the same bound, and the sup washes
-    out symbol-to-lattice alignment.  Regions are disjoint and separated,
-    so plain midpoint micro-quadrature of the double integral is accurate.
+def _nwo_statistic(family: list, cfg: ExperimentConfig, systems: list, child_ppa: int = 6, ball_ppa: int = 8) -> list:
+    """Per symbol of `family`, in family order: the sum over halves,
+    generations and admissible cubes of (sum_children |<T e, f>|)^p with
+    e, f the normalized indicators built from the witness-ball median
+    split, maximized over the lattice shift sample; each shifted system
+    obeys the same bound, and the sup washes out symbol-to-lattice
+    alignment.  Regions are disjoint and separated, so plain midpoint
+    micro-quadrature of the double integral is accurate.
 
     Evaluated per (shift, half, generation), over all the cubes of the
-    generation at once: one witness-ball micro-grid is built for the
-    first cube and translated to every cube's witness centre, giving one
-    (cubes, N_y, n) array; the children's micro-points form one
-    (cubes, 2^n, ppa^n, n) array; and one symbol call per side and one
-    kernel call cover the generation.  Only the median split is taken
-    cube by cube."""
+    generation and all the symbols at once.  The geometry does not depend
+    on the symbol, so it is built once per generation for the whole
+    family: one witness-ball micro-grid is built for the first cube and
+    translated to every cube's witness centre, giving one (cubes, N_y, n)
+    array; the children's micro-points form one (cubes, 2^n, ppa^n, n)
+    array; and one kernel call covers the generation.  Per symbol there
+    is one symbol call per side, the median split cube by cube and two
+    masked contractions; each symbol sums its own terms in cube order, so
+    its value does not depend on the family it comes with."""
     params = KernelParams(cfg.n, cfg.ell)
-    best = 0.0
+    best = [0.0] * len(family)
     for pair in systems:
-        total = 0.0
+        totals = [0.0] * len(family)
         for system in pair:
             for k in system.generations():
                 cubes = system.cubes[k]
@@ -393,24 +397,25 @@ def _nwo_statistic(sym: Symbol, cfg: ExperimentConfig, systems: list, child_ppa:
                 y_first, wy = ball_microgrid(witness[0][1], ball_ppa)
                 centres = np.array([y0 for y0, _, _ in witness])
                 y_nodes = y_first + (centres - centres[0])[:, None, :]
-                by = sym(y_nodes.reshape(-1, cfg.n)).reshape(y_nodes.shape[:2])
-                alpha = np.array([median(row) for row in by])
                 x_nodes = _subcube_midpoints(system.shift, k, cubes, 1, child_ppa)
-                bx = sym(x_nodes.reshape(-1, cfg.n)).reshape(x_nodes.shape[:3])
                 kv = riesz_kernel(
                     params, x_nodes[:, :, :, None, :], y_nodes[:, None, None, :, :], singular="zero"
                 )
-                # axes: cube, child, child micro-point, ball micro-point
-                integrand = (bx[..., None] - by[:, None, None, :]) * kv
                 wx = (2.0 ** (-(k + 1)) / child_ppa) ** cfg.n
-                ax, ay = alpha[:, None, None], alpha[:, None]
-                inner = []
-                for e_mask, f_mask in ((bx <= ax, by >= ay), (bx > ax, by <= ay)):
-                    raw = np.einsum("cgxy,cgx,cy->cg", integrand, e_mask, f_mask) * wx * wy
-                    inner.append(np.sum(np.abs(raw) / cubes[0].volume, axis=1))
-                for a, b in zip(inner[0].tolist(), inner[1].tolist()):
-                    total += a**cfg.p + b**cfg.p
-        best = max(best, total)
+                for s, sym in enumerate(family):
+                    by = sym(y_nodes.reshape(-1, cfg.n)).reshape(y_nodes.shape[:2])
+                    alpha = np.array([median(row) for row in by])
+                    bx = sym(x_nodes.reshape(-1, cfg.n)).reshape(x_nodes.shape[:3])
+                    # axes: cube, child, child micro-point, ball micro-point
+                    integrand = (bx[..., None] - by[:, None, None, :]) * kv
+                    ax, ay = alpha[:, None, None], alpha[:, None]
+                    inner = []
+                    for e_mask, f_mask in ((bx <= ax, by >= ay), (bx > ax, by <= ay)):
+                        raw = np.einsum("cgxy,cgx,cy->cg", integrand, e_mask, f_mask) * wx * wy
+                        inner.append(np.sum(np.abs(raw) / cubes[0].volume, axis=1))
+                    for a, b in zip(inner[0].tolist(), inner[1].tolist()):
+                        totals[s] += a**cfg.p + b**cfg.p
+        best = [max(b, t) for b, t in zip(best, totals)]
     return best
 
 
@@ -452,19 +457,24 @@ def _tail_statistic(fld: SampledField, cfg: ExperimentConfig, pair: list) -> flo
     return total
 
 
-def _double_integral_statistic(fld: SampledField, cfg: ExperimentConfig) -> float:
-    """Discrete double integral of |b(x)-b(y)|^p / |x-y|^{2n} over each
-    half-space separately (off-diagonal pairs)."""
-    grid = fld.grid
-    total = 0.0
+def _double_integral_statistic(fields: list, cfg: ExperimentConfig) -> list:
+    """Per sampled field, in order: the discrete double integral of
+    |b(x)-b(y)|^p / |x-y|^{2n} over each half-space separately
+    (off-diagonal pairs).  The distances do not depend on the symbol, so
+    |x-y|^{2n} is formed once per half for all the fields, which share
+    one grid."""
+    grid = fields[0].grid
+    totals = [0.0] * len(fields)
     for mask in (grid.mask_plus, grid.mask_minus):
         x = grid.nodes[mask]
-        b = fld.values[mask]
         d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
         np.fill_diagonal(d2, np.inf)
-        num = np.abs(b[:, None] - b[None, :]) ** cfg.p
-        total += float(np.sum(num / d2**cfg.n)) * grid.weight**2
-    return total
+        den = d2**cfg.n
+        for i, fld in enumerate(fields):
+            b = fld.values[mask]
+            num = np.abs(b[:, None] - b[None, :]) ** cfg.p
+            totals[i] += float(np.sum(num / den)) * grid.weight**2
+    return totals
 
 
 def _oscillation_partials(sym: Symbol, cfg: ExperimentConfig, systems: list, ppa: int = 6) -> dict:
@@ -660,7 +670,7 @@ def lower_bound_audit(cfg: ExperimentConfig, N: int = None) -> Report:
     if cfg.p <= cfg.n:
         raise ValueError("lower-bound audit requires p > n")
     N = N if N is not None else cfg.grid_sizes[0]
-    family = [s for s in symbol_family(cfg.family, cfg.n)]
+    family = symbol_family(cfg.family, cfg.n)
     rows = []
     passed = True
     limits = {
@@ -673,14 +683,18 @@ def lower_bound_audit(cfg: ExperimentConfig, N: int = None) -> Report:
     grid = make_grid(cfg.n, cfg.box, N)
     riesz = assemble_riesz(cfg.ell, grid)
     systems = _lattice_systems(cfg, _resolved_k_max(grid, cfg.stat_k_max))
-    for sym in family:
-        _, spec, s_norm = _commutator_spectrum(sym, riesz, cfg.p)
-        fld = SampledField(grid, sym(grid.nodes))
+    norms = [_commutator_spectrum(sym, riesz, cfg.p)[2] for sym in family]
+    fields = [SampledField(grid, sym(grid.nodes)) for sym in family]
+    # the family-wide statistics build their symbol-independent geometry
+    # once per audit
+    nwo = _nwo_statistic(family, cfg, systems)
+    double = _double_integral_statistic(fields, cfg)
+    for sym, s_norm, fld, nwo_value, double_value in zip(family, norms, fields, nwo, double):
         stats = {
             "energy": _energy_statistic(fld, cfg, systems),
-            "nwo": _nwo_statistic(sym, cfg, systems),
+            "nwo": nwo_value,
             "tail": _tail_statistic(fld, cfg, systems[0]),
-            "double": _double_integral_statistic(fld, cfg),
+            "double": double_value,
         }
         degenerate = sym.kind == "perhalf-constant"
         for name, value in stats.items():
@@ -743,10 +757,10 @@ def upper_bound_audit(cfg: ExperimentConfig, N: int = None) -> Report:
         op, spec, s_norm = _commutator_spectrum(sym, riesz, cfg.p)
         weak = weak_schatten_norm(spec, cfg.p)
         # the full mixed norm is the direct half of the Russo bound, as
-        # russo_bound computes it: one whole-kernel pass serves both
-        kernel = op.kernel
-        k_full = mixed_norm(kernel, cfg.p, "weak", op.weight, op.weight)
-        adjoint = mixed_norm(kernel.T, cfg.p, "weak", op.weight, op.weight)
+        # russo_bound computes it; both read the two same-half blocks, so
+        # no whole M x M kernel is built
+        k_full = mixed_norm(op.blocks, cfg.p, "weak", op.weight, op.weight)
+        adjoint = mixed_norm([B.T for B in op.blocks], cfg.p, "weak", op.weight, op.weight)
         bound = float(np.sqrt(k_full * adjoint))
         spectra[f"upper_{sym.name}_N{N}"] = (
             spec,

@@ -108,20 +108,31 @@ def weak_schatten_norm(s, p: float) -> float:
     return float(np.max(ranks ** (1.0 / p) * vals))
 
 
-def _kernel_and_weights(K, row_weights, col_weights):
-    if hasattr(K, "kernel"):
-        mat = np.asarray(K.kernel, dtype=float)
+def _blocks_and_weights(K, row_weights, col_weights):
+    """The diagonal blocks of K with row and column weights over all of them.
+
+    An OperatorMatrix gives its same-half blocks and, by default, its
+    quadrature weight; a list is taken as the diagonal blocks of a
+    block-diagonal kernel; anything else is one block.  Weights are
+    scalars or arrays over the concatenated rows (columns) of the blocks.
+    """
+    if hasattr(K, "blocks"):
+        blocks = K.blocks
         if row_weights is None:
             row_weights = K.weight
         if col_weights is None:
             col_weights = K.weight
+    elif isinstance(K, list):
+        blocks = [np.asarray(B, dtype=float) for B in K]
     else:
-        mat = np.asarray(K, dtype=float)
-    if mat.ndim != 2:
+        blocks = [np.asarray(K, dtype=float)]
+    if not blocks or any(B.ndim != 2 for B in blocks):
         raise ValueError("expected a kernel sampled on grid x grid")
-    wx = np.broadcast_to(np.asarray(1.0 if row_weights is None else row_weights, float), (mat.shape[0],))
-    wy = np.broadcast_to(np.asarray(1.0 if col_weights is None else col_weights, float), (mat.shape[1],))
-    return mat, wx, wy
+    rows = sum(B.shape[0] for B in blocks)
+    cols = sum(B.shape[1] for B in blocks)
+    wx = np.broadcast_to(np.asarray(1.0 if row_weights is None else row_weights, float), (rows,))
+    wy = np.broadcast_to(np.asarray(1.0 if col_weights is None else col_weights, float), (cols,))
+    return blocks, wx, wy
 
 
 def mixed_norm(K, p: float, mode: str = "weak", row_weights=None, col_weights=None) -> float:
@@ -132,19 +143,29 @@ def mixed_norm(K, p: float, mode: str = "weak", row_weights=None, col_weights=No
     with the inner values sorted in decreasing order g_1 >= g_2 >= ...
     and W_j the cumulative weight, the sup equals max_j g_j W_j^{1/p'}.
 
+    K may be a list of diagonal blocks, or an OperatorMatrix (its two
+    same-half blocks): a column meets only its own block, so the inner
+    norms are taken block by block and concatenated before the one outer
+    norm.  With uniform column weights the weak norm equals that of the
+    whole kernel with its zero cross-half entries.
+
     Requires p > 2 (so p' < 2, the range of the factorization bound).
     """
     if p <= 2:
         raise ValueError("mixed norm requires p > 2")
     if mode not in ("strong", "weak"):
         raise ValueError("mode must be 'strong' or 'weak'")
-    mat, wx, wy = _kernel_and_weights(K, row_weights, col_weights)
+    blocks, wx, wy = _blocks_and_weights(K, row_weights, col_weights)
     q = p / (p - 1.0)
-    # in place, so a whole-grid kernel costs one temporary of its size
-    terms = np.abs(mat)
-    terms **= p
-    terms *= wx[:, None]
-    inner = np.sum(terms, axis=0) ** (1.0 / p)
+    inner = []
+    row_ends = np.cumsum([B.shape[0] for B in blocks])
+    for B, bx in zip(blocks, np.split(wx, row_ends[:-1])):
+        # in place, so a block costs one temporary of its size
+        terms = np.abs(B)
+        terms **= p
+        terms *= bx[:, None]
+        inner.append(np.sum(terms, axis=0) ** (1.0 / p))
+    inner = np.concatenate(inner)
     if mode == "strong":
         return float(np.sum(inner**q * wy) ** (1.0 / q))
     order = np.argsort(inner)[::-1]
@@ -159,13 +180,15 @@ def russo_bound(Kc, p: float, row_weights=None, col_weights=None) -> float:
     """Geometric mean of the weak mixed norms of the kernel and its adjoint.
 
     Kc is the scalar commutator kernel (b(x) - b(y)) K(x,y) sampled on
-    grid x grid without quadrature weights; the weights enter through the
-    mixed-norm integrals.  Returns the right-hand side of the
-    factorization bound; p > 2 required.
+    grid x grid without quadrature weights, as an array, a list of
+    diagonal blocks or an OperatorMatrix (read block by block, see
+    `mixed_norm`); the weights enter through the mixed-norm integrals.
+    Returns the right-hand side of the factorization bound; p > 2
+    required.
     """
     if p <= 2:
         raise ValueError("russo bound requires p > 2")
-    mat, wx, wy = _kernel_and_weights(Kc, row_weights, col_weights)
-    direct = mixed_norm(mat, p, "weak", row_weights=wx, col_weights=wy)
-    adjoint = mixed_norm(mat.T, p, "weak", row_weights=wy, col_weights=wx)
+    blocks, wx, wy = _blocks_and_weights(Kc, row_weights, col_weights)
+    direct = mixed_norm(blocks, p, "weak", row_weights=wx, col_weights=wy)
+    adjoint = mixed_norm([B.T for B in blocks], p, "weak", row_weights=wy, col_weights=wx)
     return float(np.sqrt(direct * adjoint))

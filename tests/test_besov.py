@@ -268,7 +268,7 @@ def _decoded_shift_weights(shifts):
     which = np.searchsorted(uniq, np.round(np.log(radii), 9))
     counts = np.bincount(which, minlength=uniq.size)
     n = shifts.shape[1]
-    sphere = 2.0 if n == 1 else 2.0 * np.pi if n == 2 else 4.0 * np.pi
+    sphere = 2.0 if n == 1 else 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)
     return radii**n * dlog[which] * (sphere / counts[which])
 
 
@@ -318,6 +318,29 @@ def test_diff_norm_matches_the_per_shift_loop_on_any_sample(per_decade, angles, 
     for f in (_bump, even_extension(lambda p: _bump(p, (0.3, -0.4), 0.9), "minus")):
         want = _diff_norm_by_shift(f, PARAMS, grid, shifts)
         assert besov_diff_norm(f, PARAMS, grid, shifts) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n, sphere", [(3, 4.0 * math.pi), (4, 2.0 * math.pi**2)], ids=["n3", "n4"])
+def test_diff_norm_weights_carry_the_sphere_area(n, sphere):
+    # radii e^-2, e^-1.5, e^-1, e^-0.5 along the 2n directions +-e_j: the
+    # trapezoid in log r gives dlog = 0.25, 0.5, 0.5, 0.25, and each shift
+    # carries r^n dlog |S^{n-1}| / (2n)
+    def gauss(points):
+        return np.exp(-np.sum(np.asarray(points) ** 2, axis=-1))
+
+    grid = make_grid(n, ((-1.0, 1.0),) * n, 4)
+    radii = np.exp([-2.0, -1.5, -1.0, -0.5])
+    dlog = [0.25, 0.5, 0.5, 0.25]
+    directions = np.concatenate([np.eye(n), -np.eye(n)])
+    shifts = radii[:, None, None] * directions[None, :, :]
+    total = 0.0
+    for r, dl in zip(radii, dlog):
+        for d in directions:
+            diff = gauss(grid.nodes + r * d) - gauss(grid.nodes)
+            lp = float(np.sum(np.abs(diff) ** PARAMS.p) * grid.weight) ** (1.0 / PARAMS.p)
+            total += r**n * dl * sphere / (2 * n) * lp**PARAMS.q / r ** (n + PARAMS.q * PARAMS.alpha)
+    want = total ** (1.0 / PARAMS.q)
+    assert besov_diff_norm(gauss, PARAMS, grid, shifts) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ import pytest
 
 from nrlab.cli import main as cli_main
 from nrlab.discretize import assemble_commutator, assemble_riesz, ball_microgrid, make_grid, read_matrix
-from nrlab.dyadic import Cube, box_midpoint_mean, build_system, median
+from nrlab.dyadic import Cube, SampledField, box_midpoint_mean, build_system, median
 from nrlab.harness import (
     ExperimentConfig,
     ReportRow,
+    _double_integral_statistic,
     _lattice_systems,
     _nwo_statistic,
     _oscillation_partials,
@@ -396,7 +397,7 @@ def test_nwo_statistic_matches_per_cube_sums(name):
     cfg = ExperimentConfig(p=4.0, num_lattice_shifts=3)
     sym = next(s for s in symbol_family("default", 2) if s.name == name)
     k_max = _resolved_k_max(make_grid(2, cfg.box, 16), cfg.stat_k_max)
-    got = _nwo_statistic(sym, cfg, _lattice_systems(cfg, k_max))
+    got = _nwo_statistic([sym], cfg, _lattice_systems(cfg, k_max))[0]
     want = _nwo_per_cube(sym, cfg, k_max)
     assert want > 0.0
     assert abs(got - want) <= 1e-12 * want
@@ -410,7 +411,7 @@ def test_dyadic_statistics_exact_zero_for_controls():
         if sym.kind == "perhalf-constant":
             osc = _oscillation_partials(sym, osc_cfg, _lattice_systems(osc_cfg, osc_cfg.stat_k_max))
             assert all(v == 0.0 for v in osc.values())
-            assert _nwo_statistic(sym, nwo_cfg, _lattice_systems(nwo_cfg, k_max)) == 0.0
+            assert _nwo_statistic([sym], nwo_cfg, _lattice_systems(nwo_cfg, k_max))[0] == 0.0
 
 
 def test_nwo_statistic_builds_one_witness_grid_per_generation(monkeypatch):
@@ -425,9 +426,45 @@ def test_nwo_statistic_builds_one_witness_grid_per_generation(monkeypatch):
     monkeypatch.setattr(harness, "ball_microgrid", counting)
     cfg = ExperimentConfig(num_lattice_shifts=2)
     systems = _lattice_systems(cfg, 1)
-    _nwo_statistic(symbol_family("default", 2)[0], cfg, systems)
+    _nwo_statistic(symbol_family("default", 2), cfg, systems)
     generations = [k for pair in systems for system in pair for k in system.generations() if system.cubes[k]]
     assert calls == [2.0 ** (-k) / 12.0 for k in generations]
+
+
+@pytest.mark.parametrize("size", [1, 7])
+def test_nwo_statistic_builds_its_geometry_once_for_the_family(monkeypatch, size):
+    # one kernel call and one witness micro-grid per (shift, half,
+    # generation) with cubes, whatever the number of symbols
+    from nrlab import harness
+
+    calls = {"riesz_kernel": 0, "ball_microgrid": 0}
+    for name in calls:
+
+        def counting(*args, _name=name, _original=getattr(harness, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counting)
+    cfg = ExperimentConfig(num_lattice_shifts=2)
+    systems = _lattice_systems(cfg, 1)
+    family = symbol_family("default", 2)[:size]
+    assert len(_nwo_statistic(family, cfg, systems)) == size
+    generations = sum(1 for pair in systems for system in pair for k in system.generations() if system.cubes[k])
+    assert calls == {"riesz_kernel": generations, "ball_microgrid": generations}
+
+
+def test_family_statistics_equal_one_symbol_calls_bit_for_bit():
+    cfg = ExperimentConfig(p=4.0, num_lattice_shifts=2)
+    grid = make_grid(2, cfg.box, 16)
+    systems = _lattice_systems(cfg, _resolved_k_max(grid, cfg.stat_k_max))
+    family = symbol_family("default", 2)
+    fields = [SampledField(grid, sym(grid.nodes)) for sym in family]
+    nwo = _nwo_statistic(family, cfg, systems)
+    double = _double_integral_statistic(fields, cfg)
+    assert len(nwo) == len(double) == len(family)
+    for i, sym in enumerate(family):
+        assert nwo[i] == _nwo_statistic([sym], cfg, systems)[0]
+        assert double[i] == _double_integral_statistic([fields[i]], cfg)[0]
 
 
 def test_lower_audit_smoke_statistics_structure():
@@ -465,15 +502,19 @@ def test_upper_audit_smoke_split_and_rows():
 
 
 def test_upper_audit_mixed_full_equals_whole_kernel_norm():
-    # the audit shares one whole-kernel pass between mixed_full and the
-    # Russo bound; both must equal the standalone computations exactly
-    cfg = ExperimentConfig(p=4.0, grid_sizes=(16,), russo_slack=100.0)
-    rep = upper_bound_audit(cfg, N=16)
-    grid = make_grid(2, cfg.box, 16)
-    for sym, row in zip(symbol_family("default", 2), rep.rows):
-        op = assemble_commutator(sym, assemble_riesz(cfg.ell, grid))
-        assert row.aux["mixed_full"] == mixed_norm(op.kernel, cfg.p, "weak", op.weight, op.weight)
-        assert row.aux["russo_bound"] == russo_bound(op, cfg.p)
+    # the audit, mixed_norm(op) and russo_bound(op) read the two same-half
+    # blocks; each must equal the whole-kernel ndarray route exactly
+    for ell, N in itertools.product((1, 2), (16, 32)):
+        cfg = ExperimentConfig(p=4.0, ell=ell, grid_sizes=(N,), russo_slack=100.0)
+        rep = upper_bound_audit(cfg, N=N)
+        riesz = assemble_riesz(ell, make_grid(2, cfg.box, N))
+        for sym, row in zip(symbol_family("default", 2), rep.rows):
+            op = assemble_commutator(sym, riesz)
+            kernel, w = op.kernel, op.weight
+            adjoint = mixed_norm(kernel.T, cfg.p, "weak", w, w)
+            assert row.aux["mixed_full"] == mixed_norm(op, cfg.p) == mixed_norm(kernel, cfg.p, "weak", w, w)
+            assert mixed_norm([B.T for B in op.blocks], cfg.p, "weak", w, w) == adjoint
+            assert row.aux["russo_bound"] == russo_bound(op, cfg.p) == russo_bound(kernel, cfg.p, w, w)
 
 
 def test_upper_audit_checks_the_kernel_gate(monkeypatch):
