@@ -9,6 +9,10 @@ truncated shifts in log-polar form, passed as an (R, A, n) array
 shifts[i, j] = radii[i] * directions[j]; one symbol call per radius.
 
 Extension route: difference norms of the two even extensions, summed.
+The shifted, folded nodes do not depend on the symbol, so they are built
+once per (radius, half) for the whole family; each symbol is called on
+the same array and keeps its own radius-ordered sum, so its norm does
+not depend on the family it comes with.
 
 All integrals are truncated to a box and to [t_min, t_max]; symbols are
 compactly supported with margin, which keeps the dropped tails small
@@ -62,19 +66,25 @@ class BesovParams:
             raise ValueError("q must lie in [1, oo)")
 
 
+def _fold(x, half: str) -> np.ndarray:
+    """A copy of the points x with x_n reflected into the chosen half:
+    +|x_n| for 'plus', -|x_n| for 'minus'."""
+    sign = 1.0 if half == "plus" else -1.0
+    x = np.asarray(x, dtype=float)
+    folded = x.copy()
+    folded[..., -1] = sign * np.abs(x[..., -1])
+    return folded
+
+
 def even_extension(f, half: str) -> Symbol:
     """Reflect the chosen half across the interface: the extension agrees
     with f there and satisfies f_e(x', -x_n) = f_e(x', x_n) exactly."""
     if half not in ("plus", "minus"):
         raise ValueError("half must be 'plus' or 'minus'")
     func = getattr(f, "func", f)
-    sign = 1.0 if half == "plus" else -1.0
 
     def extended(x):
-        x = np.asarray(x, dtype=float)
-        folded = x.copy()
-        folded[..., -1] = sign * np.abs(x[..., -1])
-        return func(folded)
+        return func(_fold(x, half))
 
     name = getattr(f, "name", "symbol") + ("_e+" if half == "plus" else "_e-")
     return Symbol(name=name, func=extended, kind=getattr(f, "kind", "generic"))
@@ -146,18 +156,13 @@ def besov_heat_norm(symbols, params: BesovParams, grid: QuadratureGrid, t_grid=N
     return [float(np.trapezoid(row, log_t)) ** (1.0 / params.q) for row in integrand_q]
 
 
-def besov_diff_norm(f, params: BesovParams, grid: QuadratureGrid, shift_grid=None) -> float:
-    """Difference-quotient Besov norm, truncated to the grid box.
-
-    shift_grid is an (R, A, n) array shifts[i, j] = radii[i] * directions[j]
-    of R >= 2 increasing radii and A directions uniform on the sphere, as
-    `default_shift_grid` builds it.  Weights are r^n dlog(r) |S^{n-1}|/A,
-    a trapezoid in log r.  The log radii stay rounded to 9 decimals, as
-    in the recorded reference outputs: exact logs move the weights by up
-    to 6e-9 relative (N = 64), beyond the 1e-12 agreement kept on them.
-    f is called on the nodes, then once per radius on all A shifted
-    copies of them.
-    """
+def _difference_norms(symbols, params: BesovParams, grid: QuadratureGrid, shift_grid, halves) -> list:
+    """Difference norms of each symbol on the nodes folded into each of
+    `halves` (None leaves them unfolded): out[h][s] for halves[h] and
+    symbols[s].  The shifted nodes of a radius, and their fold into each
+    half, are built once for all the symbols; per half, each symbol is
+    called on the nodes, then once per radius, and its terms are summed
+    in radius order."""
     shifts = np.asarray(default_shift_grid(grid) if shift_grid is None else shift_grid, dtype=float)
     n = grid.dim
     if shifts.ndim != 3 or shifts.shape[-1] != n:
@@ -176,20 +181,52 @@ def besov_diff_norm(f, params: BesovParams, grid: QuadratureGrid, shift_grid=Non
     sphere = 2.0 if n == 1 else 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)
     weights = radii**n * dlog[:, None] * (sphere / shifts.shape[1])
 
-    func = getattr(f, "func", f)
-    base = np.asarray(func(grid.nodes), dtype=float)
-    total = 0.0
+    def place(x, half):
+        return x if half is None else _fold(x, half)
+
+    funcs = [getattr(f, "func", f) for f in symbols]
+    bases = []
+    for half in halves:
+        nodes = place(grid.nodes, half)
+        bases.append([np.asarray(func(nodes), dtype=float) for func in funcs])
+    totals = [[0.0] * len(funcs) for _ in halves]
     for row, r, w in zip(shifts, radii, weights):
-        diff = np.asarray(func(grid.nodes + row[:, None, :]), dtype=float) - base
-        lp = (np.sum(np.abs(diff) ** params.p, axis=-1) * grid.weight) ** (1.0 / params.p)
-        total += float(np.sum(w * lp**params.q / r ** (n + params.q * params.alpha)))
-    return total ** (1.0 / params.q)
+        shifted = grid.nodes + row[:, None, :]
+        for h, half in enumerate(halves):
+            points = place(shifted, half)
+            for s, func in enumerate(funcs):
+                diff = np.asarray(func(points), dtype=float) - bases[h][s]
+                lp = (np.sum(np.abs(diff) ** params.p, axis=-1) * grid.weight) ** (1.0 / params.p)
+                totals[h][s] += float(np.sum(w * lp**params.q / r ** (n + params.q * params.alpha)))
+    return [[total ** (1.0 / params.q) for total in row] for row in totals]
 
 
-def besov_neumann_norm(b, params: BesovParams, grid: QuadratureGrid, shift_grid=None) -> float:
-    """Sum of the difference norms of the two even extensions.
+def besov_diff_norm(f, params: BesovParams, grid: QuadratureGrid, shift_grid=None) -> float:
+    """Difference-quotient Besov norm, truncated to the grid box.
 
+    shift_grid is an (R, A, n) array shifts[i, j] = radii[i] * directions[j]
+    of R >= 2 increasing radii and A directions uniform on the sphere, as
+    `default_shift_grid` builds it.  Weights are r^n dlog(r) |S^{n-1}|/A,
+    a trapezoid in log r.  The log radii stay rounded to 9 decimals, as
+    in the recorded reference outputs: exact logs move the weights by up
+    to 6e-9 relative (N = 64), beyond the 1e-12 agreement kept on them.
+    f is called on the nodes, then once per radius on all A shifted
+    copies of them.
+    """
+    ((norm,),) = _difference_norms([f], params, grid, shift_grid, (None,))
+    return norm
+
+
+def besov_neumann_norm(symbols, params: BesovParams, grid: QuadratureGrid, shift_grid=None) -> list:
+    """Extension-route Besov norms of a family of symbols on one grid, one
+    per symbol, in family order: the sum of the difference norms of the
+    two even extensions.
+
+    The shifted and folded nodes are built once per (radius, half) for
+    the whole family, and each symbol makes 2 (1 + R) calls on them, so
+    a symbol's norm does not depend on the family it comes with.
     Vanishes exactly on per-half constants (both extensions constant)
     and reduces to a single term when b is supported in one half.
     """
-    return sum(besov_diff_norm(even_extension(b, half), params, grid, shift_grid) for half in ("plus", "minus"))
+    plus, minus = _difference_norms(symbols, params, grid, shift_grid, ("plus", "minus"))
+    return [a + b for a, b in zip(plus, minus)]

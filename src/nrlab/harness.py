@@ -37,7 +37,14 @@ from .dyadic import (
     median,
     nodes_in_cube,
 )
-from .kernels import KernelParams, cz_bounds_check, heat_kernel_neumann, riesz_kernel, sign_witness
+from .kernels import (
+    KernelParams,
+    cz_bounds_check,
+    heat_kernel_neumann,
+    riesz_kernel,
+    sign_witness,
+    squared_distance,
+)
 from .kvconfig import read_kv_file, write_kv_file
 from .spectra import (
     mixed_norm,
@@ -229,7 +236,7 @@ def _mollifier(center, radius, amplitude=1.0):
 
     def func(x):
         x = np.asarray(x, dtype=float)
-        s2 = np.sum((x - c) ** 2, axis=-1) / r**2
+        s2 = squared_distance(x, c) / r**2
         out = np.zeros(s2.shape)
         inside = s2 < 1.0
         out[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
@@ -467,7 +474,7 @@ def _double_integral_statistic(fields: list, cfg: ExperimentConfig) -> list:
     totals = [0.0] * len(fields)
     for mask in (grid.mask_plus, grid.mask_minus):
         x = grid.nodes[mask]
-        d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
+        d2 = squared_distance(x[:, None, :], x[None, :, :])
         np.fill_diagonal(d2, np.inf)
         den = d2**cfg.n
         for i, fld in enumerate(fields):
@@ -541,11 +548,11 @@ def ratio_study(cfg: ExperimentConfig) -> Report:
         shift_grid = default_shift_grid(grid, cfg.shift_per_decade, cfg.shift_angles)
         riesz = assemble_riesz(cfg.ell, grid)
         heat = besov_heat_norm(family, params, grid, t_grid)
-        for sym, b_heat in zip(family, heat):
+        ext = besov_neumann_norm(family, params, grid, shift_grid)
+        for sym, b_heat, b_ext in zip(family, heat, ext):
             _, spec, s_norm = _commutator_spectrum(sym, riesz, cfg.p)
             if N == cfg.grid_sizes[-1]:
                 spectra[f"ratio_{sym.name}_N{N}"] = (spec, None)
-            b_ext = besov_neumann_norm(sym, params, grid, shift_grid)
             degenerate = sym.kind == "perhalf-constant"
             if degenerate:
                 note = "degenerate control; excluded from summary"

@@ -30,6 +30,7 @@ __all__ = [
     "Ball",
     "riesz_constant",
     "reflect",
+    "squared_distance",
     "heat_kernel_full",
     "heat_kernel_neumann",
     "riesz_kernel",
@@ -51,6 +52,25 @@ def reflect(x: np.ndarray) -> np.ndarray:
     out = x.copy()
     out[..., -1] = -out[..., -1]
     return out
+
+
+def squared_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|x - y|^2 over the last (coordinate) axis, broadcasting x and y.
+
+    The per-coordinate squares (d * d, which is what d**2 computes) are
+    summed term by term in coordinate order, the order
+    np.sum(d**2, axis=-1) uses for fewer than 8 coordinates, so the two
+    agree bit for bit; no (..., n) difference array is formed, no
+    reduction runs over the short last axis, and at most two arrays of
+    the result's shape are alive at a time.
+    """
+    d2 = x[..., 0] - y[..., 0]
+    d2 *= d2
+    for j in range(1, np.shape(x)[-1]):
+        d = x[..., j] - y[..., j]
+        d *= d
+        d2 += d
+    return d2
 
 
 @dataclass(frozen=True)
@@ -85,7 +105,7 @@ class Ball:
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask of points inside ball AND closed half-space."""
         pts = np.asarray(points, dtype=float)
-        inside = np.sum((pts - self.center) ** 2, axis=-1) <= self.radius**2
+        inside = squared_distance(pts, self.center) <= self.radius**2
         xn = pts[..., -1]
         gate = xn >= 0.0 if self.half == "plus" else xn <= 0.0
         return inside & gate
@@ -108,7 +128,7 @@ def heat_kernel_full(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = x.shape[-1]
-    r2 = np.sum((x - y) ** 2, axis=-1)
+    r2 = squared_distance(x, y)
     out = (4.0 * math.pi * t) ** (-n / 2) * np.exp(-r2 / (4.0 * t))
     return out[()]
 
@@ -124,9 +144,8 @@ def heat_kernel_neumann(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = x.shape[-1]
-    d = x - y
-    r2_tang = np.sum(d[..., :-1] ** 2, axis=-1)
-    dn = d[..., -1]
+    r2_tang = squared_distance(x[..., :-1], y[..., :-1]) if n > 1 else 0.0
+    dn = x[..., -1] - y[..., -1]
     sn = x[..., -1] + y[..., -1]
     gauss = np.exp(-(r2_tang + dn**2) / (4.0 * t)) + np.exp(
         -(r2_tang + sn**2) / (4.0 * t)

@@ -1,9 +1,13 @@
 """The benchmark's layer trace (`perfbench/layertrace.py`) wraps nrlab
-functions under the names their callers bind, listed in `WRAP_POINTS`.
-A change that drops or renames one of those bindings leaves its
-per-layer metrics missing; this test fails on it first."""
+functions under the names their callers bind, listed in `WRAP_POINTS`,
+and its counters read some arguments by parameter name
+(`_param(orig, "grid")`).  A change that drops or renames one of those
+bindings or parameters leaves its per-layer metrics missing; these
+tests fail on it first."""
 
+import ast
 import importlib
+import inspect
 import runpy
 from pathlib import Path
 
@@ -12,20 +16,63 @@ import nrlab.cli  # noqa: F401  loads every module the wrap points name
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 
 
-def _resolves(module: str, attr: str) -> bool:
+def _resolve(module: str, attr: str):
+    """The object bound at module.attr, or None if it is gone."""
     try:
         owner = importlib.import_module(module)
     except ImportError:
-        return False
+        return None
     for part in attr.split("."):
         if not hasattr(owner, part):
-            return False
+            return None
         owner = getattr(owner, part)
-    return True
+    return owner
+
+
+def _nrlab_points():
+    points = runpy.run_path(str(LAYERTRACE))["WRAP_POINTS"]
+    return [p for p in points if p.module.split(".")[0] == "nrlab"]
+
+
+def _parameters_read_by_name() -> dict:
+    """Counter function name -> the parameter names it reads through
+    `_param(orig, "<name>")`."""
+    reads = {}
+    for node in ast.parse(LAYERTRACE.read_text(encoding="utf-8")).body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        names = [
+            call.args[1].value
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id == "_param"
+            and len(call.args) == 2
+            and isinstance(call.args[1], ast.Constant)
+        ]
+        if names:
+            reads[node.name] = names
+    return reads
 
 
 def test_every_wrapped_nrlab_binding_resolves():
-    points = runpy.run_path(str(LAYERTRACE))["WRAP_POINTS"]
-    names = [(p.module, p.attr) for p in points if p.module.split(".")[0] == "nrlab"]
+    names = [(p.module, p.attr) for p in _nrlab_points()]
     assert names
-    assert [f"{m}.{a}" for m, a in names if not _resolves(m, a)] == []
+    assert [f"{m}.{a}" for m, a in names if _resolve(m, a) is None] == []
+
+
+def test_every_parameter_a_counter_reads_by_name_exists():
+    reads = _parameters_read_by_name()
+    assert set(reads.get("_count_shifts", ())) == {"grid", "shift_grid"}
+    checked, missing = 0, []
+    for p in _nrlab_points():
+        if p.count is None or p.count.__name__ not in reads:
+            continue
+        func = _resolve(p.module, p.attr)
+        params = inspect.signature(func).parameters if func is not None else {}
+        for name in reads[p.count.__name__]:
+            checked += 1
+            if name not in params:
+                missing.append(f"{p.module}.{p.attr}({name})")
+    assert checked >= 6
+    assert missing == []

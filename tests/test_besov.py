@@ -1,7 +1,8 @@
 """Besov norms by the heat, difference and extension routes: zero
 detection on per-half constants, homogeneity, translation invariance,
-self-refinement stability, the single-term extension reduction, and the
-radius x direction shift sample against a per-shift reference loop."""
+self-refinement stability, the single-term extension reduction, the
+radius x direction shift sample against a per-shift reference loop, and
+the family extension route against per-symbol extensions."""
 
 import math
 
@@ -234,7 +235,7 @@ def test_diff_norm_error_paths():
             with pytest.raises(ValueError, match=match):
                 besov_diff_norm(_bump, PARAMS, grid, shift_grid=shift_grid)
             with pytest.raises(ValueError, match=match):
-                besov_neumann_norm(_bump, PARAMS, grid, shift_grid=shift_grid)
+                besov_neumann_norm([_bump], PARAMS, grid, shift_grid=shift_grid)
 
 
 def test_diff_norm_calls_the_symbol_once_per_radius():
@@ -297,8 +298,8 @@ def test_diff_and_neumann_norms_match_the_per_shift_loop(N):
     got = besov_diff_norm(_bump, PARAMS, grid, shifts)
     assert got == pytest.approx(_diff_norm_by_shift(_bump, PARAMS, grid, shifts), rel=1e-12, abs=0.0)
     for family in ("default", "divergence"):
-        for sym in symbol_family(family, 2):
-            got = besov_neumann_norm(sym, PARAMS, grid, shifts)
+        syms = symbol_family(family, 2)
+        for sym, got in zip(syms, besov_neumann_norm(syms, PARAMS, grid, shifts), strict=True):
             want = _neumann_norm_by_shift(sym, PARAMS, grid, shifts)
             if sym.kind == "perhalf-constant":
                 assert got == want == 0.0, sym.name
@@ -349,7 +350,7 @@ def test_diff_norm_weights_carry_the_sphere_area(n, sphere):
 
 def test_neumann_norm_vanishes_on_per_half_constants():
     grid = make_grid(2, BOX, 16)
-    assert besov_neumann_norm(_halfconst, PARAMS, grid) == 0.0
+    assert besov_neumann_norm([_halfconst], PARAMS, grid) == [0.0]
 
 
 def test_neumann_norm_single_term_reduction():
@@ -361,7 +362,7 @@ def test_neumann_norm_single_term_reduction():
 
     grid = make_grid(2, BOX, 24)
     shifts = default_shift_grid(grid, 8, 8)
-    whole = besov_neumann_norm(b, PARAMS, grid, shifts)
+    (whole,) = besov_neumann_norm([b], PARAMS, grid, shifts)
     folded = besov_diff_norm(
         lambda p: np.abs(np.asarray(p)[..., 1]), PARAMS, grid, shifts
     )
@@ -372,6 +373,53 @@ def test_neumann_norm_single_term_reduction():
 def test_heat_and_extension_routes_comparable():
     grid = make_grid(2, BOX, 32)
     (heat,) = besov_heat_norm([_bump], PARAMS, grid)
-    ext = besov_neumann_norm(_bump, PARAMS, grid)
+    (ext,) = besov_neumann_norm([_bump], PARAMS, grid)
     assert heat > 0 and ext > 0
     assert 0.1 <= heat / ext <= 10.0
+
+
+@pytest.mark.parametrize("N", [16, 24, 40])
+def test_neumann_norm_family_matches_per_symbol_extensions_bit_for_bit(N):
+    grid = make_grid(2, BOX, N)
+    shifts = default_shift_grid(grid)
+    for family in ("default", "divergence"):
+        syms = symbol_family(family, 2)
+        norms = besov_neumann_norm(syms, PARAMS, grid, shifts)
+        assert len(norms) == len(syms)
+        assert besov_neumann_norm(syms[::-1], PARAMS, grid, shifts) == norms[::-1]
+        for sym, norm in zip(syms, norms):
+            want = sum(besov_diff_norm(even_extension(sym, h), PARAMS, grid, shifts) for h in ("plus", "minus"))
+            assert norm == want, sym.name
+            assert besov_neumann_norm([sym], PARAMS, grid, shifts) == [norm], sym.name
+            if sym.kind == "perhalf-constant":
+                assert norm == 0.0, sym.name
+
+
+def test_neumann_norm_shares_each_folded_node_array_across_the_family():
+    grid = make_grid(2, BOX, 16)
+    shifts = default_shift_grid(grid, 8, 8)
+    seen = [[], [], []]
+
+    def recorder(i):
+        def f(points):
+            seen[i].append(points)
+            return _bump(points, (0.4 * i - 0.4, 0.5), 0.6)
+
+        return f
+
+    norms = besov_neumann_norm([recorder(i) for i in range(3)], PARAMS, grid, shifts)
+    assert len(norms) == 3 and min(norms) > 0
+    calls = 2 * (1 + len(shifts))
+    assert [len(s) for s in seen] == [calls] * 3
+    for k, points in enumerate(seen[0]):
+        assert seen[1][k] is points and seen[2][k] is points
+    # one array per (radius, half) and one per half for the unshifted
+    # nodes, each folded into its half
+    assert len({id(points) for points in seen[0]}) == calls
+    plus = [p for p in seen[0] if np.all(p[..., -1] >= 0.0)]
+    minus = [p for p in seen[0] if np.all(p[..., -1] <= 0.0)]
+    assert len(plus) == len(minus) == 1 + len(shifts)
+    for folded in (plus, minus):
+        shapes = [p.shape for p in folded]
+        assert shapes.count(grid.nodes.shape) == 1
+        assert shapes.count((8,) + grid.nodes.shape) == len(shifts)

@@ -16,6 +16,7 @@ from nrlab.harness import (
     ReportRow,
     _double_integral_statistic,
     _lattice_systems,
+    _mollifier,
     _nwo_statistic,
     _oscillation_partials,
     _resolved_k_max,
@@ -264,18 +265,19 @@ def _count_calls(monkeypatch, module, names):
 def test_studies_build_symbol_independent_operators_once_per_grid(monkeypatch):
     from nrlab import harness
 
-    calls = _count_calls(monkeypatch, harness, ("assemble_riesz", "besov_heat_norm", "build_system"))
+    names = ("assemble_riesz", "besov_heat_norm", "besov_neumann_norm", "build_system")
+    calls = _count_calls(monkeypatch, harness, names)
     ratio_study(ExperimentConfig(**SMOKE))
-    assert calls == {"assemble_riesz": 2, "besov_heat_norm": 2, "build_system": 0}
+    assert calls == {"assemble_riesz": 2, "besov_heat_norm": 2, "besov_neumann_norm": 2, "build_system": 0}
 
     calls.update(dict.fromkeys(calls, 0))
     divergence_study(ExperimentConfig(p=2.0, family="divergence", grid_sizes=(8, 16), num_lattice_shifts=2))
-    assert calls == {"assemble_riesz": 2, "besov_heat_norm": 0, "build_system": 2 * 2}
+    assert calls == {"assemble_riesz": 2, "besov_heat_norm": 0, "besov_neumann_norm": 0, "build_system": 2 * 2}
 
     calls.update(dict.fromkeys(calls, 0))
     audit = dict(audit_C_energy=1e9, audit_C_nwo=1e9, audit_C_tail=1e9, audit_C_double=1e9)
     lower_bound_audit(ExperimentConfig(p=4.0, grid_sizes=(16,), num_lattice_shifts=3, **audit), N=16)
-    assert calls == {"assemble_riesz": 1, "besov_heat_norm": 0, "build_system": 2 * 3}
+    assert calls == {"assemble_riesz": 1, "besov_heat_norm": 0, "besov_neumann_norm": 0, "build_system": 2 * 3}
 
 
 def test_ratio_study_without_resolved_symbol_names_cause(monkeypatch):
@@ -465,6 +467,71 @@ def test_family_statistics_equal_one_symbol_calls_bit_for_bit():
     for i, sym in enumerate(family):
         assert nwo[i] == _nwo_statistic([sym], cfg, systems)[0]
         assert double[i] == _double_integral_statistic([fields[i]], cfg)[0]
+
+
+def _double_integral_by_reduction(fields, n, p):
+    """The double-integral statistic with |x-y|^2 from a last-axis sum."""
+    grid = fields[0].grid
+    totals = [0.0] * len(fields)
+    for mask in (grid.mask_plus, grid.mask_minus):
+        x = grid.nodes[mask]
+        d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
+        np.fill_diagonal(d2, np.inf)
+        den = d2**n
+        for i, fld in enumerate(fields):
+            b = fld.values[mask]
+            totals[i] += float(np.sum(np.abs(b[:, None] - b[None, :]) ** p / den)) * grid.weight**2
+    return totals
+
+
+def _same_bits(got, want):
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_bump_bit_identical_to_reduction_form(n):
+    rng = np.random.default_rng(17)
+    # r^2 = 0.5625 has no exact reciprocal, so dividing by it is pinned
+    c, r = np.array([0.25, 0.5, -0.75])[:n], 0.75
+    # the centre, the 2n points c +- r e_j on the support sphere (s^2 == 1
+    # exactly), and points inside and just outside the support
+    inner = c + r * rng.uniform(-0.8, 0.8, (400, n))
+    pts = np.concatenate([c[None], c + r * np.eye(n), c - r * np.eye(n), inner])
+    s2 = np.sum((pts - c) ** 2, axis=-1) / r**2
+    want = np.zeros(s2.shape)
+    inside = s2 < 1.0
+    want[inside] = 1.5 * np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
+    got = _mollifier(c, r, 1.5)(pts)
+    assert _same_bits(got, want)
+    assert got[0] == 1.5 and np.all(got[1 : 2 * n + 1] == 0.0) and np.count_nonzero(got) > 100
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_double_integral_distances_bit_identical_to_reduction_form(monkeypatch, n):
+    from nrlab import harness
+
+    # an off-centre box, so the node differences are not short dyadic fractions
+    box = ((-1.1, 0.9), (-1.3, 0.7), (-0.7, 1.3))[3 - n :]
+    cfg = ExperimentConfig(n=n, ell=1, box=box, grid_sizes=(8,), p=4.0)
+    grid = make_grid(n, box, 12 if n == 2 else 6)
+    bump = _mollifier(np.array([0.25, 0.5, -0.75])[:n], 0.9)
+    fields = [SampledField(grid, bump(grid.nodes)), SampledField(grid, np.prod(grid.nodes, axis=-1))]
+    # the statistic's sums absorb one-ulp changes of single |x-y|^2
+    # entries, so the squared distances it forms are also compared whole
+    recorded = []
+
+    def recording(x, y, _original=harness.squared_distance):
+        recorded.append(_original(x, y))
+        return recorded[-1]
+
+    monkeypatch.setattr(harness, "squared_distance", recording)
+    assert _double_integral_statistic(fields, cfg) == _double_integral_by_reduction(fields, n, cfg.p)
+    assert len(recorded) == 2
+    for d2, mask in zip(recorded, (grid.mask_plus, grid.mask_minus)):
+        x = grid.nodes[mask]
+        want = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
+        np.fill_diagonal(want, np.inf)
+        assert _same_bits(d2, want)
 
 
 def test_lower_audit_smoke_statistics_structure():

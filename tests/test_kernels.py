@@ -1,6 +1,7 @@
 """Kernel-level oracles: frozen closed-form values, gating, symmetry,
 Gaussian mass, the subordination identity tying the Riesz kernels to the
-heat flow, size/smoothness bounds, and the sign-witness construction."""
+heat flow, size/smoothness bounds, the sign-witness construction, and
+the coordinate-wise squared distances against the last-axis reduction."""
 
 import math
 
@@ -18,6 +19,7 @@ from nrlab.kernels import (
     riesz_constant,
     riesz_kernel,
     sign_witness,
+    squared_distance,
 )
 
 C2 = 1.0 / (2.0 * math.pi)
@@ -364,3 +366,59 @@ def test_ball_contains_respects_half():
     ball = Ball(np.array([0.0, 0.05]), 0.2, "plus")
     pts = np.array([[0.0, 0.1], [0.0, -0.1], [0.0, 0.3]])
     assert list(ball.contains(pts)) == [True, False, False]
+
+
+# ---------------------------------------------------------------------------
+# coordinate-wise squared distances
+
+CENTER = np.array([0.25, 0.5, -0.75])
+
+
+def _probe_points(n):
+    """The centre, the 2n points c +- 0.5 e_j on the sphere of radius 0.5
+    about it (squared distance exactly 0.25), the origin with both signs
+    of zero, and points whose offsets from c span 1e-3 to 3, close enough
+    that the Gaussians of most pairs do not underflow."""
+    rng = np.random.default_rng(31)
+    c = CENTER[:n]
+    on_sphere = np.concatenate([c + 0.5 * np.eye(n), c - 0.5 * np.eye(n)])
+    zeros = np.array([[0.0] * n, [-0.0] * n])
+    spread = c + rng.normal(size=(150, n)) * 10.0 ** rng.uniform(-3.0, 0.5, size=(150, n))
+    return np.concatenate([c[None], on_sphere, zeros, spread])
+
+
+def _same_bits(got, want):
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_squared_distance_bit_identical_to_reduction_form(n):
+    pts = _probe_points(n)
+    c = CENTER[:n]
+    pairs = [(pts, c), (pts[:, None, :], pts[None, :, :]), (pts[:, None, :-1], pts[None, :, :-1])]
+    for x, y in pairs:
+        assert _same_bits(squared_distance(x, y), np.sum((x - y) ** 2, axis=-1))
+    d2 = squared_distance(pts, c)
+    assert d2[0] == 0.0 and np.all(d2[1 : 2 * n + 1] == 0.25)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_heat_kernels_and_ball_bit_identical_to_reduction_form(n):
+    pts = _probe_points(n)
+    x, y = pts[:, None, :], pts[None, :, :]
+    t = 0.3
+    norm = (4.0 * math.pi * t) ** (-n / 2)
+    d = x - y
+    r2_tang = np.sum(d[..., :-1] ** 2, axis=-1)
+    sn = x[..., -1] + y[..., -1]
+    full = norm * np.exp(-np.sum(d**2, axis=-1) / (4.0 * t))
+    gauss = np.exp(-(r2_tang + d[..., -1] ** 2) / (4.0 * t)) + np.exp(-(r2_tang + sn**2) / (4.0 * t))
+    neumann = np.where(x[..., -1] * y[..., -1] >= 0.0, norm * gauss, 0.0)
+    assert _same_bits(heat_kernel_full(t, x, y), full)
+    assert _same_bits(heat_kernel_neumann(t, x, y), neumann)
+    inside = np.sum((pts - CENTER[:n]) ** 2, axis=-1) <= 0.25
+    for half, gate in (("plus", pts[:, -1] >= 0.0), ("minus", pts[:, -1] <= 0.0)):
+        got = Ball(CENTER[:n], 0.5, half).contains(pts)
+        assert np.array_equal(got, inside & gate)
+        # the closed ball keeps every sphere point on its side of the interface
+        assert np.array_equal(got[1 : 2 * n + 1], gate[1 : 2 * n + 1])
