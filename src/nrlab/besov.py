@@ -36,6 +36,7 @@ from .discretize import (
     heat_axis_matrices,
 )
 from .dyadic import SampledField
+from .spectra import abs_power
 
 __all__ = [
     "BesovParams",
@@ -196,7 +197,7 @@ def _difference_norms(symbols, params: BesovParams, grid: QuadratureGrid, shift_
             points = place(shifted, half)
             for s, func in enumerate(funcs):
                 diff = np.asarray(func(points), dtype=float) - bases[h][s]
-                lp = (np.sum(np.abs(diff) ** params.p, axis=-1) * grid.weight) ** (1.0 / params.p)
+                lp = (np.sum(abs_power(diff, params.p), axis=-1) * grid.weight) ** (1.0 / params.p)
                 totals[h][s] += float(np.sum(w * lp**params.q / r ** (n + params.q * params.alpha)))
     return [[total ** (1.0 / params.q) for total in row] for row in totals]
 

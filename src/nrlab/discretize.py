@@ -156,15 +156,23 @@ class OperatorMatrix:
     minus-minus node pairs, in the order of `grid.half_indices()`.  The
     kernel gate makes every cross-half value vanish, so no array holds
     one: the discrete operator on l2(grid, w) is block-diagonal, its
-    blocks are `half_blocks()` = blocks * w, and its singular values are
-    the union of theirs.  `kernel` and `matrix` build the whole M x M
-    array, with +0.0 cross-half entries, for the consumers that read it.
+    blocks are blocks * w, and its singular values are the union of
+    theirs.  `kernel` and `matrix` build the whole M x M array, with
+    +0.0 cross-half entries, for the consumers that read it.
+
+    `cores` holds, per block, the sorted positions of its support core:
+    the block is exactly zero on every pair of positions outside it, and
+    `singular_values` reads only the core's rows and columns (see
+    `nrlab.spectra`).  A commutator's core is where b differs from its
+    most frequent value on the half; by default (the Riesz operator) it
+    is every position.
     """
 
     blocks: list
     weight: float
     grid: QuadratureGrid
     meta: dict = field(default_factory=dict)
+    cores: list = None
 
     def __post_init__(self):
         self.blocks = [np.asarray(B, dtype=float) for B in self.blocks]
@@ -173,6 +181,16 @@ class OperatorMatrix:
             raise ValueError("blocks inconsistent with the grid's half sizes")
         if not all(np.all(np.isfinite(B)) for B in self.blocks):
             raise ValueError("non-finite entries in matrix")
+        if self.cores is None:
+            self.cores = [np.arange(m) for m, _ in sizes]
+        self.cores = [np.asarray(core) for core in self.cores]
+        if len(self.cores) != len(self.blocks):
+            raise ValueError("one core per block required")
+        for core, (m, _) in zip(self.cores, sizes):
+            if core.ndim != 1 or core.dtype.kind not in "iu" or np.any(np.diff(core) <= 0):
+                raise ValueError("each core must be a sorted 1-d array of distinct positions")
+            if core.size and (core[0] < 0 or core[-1] >= m):
+                raise ValueError("core positions outside the block")
 
     @property
     def kernel(self) -> np.ndarray:
@@ -185,10 +203,6 @@ class OperatorMatrix:
     @property
     def matrix(self) -> np.ndarray:
         return self.kernel * self.weight
-
-    def half_blocks(self) -> list:
-        """The plus-plus and minus-minus blocks of `matrix`."""
-        return [B * self.weight for B in self.blocks]
 
 
 @dataclass
@@ -238,19 +252,25 @@ def assemble_commutator(b, riesz: OperatorMatrix) -> OperatorMatrix:
 
     Exactly zero for per-half-constant b: the kernel gate kills pairs in
     distinct halves and b(x) - b(y) is identically zero within one half.
+    Each block's core is where b differs from its most frequent value on
+    the half, so a symbol on a constant background has a narrow core and
+    a per-half constant an empty one.
     """
     grid = riesz.grid
     x = grid.nodes
     bv = np.asarray(b(x) if callable(b) else b, dtype=float)
     if bv.shape != (len(x),):
         raise ValueError("symbol must evaluate to one value per node")
-    blocks = []
+    blocks, cores = [], []
     for idx, K in zip(grid.half_indices(), riesz.blocks):
-        block = bv[idx, None] - bv[None, idx]
+        bh = bv[idx]
+        block = bh[:, None] - bh[None, :]
         block *= K
         blocks.append(block)
+        values, counts = np.unique(bh, return_counts=True)
+        cores.append(np.flatnonzero(bh != values[np.argmax(counts)]))
     meta = {"symbol": getattr(b, "name", "symbol"), "ell": riesz.meta["ell"], "grid": grid.id}
-    return OperatorMatrix(blocks, riesz.weight, grid, meta)
+    return OperatorMatrix(blocks, riesz.weight, grid, meta, cores)
 
 
 def _heat_1d(t: float, d: np.ndarray) -> np.ndarray:

@@ -47,6 +47,9 @@ from .kernels import (
 )
 from .kvconfig import read_kv_file, write_kv_file
 from .spectra import (
+    _inner_norms,
+    _weak_outer_norm,
+    abs_power,
     mixed_norm,
     russo_bound,  # noqa: F401  no caller here; perfbench's layer trace wraps this binding
     schatten_norm,
@@ -479,7 +482,7 @@ def _double_integral_statistic(fields: list, cfg: ExperimentConfig) -> list:
         den = d2**cfg.n
         for i, fld in enumerate(fields):
             b = fld.values[mask]
-            num = np.abs(b[:, None] - b[None, :]) ** cfg.p
+            num = abs_power(b[:, None] - b[None, :], cfg.p)
             totals[i] += float(np.sum(num / den)) * grid.weight**2
     return totals
 
@@ -765,15 +768,18 @@ def upper_bound_audit(cfg: ExperimentConfig, N: int = None) -> Report:
         weak = weak_schatten_norm(spec, cfg.p)
         # the full mixed norm is the direct half of the Russo bound, as
         # russo_bound computes it; both read the two same-half blocks, so
-        # no whole M x M kernel is built
-        k_full = mixed_norm(op.blocks, cfg.p, "weak", op.weight, op.weight)
+        # no whole M x M kernel is built.  The same-half norms reuse the
+        # full norm's per-block inner norms; the weights are uniform.
+        w = np.full(len(grid.nodes), op.weight)
+        inner = _inner_norms(op.blocks, cfg.p, w)
+        k_full = _weak_outer_norm(np.concatenate(inner), cfg.p, w)
         adjoint = mixed_norm([B.T for B in op.blocks], cfg.p, "weak", op.weight, op.weight)
         bound = float(np.sqrt(k_full * adjoint))
         spectra[f"upper_{sym.name}_N{N}"] = (
             spec,
             {"p": cfg.p, "schatten": s_norm, "weak_schatten": weak, "russo_bound": bound},
         )
-        k_plus, k_minus = (mixed_norm(B, cfg.p, "weak", op.weight, op.weight) for B in op.blocks)
+        k_plus, k_minus = (_weak_outer_norm(g, cfg.p, w[: g.size]) for g in inner)
         ok = weak <= bound * cfg.russo_slack
         split_ok = k_full <= k_plus + k_minus + 1e-12 and cross_zero
         passed &= ok and split_ok

@@ -3,11 +3,27 @@
 Spectra are taken block by block.  An assembled Neumann operator is
 stored as its plus-plus and minus-minus blocks (the kernel gate kills
 cross-half pairs), and its singular values are the union of theirs; a
-plain matrix is one block.  A block that
-is exactly zero has a zero spectrum; an exactly symmetric block (the
-commutator for ell < n, where K_ell(y,x) = -K_ell(x,y) bit for bit) has
-the absolute values of its eigenvalues (`eigvalsh`); any other block
-goes through a values-only SVD.
+plain matrix is one block.
+
+Each block is reduced to its support core first.  A commutator block
+(b(x_i) - b(x_j)) K(x_i, x_j) w vanishes wherever b takes its background
+value at both nodes: off the core S (the nodes where b differs from its
+most frequent value on the half), the factor b_i - b_j is exactly 0.0,
+so with C the rest of the block B_CC = 0 K_CC = +-0.0.  Then, with
+B_CS = Q1 R1 and B_SC^T = Q2 R2 (QR, orthonormal columns),
+
+    [[B_SS, B_SC], [B_CS, 0]] = diag(I, Q1) [[B_SS, R2^T], [R1, 0]] diag(I, Q2^T),
+
+an orthogonal equivalence: B has the singular values of the small
+matrix H on the right, of size s + min(s, m - s), and zeros for the
+rest.  Only B_SS, B_CS and B_SC are read and weighted, so a block costs
+O(m s^2) for the two QRs and O((2s)^3) for H's spectrum instead of
+O(m^3).  An exactly symmetric block (the commutator for ell < n, where
+K_ell(y,x) = -K_ell(x,y) bit for bit) has a symmetric H (R2 = R1), and
+its singular values are the absolute eigenvalues of H (`eigvalsh`); any
+other H goes through a values-only SVD.  An empty core (a per-half
+constant) gives exact zeros; a plain matrix, or the Riesz operator, has
+every position in its core, and H is the block itself.
 
 The weak-norm upper bound implemented by `russo_bound` is the kernel
 factorization
@@ -27,6 +43,7 @@ import numpy as np
 
 __all__ = [
     "SingularSpectrum",
+    "abs_power",
     "singular_values",
     "schatten_norm",
     "weak_schatten_norm",
@@ -53,29 +70,55 @@ class SingularSpectrum:
         return self.values.size
 
 
-def _block_singular_values(block: np.ndarray) -> np.ndarray:
-    if not np.any(block):
-        # control symbols: an identically zero commutator stays cheap at
-        # any grid size
-        return np.zeros(min(block.shape))
-    if np.array_equal(block, block.T):
-        return np.abs(np.linalg.eigvalsh(block))
-    return np.linalg.svd(block, compute_uv=False)
+def abs_power(x, p: float) -> np.ndarray:
+    """|x|**p, bit for bit, with the power taken only on the non-zero
+    entries: pow(0, p) = +0.0 for p > 0, and the kernels and differences
+    this is applied to are mostly exact zeros."""
+    out = np.abs(x)
+    nz = out != 0.0
+    out[nz] = out[nz] ** p
+    return out
+
+
+def _block_singular_values(block: np.ndarray, weight: float, rows, cols) -> np.ndarray:
+    """Singular values of weight * block, min(block.shape) of them, given
+    the core `rows` and `cols`: block[i, j] = 0 whenever row i is outside
+    `rows` and column j is outside `cols`.  See the module docstring for
+    the reduction."""
+    rest_rows, rest_cols = (
+        np.setdiff1d(np.arange(size), core, assume_unique=True) for size, core in zip(block.shape, (rows, cols))
+    )
+    core, below, right = (
+        block[np.ix_(i, j)] * weight for i, j in ((rows, cols), (rest_rows, cols), (rows, rest_cols))
+    )
+    if not all(np.all(np.isfinite(piece)) for piece in (core, below, right)):
+        raise ValueError("non-finite entries in matrix")
+    r1 = np.linalg.qr(below, mode="r")
+    if np.array_equal(core, core.T) and np.array_equal(right, below.T):
+        h = np.block([[core, r1.T], [r1, np.zeros((len(r1), len(r1)))]])
+        vals = np.abs(np.linalg.eigvalsh(h))
+    else:
+        r2 = np.linalg.qr(right.T, mode="r")
+        h = np.block([[core, r2.T], [r1, np.zeros((len(r1), len(r2)))]])
+        vals = np.linalg.svd(h, compute_uv=False)
+    return np.concatenate([vals, np.zeros(min(block.shape) - vals.size)])
 
 
 def singular_values(M) -> SingularSpectrum:
     """Descending singular values of a dense matrix or an OperatorMatrix.
 
-    An OperatorMatrix is split by its `half_blocks`; a plain matrix is
-    one block.  See the module docstring for how each block is handled.
+    An OperatorMatrix is read block by block, each reduced to its `cores`;
+    a plain matrix is one block with every row and column in its core.
+    See the module docstring for how each block is handled.
     """
-    blocks = M.half_blocks() if hasattr(M, "half_blocks") else [np.asarray(M, dtype=float)]
-    for block in blocks:
-        if block.ndim != 2:
+    if hasattr(M, "cores"):
+        blocks = [(B, M.weight, core, core) for B, core in zip(M.blocks, M.cores)]
+    else:
+        A = np.asarray(M, dtype=float)
+        if A.ndim != 2:
             raise ValueError("expected a 2-d matrix")
-        if not np.all(np.isfinite(block)):
-            raise ValueError("non-finite entries in matrix")
-    return SingularSpectrum(np.concatenate([_block_singular_values(b) for b in blocks]))
+        blocks = [(A, 1.0, np.arange(A.shape[0]), np.arange(A.shape[1]))]
+    return SingularSpectrum(np.concatenate([_block_singular_values(*b) for b in blocks]))
 
 
 def _spectrum_values(s) -> np.ndarray:
@@ -156,18 +199,29 @@ def mixed_norm(K, p: float, mode: str = "weak", row_weights=None, col_weights=No
     if mode not in ("strong", "weak"):
         raise ValueError("mode must be 'strong' or 'weak'")
     blocks, wx, wy = _blocks_and_weights(K, row_weights, col_weights)
-    q = p / (p - 1.0)
+    inner = np.concatenate(_inner_norms(blocks, p, wx))
+    if mode == "strong":
+        q = p / (p - 1.0)
+        return float(np.sum(inner**q * wy) ** (1.0 / q))
+    return _weak_outer_norm(inner, p, wy)
+
+
+def _inner_norms(blocks, p: float, wx) -> list:
+    """Per block, the weighted L^p(dx) norm of each column; wx runs over
+    the concatenated rows of the blocks."""
     inner = []
     row_ends = np.cumsum([B.shape[0] for B in blocks])
     for B, bx in zip(blocks, np.split(wx, row_ends[:-1])):
-        # in place, so a block costs one temporary of its size
-        terms = np.abs(B)
-        terms **= p
+        terms = abs_power(B, p)
         terms *= bx[:, None]
         inner.append(np.sum(terms, axis=0) ** (1.0 / p))
-    inner = np.concatenate(inner)
-    if mode == "strong":
-        return float(np.sum(inner**q * wy) ** (1.0 / q))
+    return inner
+
+
+def _weak_outer_norm(inner, p: float, wy) -> float:
+    """The L^{p',oo} quasi-norm of the inner norms under column weights wy,
+    by sorting (see `mixed_norm`)."""
+    q = p / (p - 1.0)
     order = np.argsort(inner)[::-1]
     g = inner[order]
     cum = np.cumsum(wy[order])

@@ -140,7 +140,7 @@ def test_half_blocks_split():
     grid = make_grid(2, BOX, 8)
     op = assemble_commutator(lambda p: _bump(p, (0.2, 0.0), 0.8), assemble_riesz(2, grid))
     plus, minus = grid.mask_plus, grid.mask_minus
-    blocks = op.half_blocks()
+    blocks = [B * op.weight for B in op.blocks]
     assert len(blocks) == 2
     assert np.array_equal(blocks[0], op.matrix[np.ix_(plus, plus)])
     assert np.array_equal(blocks[1], op.matrix[np.ix_(minus, minus)])
@@ -171,7 +171,7 @@ def test_shared_riesz_blocks_match_per_symbol_assembly(ell):
         op = assemble_commutator(sym, riesz)
         want = _per_symbol_matrix(sym, ell, grid)
         assert np.array_equal(op.matrix, want)
-        for idx, block in zip(grid.half_indices(), op.half_blocks()):
+        for idx, block in zip(grid.half_indices(), (B * op.weight for B in op.blocks)):
             assert np.array_equal(block, want[np.ix_(idx, idx)])
 
 
@@ -223,6 +223,58 @@ def test_operator_matrix_validation():
     bad[0, 0] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
         OperatorMatrix(blocks=[np.zeros((8, 8)), bad], weight=grid.weight, grid=grid, meta={})
+    zeros = [np.zeros((8, 8)), np.zeros((8, 8))]
+    for cores, match in (
+        ([np.arange(8)], "one core per block"),
+        ([np.array([2, 1]), np.arange(8)], "sorted"),
+        ([np.array([1, 1]), np.arange(8)], "sorted"),
+        ([np.array([0.0, 1.0]), np.arange(8)], "sorted"),
+        ([np.array([[0, 1]]), np.arange(8)], "sorted"),
+        ([np.array([0, 8]), np.arange(8)], "outside"),
+        ([np.array([-1, 0]), np.arange(8)], "outside"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            OperatorMatrix(zeros, grid.weight, grid, {}, cores)
+
+
+# ---------------------------------------------------------------------------
+# support cores
+
+
+@pytest.mark.parametrize("N", [16, 32])
+def test_commutator_vanishes_off_its_core(N):
+    grid = make_grid(2, BOX, N)
+    riesz = assemble_riesz(2, grid)
+    symbols = symbol_family("default", 2) + symbol_family("divergence", 2)
+    for sym in symbols:
+        op = assemble_commutator(sym, riesz)
+        for idx, block, core in zip(grid.half_indices(), op.blocks, op.cores):
+            bh = sym(grid.nodes[idx])
+            rest = np.setdiff1d(np.arange(len(idx)), core)
+            if rest.size:
+                # the core is where b leaves its one off-core value ...
+                assert np.array_equal(core, np.flatnonzero(bh != bh[rest[0]]))
+            # ... so the corner is 0 * K
+            assert np.all(block[np.ix_(rest, rest)] == 0.0)
+        if sym.kind == "perhalf-constant":
+            assert all(core.size == 0 for core in op.cores)
+
+
+def test_core_background_is_the_most_frequent_value():
+    grid = make_grid(2, BOX, 16)
+    sym = next(s for s in symbol_family("default", 2) if s.name == "bump_a35")
+    lifted = assemble_commutator(lambda x: sym(x) + 0.7, assemble_riesz(1, grid))
+    plain = assemble_commutator(sym, assemble_riesz(1, grid))
+    for a, b in zip(lifted.cores, plain.cores):
+        assert np.array_equal(a, b)
+    assert lifted.cores[0].size > 0 and lifted.cores[1].size == 0
+
+
+def test_riesz_operator_core_is_every_position():
+    grid = make_grid(2, BOX, 8)
+    op = assemble_riesz(1, grid)
+    for idx, core in zip(grid.half_indices(), op.cores):
+        assert np.array_equal(core, np.arange(len(idx)))
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +423,7 @@ def test_export_bytes_are_zeros_plus_blocks(tmp_path):
     path = tmp_path / "mat.bin"
     export_matrix(op, path)
     whole = np.zeros((64, 64))
-    for idx, block in zip(grid.half_indices(), op.half_blocks()):
+    for idx, block in zip(grid.half_indices(), (B * op.weight for B in op.blocks)):
         whole[np.ix_(idx, idx)] = block
     blob = path.read_bytes()
     assert blob == struct.pack("<8sqqq", b"NRLMAT1\x00", 2, 8, 2) + whole.astype("<f8").tobytes(order="F")

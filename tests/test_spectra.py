@@ -11,6 +11,7 @@ from nrlab.discretize import assemble_commutator, assemble_riesz, make_grid
 from nrlab.harness import _bump_symbol, _odd_bump_symbol, symbol_family
 from nrlab.spectra import (
     SingularSpectrum,
+    abs_power,
     mixed_norm,
     russo_bound,
     schatten_norm,
@@ -122,13 +123,79 @@ def _commutator(name, ell, N=16):
 @pytest.mark.parametrize("name", ["bump_a35", "odd_bump"])
 def test_block_spectrum_matches_full_svd(name, ell):
     op = _commutator(name, ell)
-    plus_block, minus_block = op.half_blocks()
+    plus_block, minus_block = op.blocks
     # bump_a35 lives in the plus half; odd_bump straddles the interface
     assert np.any(minus_block) == (name == "odd_bump")
     s = singular_values(op).values
     full = np.linalg.svd(op.matrix, compute_uv=False)
     assert s.size == full.size
     assert np.max(np.abs(s - full)) <= 1e-13 * full[0]
+
+
+def _core_cases():
+    bump = next(s for s in symbol_family("default", 2) if s.name == "bump_a35")
+    odd = next(s for s in symbol_family("default", 2) if s.name == "odd_bump")
+    wide = _bump_symbol("wide", (0.25, 0.75), 1.2)
+    return [
+        ("lifted", lambda x: bump(x) + 0.7, 16),
+        ("wide", wide, 8),
+        ("odd_bump", odd, 16),
+    ]
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+@pytest.mark.parametrize("case", range(3))
+def test_core_spectrum_matches_full_svd(case, ell):
+    name, sym, N = _core_cases()[case]
+    op = assemble_commutator(sym, assemble_riesz(ell, make_grid(2, ((-2.0, 2.0), (-2.0, 2.0)), N)))
+    sizes = [core.size for core in op.cores]
+    if name == "lifted":
+        # a non-zero background is not in the core
+        assert 0 < sizes[0] < len(op.blocks[0]) and sizes[1] == 0
+    if name == "wide":
+        assert sizes[0] > len(op.blocks[0]) // 2
+    if name == "odd_bump":
+        assert sizes[0] > 0 and sizes[1] > 0
+    s = singular_values(op).values
+    full = np.linalg.svd(op.matrix, compute_uv=False)
+    assert s.size == full.size
+    assert np.max(np.abs(s - full)) <= 1e-13 * full[0]
+
+
+def test_core_spectrum_stays_within_twice_the_core(monkeypatch):
+    op = _commutator("bump_a35", 1, N=32)
+    s = max(core.size for core in op.cores)
+    assert 0 < s < len(op.blocks[0]) // 4
+    shapes = []
+    for name in ("eigvalsh", "svd"):
+        original = getattr(np.linalg, name)
+
+        def record(a, *args, _original=original, **kwargs):
+            shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, record)
+    singular_values(op)
+    assert shapes and all(max(shape) <= 2 * s for shape in shapes)
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 4.0])
+def test_abs_power_is_bit_identical_to_abs_pow(p):
+    tiny = np.finfo(float).smallest_subnormal
+    rng = np.random.default_rng(23)
+    x = np.concatenate(
+        [
+            [0.0, -0.0, tiny, -tiny, 3 * tiny, np.finfo(float).tiny / 3, 1e-300, -1e-160, 1e150, np.inf, -np.inf],
+            rng.normal(size=200) * 10.0 ** rng.integers(-8, 8, size=200),
+            np.zeros(50),
+        ]
+    )
+    rng.shuffle(x)
+    for arr in (x, x.reshape(-1, 9)):
+        with np.errstate(over="ignore"):
+            got, want = abs_power(arr, p), np.abs(arr) ** p
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_control_commutators_have_zero_spectrum():
