@@ -82,10 +82,9 @@ def even_extension(f, half: str) -> Symbol:
     with f there and satisfies f_e(x', -x_n) = f_e(x', x_n) exactly."""
     if half not in ("plus", "minus"):
         raise ValueError("half must be 'plus' or 'minus'")
-    func = getattr(f, "func", f)
 
     def extended(x):
-        return func(_fold(x, half))
+        return f(_fold(x, half))
 
     name = getattr(f, "name", "symbol") + ("_e+" if half == "plus" else "_e-")
     return Symbol(name=name, func=extended, kind=getattr(f, "kind", "generic"))
@@ -144,7 +143,7 @@ def besov_heat_norm(symbols, params: BesovParams, grid: QuadratureGrid, t_grid=N
     if t_used.size < 2:
         raise ValueError("t grid has fewer than 2 nodes above the resolution floor")
 
-    values = [SampledField(grid, getattr(b, "func", b)(grid.nodes)).values for b in symbols]
+    values = [SampledField(grid, b(grid.nodes)).values for b in symbols]
     integrand_q = np.empty((len(values), t_used.size))
     for i, t in enumerate(t_used):
         up = heat_axis_matrices(t * math.exp(_H_LOG), grid, kernel="neumann-box")
@@ -185,18 +184,17 @@ def _difference_norms(symbols, params: BesovParams, grid: QuadratureGrid, shift_
     def place(x, half):
         return x if half is None else _fold(x, half)
 
-    funcs = [getattr(f, "func", f) for f in symbols]
     bases = []
     for half in halves:
         nodes = place(grid.nodes, half)
-        bases.append([np.asarray(func(nodes), dtype=float) for func in funcs])
-    totals = [[0.0] * len(funcs) for _ in halves]
+        bases.append([np.asarray(f(nodes), dtype=float) for f in symbols])
+    totals = [[0.0] * len(symbols) for _ in halves]
     for row, r, w in zip(shifts, radii, weights):
         shifted = grid.nodes + row[:, None, :]
         for h, half in enumerate(halves):
             points = place(shifted, half)
-            for s, func in enumerate(funcs):
-                diff = np.asarray(func(points), dtype=float) - bases[h][s]
+            for s, f in enumerate(symbols):
+                diff = np.asarray(f(points), dtype=float) - bases[h][s]
                 lp = (np.sum(abs_power(diff, params.p), axis=-1) * grid.weight) ** (1.0 / params.p)
                 totals[h][s] += float(np.sum(w * lp**params.q / r ** (n + params.q * params.alpha)))
     return [[total ** (1.0 / params.q) for total in row] for row in totals]

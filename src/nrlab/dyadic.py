@@ -20,6 +20,7 @@ count, so there is no import cycle.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -35,6 +36,7 @@ __all__ = [
     "conditional_expectation",
     "martingale_difference",
     "median",
+    "finest_resolved_generation",
     "dyadic_energy_sum",
     "separated_subcubes",
     "gradient_oscillation_check",
@@ -271,9 +273,15 @@ def nodes_in_cube(grid, Q: Cube) -> np.ndarray:
     return Q.contains(grid.nodes)
 
 
+def finest_resolved_generation(grid) -> int:
+    """The largest generation k whose cubes keep at least 4 grid cells
+    per side: 2^-k >= 4 max(spacing), with 1e-9 of slack on log2 so
+    that exact powers of two are not lost to rounding."""
+    return int(math.floor(math.log2(1.0 / (4.0 * float(np.max(grid.spacing)))) + 1e-9))
+
+
 def _require_resolved(grid, k: int):
-    side = 2.0 ** (-k)
-    if side / float(np.max(grid.spacing)) < 4.0 - 1e-9:
+    if k > finest_resolved_generation(grid):
         raise ValueError(f"grid too coarse for generation {k}")
 
 
@@ -324,21 +332,19 @@ def martingale_difference(f: SampledField, k: int, system: DyadicSystem) -> Samp
     return SampledField(f.grid, fine.values - coarse.values)
 
 
-def median(values, S=None) -> float:
-    """Median in the level-set sense with a deterministic tie-break.
+def median(values):
+    """Median in the level-set sense with a deterministic tie-break,
+    along the last axis: each row's median, a scalar for 1-d values.
 
     Returns the smallest sample value a such that both strict level sets
-    {v > a} and {v < a} contain at most half of the nodes of S.  S may be
-    a boolean mask or index array; None means all nodes.
+    {v > a} and {v < a} contain at most half of the row.
     """
-    vals = values.values if isinstance(values, SampledField) else np.asarray(values, float)
-    if S is not None:
-        vals = vals[S]
-    if vals.size == 0:
-        raise ValueError("median of an empty node set")
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim == 0 or vals.shape[-1] == 0:
+        raise ValueError("median needs a non-empty last axis")
     # the lower median: at most (size - 1) // 2 values lie below it and at
     # most size // 2 above, and every smaller sample value has more above
-    return float(np.sort(vals)[(vals.size - 1) // 2])
+    return np.sort(vals, axis=-1)[..., (vals.shape[-1] - 1) // 2]
 
 
 def dyadic_energy_sum(b: SampledField, system: DyadicSystem, p: float) -> float:
@@ -406,8 +412,8 @@ def numeric_gradient(func: Callable, x: np.ndarray, h: float = 1e-5) -> np.ndarr
 def gradient_oscillation_check(b, x0: np.ndarray, k: int, points_per_axis: int = 24):
     """Compare the separated-subcube mean gap against 2^-k |grad b(x0)|.
 
-    b is a closed-form symbol (anything callable on (..., n) arrays, or
-    an object with `.func`); its gradient at x0 is `numeric_gradient`.
+    b is a closed-form symbol (anything callable on (..., n) arrays, a
+    Symbol included); its gradient at x0 is `numeric_gradient`.
     The cube is the generation-k cube of the unshifted lattice containing
     x0, a_j is the sign of the j-th partial derivative (ties resolved to
     +1), and the two subcube means are evaluated by midpoint quadrature.
@@ -415,8 +421,7 @@ def gradient_oscillation_check(b, x0: np.ndarray, k: int, points_per_axis: int =
     Returns (lhs, rhs, lhs/rhs).
     """
     x0 = np.asarray(x0, dtype=float)
-    func = getattr(b, "func", b)
-    grad = numeric_gradient(func, x0)
+    grad = numeric_gradient(b, x0)
     norm = float(np.linalg.norm(grad))
     if norm < 1e-12:
         raise ValueError("degenerate gradient")
@@ -428,8 +433,8 @@ def gradient_oscillation_check(b, x0: np.ndarray, k: int, points_per_axis: int =
     a = np.where(grad >= 0.0, 1, -1)
     q1, q2 = separated_subcubes(Q, a)
     lhs = abs(
-        box_midpoint_mean(func, q1.box, points_per_axis)
-        - box_midpoint_mean(func, q2.box, points_per_axis)
+        box_midpoint_mean(b, q1.box, points_per_axis)
+        - box_midpoint_mean(b, q2.box, points_per_axis)
     )
     rhs = side * norm
     return lhs, rhs, lhs / rhs

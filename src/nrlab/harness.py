@@ -32,6 +32,7 @@ from .dyadic import (
     build_system,
     conditional_expectation,
     dyadic_energy_sum,
+    finest_resolved_generation,
     haar_basis,
     martingale_difference,
     median,
@@ -47,13 +48,13 @@ from .kernels import (
 )
 from .kvconfig import read_kv_file, write_kv_file
 from .spectra import (
-    _inner_norms,
-    _weak_outer_norm,
     abs_power,
+    column_norms,
     mixed_norm,
     russo_bound,  # noqa: F401  no caller here; perfbench's layer trace wraps this binding
     schatten_norm,
     singular_values,
+    weak_outer_norm,
     weak_schatten_norm,
 )
 
@@ -273,7 +274,7 @@ def _halfconst_symbol(name, c_plus, c_minus):
 
 def _sum_symbol(name, parts):
     def func(x):
-        return sum(p.func(x) for p in parts)
+        return sum(p(x) for p in parts)
 
     return Symbol(name=name, func=func)
 
@@ -346,12 +347,6 @@ def lattice_shift_sample(n: int, count: int = 9) -> np.ndarray:
 # statistics shared by the studies
 
 
-def _resolved_k_max(grid, hi: int) -> int:
-    """Largest generation whose cubes keep >= 4 grid cells per side."""
-    k = int(math.floor(math.log2(1.0 / (4.0 * float(np.max(grid.spacing)))) + 1e-9))
-    return min(k, hi)
-
-
 def _lattice_systems(cfg: ExperimentConfig, k_max: int) -> list:
     """The plus and minus dyadic systems of every lattice shift, in the
     order of `lattice_shift_sample`; the first pair is unshifted.
@@ -390,9 +385,10 @@ def _nwo_statistic(family: list, cfg: ExperimentConfig, systems: list, child_ppa
     translated to every cube's witness centre, giving one (cubes, N_y, n)
     array; the children's micro-points form one (cubes, 2^n, ppa^n, n)
     array; and one kernel call covers the generation.  Per symbol there
-    is one symbol call per side, the median split cube by cube and two
-    masked contractions; each symbol sums its own terms in cube order, so
-    its value does not depend on the family it comes with."""
+    is one symbol call per side, one `median` call for the splits of all
+    the cubes and two masked contractions; each symbol sums its own
+    terms in cube order, so its value does not depend on the family it
+    comes with."""
     params = KernelParams(cfg.n, cfg.ell)
     best = [0.0] * len(family)
     for pair in systems:
@@ -414,7 +410,7 @@ def _nwo_statistic(family: list, cfg: ExperimentConfig, systems: list, child_ppa
                 wx = (2.0 ** (-(k + 1)) / child_ppa) ** cfg.n
                 for s, sym in enumerate(family):
                     by = sym(y_nodes.reshape(-1, cfg.n)).reshape(y_nodes.shape[:2])
-                    alpha = np.array([median(row) for row in by])
+                    alpha = median(by)
                     bx = sym(x_nodes.reshape(-1, cfg.n)).reshape(x_nodes.shape[:3])
                     # axes: cube, child, child micro-point, ball micro-point
                     integrand = (bx[..., None] - by[:, None, None, :]) * kv
@@ -509,7 +505,7 @@ def _oscillation_partials(sym: Symbol, cfg: ExperimentConfig, systems: list, ppa
                 if not cubes:
                     continue
                 nodes = _subcube_midpoints(system.shift, k, cubes, 2, ppa)
-                means = sym.func(nodes.reshape(-1, cfg.n)).reshape(nodes.shape[:3]).mean(axis=-1)
+                means = sym(nodes.reshape(-1, cfg.n)).reshape(nodes.shape[:3]).mean(axis=-1)
                 gaps = np.abs(means[:, :, None] - means[:, None, :])
                 for osc in gaps.reshape(len(cubes), -1).mean(axis=-1).tolist():
                     gen_total += osc**cfg.n
@@ -553,7 +549,7 @@ def ratio_study(cfg: ExperimentConfig) -> Report:
         heat = besov_heat_norm(family, params, grid, t_grid)
         ext = besov_neumann_norm(family, params, grid, shift_grid)
         for sym, b_heat, b_ext in zip(family, heat, ext):
-            _, spec, s_norm = _commutator_spectrum(sym, riesz, cfg.p)
+            spec, s_norm = _commutator_spectrum(sym, riesz, cfg.p)[1:]
             if N == cfg.grid_sizes[-1]:
                 spectra[f"ratio_{sym.name}_N{N}"] = (spec, None)
             degenerate = sym.kind == "perhalf-constant"
@@ -579,6 +575,9 @@ def ratio_study(cfg: ExperimentConfig) -> Report:
             )
             if not note:
                 ratios.setdefault(sym.name, {})[N] = ratio
+        # no operator of this grid may stay alive through the next grid's
+        # assembly, where the study's memory peaks
+        del riesz
     n_top = cfg.grid_sizes[-1]
     top = [r[n_top] for r in ratios.values() if n_top in r]
     if not top:
@@ -626,8 +625,10 @@ def divergence_study(cfg: ExperimentConfig) -> Report:
     for N in cfg.grid_sizes:
         riesz = assemble_riesz(cfg.ell, make_grid(cfg.n, cfg.box, N))
         for sym in family:
-            _, spec, norms[sym.name, N] = _commutator_spectrum(sym, riesz, cfg.p)
+            spec, norms[sym.name, N] = _commutator_spectrum(sym, riesz, cfg.p)[1:]
             spectra[f"divergence_{sym.name}_N{N}"] = (spec, None)
+        # as in ratio_study: free this grid's operators before the next
+        del riesz
     systems = _lattice_systems(cfg, cfg.stat_k_max)
     rows = []
     growth_ok = True
@@ -692,7 +693,7 @@ def lower_bound_audit(cfg: ExperimentConfig, N: int = None) -> Report:
     constants = {name: [] for name in limits}
     grid = make_grid(cfg.n, cfg.box, N)
     riesz = assemble_riesz(cfg.ell, grid)
-    systems = _lattice_systems(cfg, _resolved_k_max(grid, cfg.stat_k_max))
+    systems = _lattice_systems(cfg, min(finest_resolved_generation(grid), cfg.stat_k_max))
     norms = [_commutator_spectrum(sym, riesz, cfg.p)[2] for sym in family]
     fields = [SampledField(grid, sym(grid.nodes)) for sym in family]
     # the family-wide statistics build their symbol-independent geometry
@@ -769,17 +770,16 @@ def upper_bound_audit(cfg: ExperimentConfig, N: int = None) -> Report:
         # the full mixed norm is the direct half of the Russo bound, as
         # russo_bound computes it; both read the two same-half blocks, so
         # no whole M x M kernel is built.  The same-half norms reuse the
-        # full norm's per-block inner norms; the weights are uniform.
-        w = np.full(len(grid.nodes), op.weight)
-        inner = _inner_norms(op.blocks, cfg.p, w)
-        k_full = _weak_outer_norm(np.concatenate(inner), cfg.p, w)
-        adjoint = mixed_norm([B.T for B in op.blocks], cfg.p, "weak", op.weight, op.weight)
+        # full norm's per-block column norms.
+        inner = column_norms(op.blocks, cfg.p, op.weight)
+        k_full = weak_outer_norm(np.concatenate(inner), cfg.p, op.weight)
+        adjoint = mixed_norm([B.T for B in op.blocks], cfg.p, op.weight)
         bound = float(np.sqrt(k_full * adjoint))
         spectra[f"upper_{sym.name}_N{N}"] = (
             spec,
             {"p": cfg.p, "schatten": s_norm, "weak_schatten": weak, "russo_bound": bound},
         )
-        k_plus, k_minus = (_weak_outer_norm(g, cfg.p, w[: g.size]) for g in inner)
+        k_plus, k_minus = (weak_outer_norm(g, cfg.p, op.weight) for g in inner)
         ok = weak <= bound * cfg.russo_slack
         split_ok = k_full <= k_plus + k_minus + 1e-12 and cross_zero
         passed &= ok and split_ok
@@ -817,11 +817,13 @@ def _check(name, measured, tolerance, ok, status=None):
     }
 
 
-def sign_witness_audit(cfg: ExperimentConfig, ell: int, count: int = 50, rng=None, assert_magnitude=True):
+def sign_witness_audit(cfg: ExperimentConfig, ell: int, count: int = 50, rng=None):
     """Sample admissible cubes in both halves and check the witness-ball
-    kernel values: constant sign always; magnitude >= certified bound
-    when asserted (provable for tangential ell; the normal direction
-    degenerates on boundary-adjacent cubes and is reported only)."""
+    kernel values: constant sign, and magnitude >= certified bound.
+    Returns the counts of sign and magnitude failures and the worst
+    magnitude margin; the caller decides which to assert (the magnitude
+    is provable for tangential ell; the normal direction degenerates on
+    boundary-adjacent cubes and is reported only)."""
     rng = np.random.default_rng(0) if rng is None else rng
     params = KernelParams(cfg.n, ell)
     sign_bad = 0
@@ -949,7 +951,7 @@ def verify_suite(cfg: ExperimentConfig) -> Report:
     g = rng.normal(size=30)
     h = rng.normal(size=30)
     pprime = cfg.p / (cfg.p - 1.0)
-    sep = mixed_norm(np.abs(np.outer(g, h)), cfg.p, "strong")
+    sep = mixed_norm([np.abs(np.outer(g, h))], cfg.p, 1.0, "strong")
     sep_expect = float(np.sum(np.abs(g) ** cfg.p) ** (1 / cfg.p) * np.sum(np.abs(h) ** pprime) ** (1 / pprime))
     checks.append(_check("mixed_norm_separable", abs(sep - sep_expect), 1e-10, abs(sep - sep_expect) <= 1e-10))
 

@@ -33,6 +33,12 @@ factorization
 for p > 2, K*(x,y) = conj(K(y,x)).  On a finite quadrature grid both
 mixed norms are computed exactly (the outer weak norm by sorting), so
 the only slack against the assembled matrix is quadrature error.
+
+Each norm takes one input form: the Schatten norms a spectrum, the
+mixed norms a list of diagonal kernel blocks and one quadrature weight.
+A mixed norm is `column_norms` followed by an outer norm, so a caller
+that needs several outer norms of the same columns (the upper audit)
+makes one pass over the blocks.
 """
 
 from __future__ import annotations
@@ -47,6 +53,8 @@ __all__ = [
     "singular_values",
     "schatten_norm",
     "weak_schatten_norm",
+    "column_norms",
+    "weak_outer_norm",
     "mixed_norm",
     "russo_bound",
 ]
@@ -122,12 +130,16 @@ def singular_values(M) -> SingularSpectrum:
 
 
 def _spectrum_values(s) -> np.ndarray:
+    """The descending values of a SingularSpectrum or of a 1-d array of
+    singular values.  A matrix is refused rather than read: the spectrum
+    would ravel it and take its entries for singular values."""
     if isinstance(s, SingularSpectrum):
         return s.values
-    arr = np.asarray(s, dtype=float)
-    if arr.ndim == 2 or hasattr(s, "matrix"):
-        return singular_values(s).values
-    return SingularSpectrum(arr).values
+    if np.ndim(s) != 1:
+        raise ValueError(
+            "expected a SingularSpectrum or a 1-d array of singular values; take a matrix's with singular_values"
+        )
+    return SingularSpectrum(s).values
 
 
 def schatten_norm(s, p: float) -> float:
@@ -151,98 +163,75 @@ def weak_schatten_norm(s, p: float) -> float:
     return float(np.max(ranks ** (1.0 / p) * vals))
 
 
-def _blocks_and_weights(K, row_weights, col_weights):
-    """The diagonal blocks of K with row and column weights over all of them.
+def column_norms(blocks, p: float, weight: float) -> list:
+    """Per diagonal block, the L^p(weight) norm of each column:
+    (sum_i |B_ij|^p weight)^(1/p) over the rows i of the block.
 
-    An OperatorMatrix gives its same-half blocks and, by default, its
-    quadrature weight; a list is taken as the diagonal blocks of a
-    block-diagonal kernel; anything else is one block.  Weights are
-    scalars or arrays over the concatenated rows (columns) of the blocks.
-    """
-    if hasattr(K, "blocks"):
-        blocks = K.blocks
-        if row_weights is None:
-            row_weights = K.weight
-        if col_weights is None:
-            col_weights = K.weight
-    elif isinstance(K, list):
-        blocks = [np.asarray(B, dtype=float) for B in K]
-    else:
-        blocks = [np.asarray(K, dtype=float)]
-    if not blocks or any(B.ndim != 2 for B in blocks):
-        raise ValueError("expected a kernel sampled on grid x grid")
-    rows = sum(B.shape[0] for B in blocks)
-    cols = sum(B.shape[1] for B in blocks)
-    wx = np.broadcast_to(np.asarray(1.0 if row_weights is None else row_weights, float), (rows,))
-    wy = np.broadcast_to(np.asarray(1.0 if col_weights is None else col_weights, float), (cols,))
-    return blocks, wx, wy
-
-
-def mixed_norm(K, p: float, mode: str = "weak", row_weights=None, col_weights=None) -> float:
-    """|| ||K(x,y)||_{L^p(dx)} ||_{L^{p'}(dy)} with strong or weak outer norm.
-
-    Rows of K index x, columns index y.  mode="weak" computes the outer
-    L^{p',oo} quasi-norm sup_t t * mu{y : inner(y) > t}^{1/p'} exactly:
-    with the inner values sorted in decreasing order g_1 >= g_2 >= ...
-    and W_j the cumulative weight, the sup equals max_j g_j W_j^{1/p'}.
-
-    K may be a list of diagonal blocks, or an OperatorMatrix (its two
-    same-half blocks): a column meets only its own block, so the inner
-    norms are taken block by block and concatenated before the one outer
-    norm.  With uniform column weights the weak norm equals that of the
-    whole kernel with its zero cross-half entries.
-
-    Requires p > 2 (so p' < 2, the range of the factorization bound).
-    """
+    `blocks` is a non-empty list of 2-d kernels sampled without
+    quadrature weights, and `weight` is the quadrature weight of every
+    row and column.  Requires p > 2 (so p' < 2, the range of the
+    factorization bound)."""
     if p <= 2:
         raise ValueError("mixed norm requires p > 2")
-    if mode not in ("strong", "weak"):
-        raise ValueError("mode must be 'strong' or 'weak'")
-    blocks, wx, wy = _blocks_and_weights(K, row_weights, col_weights)
-    inner = np.concatenate(_inner_norms(blocks, p, wx))
-    if mode == "strong":
-        q = p / (p - 1.0)
-        return float(np.sum(inner**q * wy) ** (1.0 / q))
-    return _weak_outer_norm(inner, p, wy)
-
-
-def _inner_norms(blocks, p: float, wx) -> list:
-    """Per block, the weighted L^p(dx) norm of each column; wx runs over
-    the concatenated rows of the blocks."""
+    if not isinstance(blocks, list) or not blocks or any(np.ndim(B) != 2 for B in blocks):
+        raise ValueError("expected a non-empty list of 2-d kernel blocks")
+    if np.ndim(weight) != 0 or not weight > 0:
+        raise ValueError("weight must be one positive quadrature weight")
     inner = []
-    row_ends = np.cumsum([B.shape[0] for B in blocks])
-    for B, bx in zip(blocks, np.split(wx, row_ends[:-1])):
-        terms = abs_power(B, p)
-        terms *= bx[:, None]
+    for B in blocks:
+        terms = abs_power(np.asarray(B, dtype=float), p)
+        terms *= weight
         inner.append(np.sum(terms, axis=0) ** (1.0 / p))
     return inner
 
 
-def _weak_outer_norm(inner, p: float, wy) -> float:
-    """The L^{p',oo} quasi-norm of the inner norms under column weights wy,
-    by sorting (see `mixed_norm`)."""
+def weak_outer_norm(g, p: float, weight: float) -> float:
+    """The L^{p',oo} quasi-norm sup_t t * mu{y : g(y) > t}^{1/p'} of the
+    column norms g, each column of measure `weight`, computed exactly:
+    with g sorted in decreasing order g_1 >= g_2 >= ... and W_j the
+    cumulative weight, the sup equals max_j g_j W_j^{1/p'}.  W_j is the
+    running sum of the repeated weight; weight * j can differ from it in
+    the last bit."""
     q = p / (p - 1.0)
-    order = np.argsort(inner)[::-1]
-    g = inner[order]
-    cum = np.cumsum(wy[order])
+    g = np.sort(g)[::-1]
     if g[0] == 0.0:
         return 0.0
+    cum = np.cumsum(np.full(g.size, weight))
     return float(np.max(g * cum ** (1.0 / q)))
 
 
-def russo_bound(Kc, p: float, row_weights=None, col_weights=None) -> float:
+def mixed_norm(blocks, p: float, weight: float, mode: str = "weak") -> float:
+    """|| ||K(x,y)||_{L^p(dx)} ||_{L^{p'}(dy)} with strong or weak outer norm.
+
+    K is block-diagonal with the diagonal `blocks` (an operator passes
+    `op.blocks, op.weight`; a single kernel is passed as `[K]`); rows
+    index x, columns index y, and every row and column has the quadrature
+    weight `weight`.  A column meets only its own block, so the inner
+    norms are taken block by block (`column_norms`) and concatenated
+    before the one outer norm; mode="weak" takes it by `weak_outer_norm`.
+    The weak norm of an operator's blocks equals that of its whole kernel
+    with the zero cross-half entries.
+
+    Requires p > 2 (so p' < 2, the range of the factorization bound).
+    """
+    if mode not in ("strong", "weak"):
+        raise ValueError("mode must be 'strong' or 'weak'")
+    inner = np.concatenate(column_norms(blocks, p, weight))
+    if mode == "strong":
+        q = p / (p - 1.0)
+        return float(np.sum(inner**q * weight) ** (1.0 / q))
+    return weak_outer_norm(inner, p, weight)
+
+
+def russo_bound(blocks, p: float, weight: float) -> float:
     """Geometric mean of the weak mixed norms of the kernel and its adjoint.
 
-    Kc is the scalar commutator kernel (b(x) - b(y)) K(x,y) sampled on
-    grid x grid without quadrature weights, as an array, a list of
-    diagonal blocks or an OperatorMatrix (read block by block, see
-    `mixed_norm`); the weights enter through the mixed-norm integrals.
-    Returns the right-hand side of the factorization bound; p > 2
-    required.
+    `blocks` are the diagonal blocks of the scalar commutator kernel
+    (b(x) - b(y)) K(x,y) sampled on grid x grid without quadrature
+    weights, and `weight` the grid's quadrature weight (see
+    `mixed_norm`).  Returns the right-hand side of the factorization
+    bound; p > 2 required.
     """
-    if p <= 2:
-        raise ValueError("russo bound requires p > 2")
-    blocks, wx, wy = _blocks_and_weights(Kc, row_weights, col_weights)
-    direct = mixed_norm(blocks, p, "weak", row_weights=wx, col_weights=wy)
-    adjoint = mixed_norm([B.T for B in blocks], p, "weak", row_weights=wy, col_weights=wx)
+    direct = mixed_norm(blocks, p, weight)
+    adjoint = mixed_norm([B.T for B in blocks], p, weight)
     return float(np.sqrt(direct * adjoint))

@@ -277,11 +277,10 @@ def _diff_norm_by_shift(f, params, grid, shifts):
     """The difference-route norm with one symbol call per shift."""
     shifts = np.reshape(shifts, (-1, grid.dim))
     radii = np.linalg.norm(shifts, axis=1)
-    func = getattr(f, "func", f)
-    base = np.asarray(func(grid.nodes), dtype=float)
+    base = np.asarray(f(grid.nodes), dtype=float)
     total = 0.0
     for s, r, w in zip(shifts, radii, _decoded_shift_weights(shifts)):
-        diff = np.asarray(func(grid.nodes + s), dtype=float) - base
+        diff = np.asarray(f(grid.nodes + s), dtype=float) - base
         lp = float(np.sum(np.abs(diff) ** params.p) * grid.weight) ** (1.0 / params.p)
         total += w * lp**params.q / r ** (grid.dim + params.q * params.alpha)
     return total ** (1.0 / params.q)

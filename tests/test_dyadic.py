@@ -21,6 +21,7 @@ from nrlab.dyadic import (
     build_system,
     conditional_expectation,
     dyadic_energy_sum,
+    finest_resolved_generation,
     gradient_oscillation_check,
     haar_basis,
     martingale_difference,
@@ -28,11 +29,10 @@ from nrlab.dyadic import (
     nodes_in_cube,
     separated_subcubes,
 )
-from nrlab.dyadic import _cube_means
+from nrlab.dyadic import _cube_means, _require_resolved
 from nrlab.harness import (
     ExperimentConfig,
     _lattice_systems,
-    _resolved_k_max,
     _tail_statistic,
     lattice_shift_sample,
     symbol_family,
@@ -220,7 +220,7 @@ def _close(got, want, rel=1e-12):
 def test_labels_match_the_node_scan(N):
     cfg = ExperimentConfig()
     grid = make_grid(2, cfg.box, N)
-    k_max = _resolved_k_max(grid, cfg.stat_k_max)
+    k_max = min(finest_resolved_generation(grid), cfg.stat_k_max)
     for shift in lattice_shift_sample(2, 9):
         for half in ("plus", "minus"):
             system = build_system(half, shift, cfg.box, (cfg.k_min, k_max))
@@ -254,7 +254,7 @@ def test_labelled_reductions_match_the_node_scan(name):
     grid = make_grid(2, cfg.box, 32)
     sym = next(s for s in symbol_family("default", 2) if s.name == name)
     fld = SampledField(grid, sym(grid.nodes))
-    systems = _lattice_systems(cfg, _resolved_k_max(grid, cfg.stat_k_max))
+    systems = _lattice_systems(cfg, min(finest_resolved_generation(grid), cfg.stat_k_max))
     energies, tails = [], []
     for pair in systems:
         for system in pair:
@@ -275,7 +275,8 @@ def test_energy_sum_labels_each_generation_once(monkeypatch):
     cfg = ExperimentConfig(p=4.0)
     grid = make_grid(2, cfg.box, 32)
     fields = [SampledField(grid, sym(grid.nodes)) for sym in symbol_family("default", 2)]
-    systems = [s for pair in _lattice_systems(cfg, _resolved_k_max(grid, cfg.stat_k_max)) for s in pair]
+    k_max = min(finest_resolved_generation(grid), cfg.stat_k_max)
+    systems = [s for pair in _lattice_systems(cfg, k_max) for s in pair]
 
     def by_differences(f, s):
         total = 0.0
@@ -303,7 +304,7 @@ def test_energy_sum_labels_each_generation_once(monkeypatch):
 def test_labelled_reductions_keep_constant_blocks_and_zeros():
     cfg = ExperimentConfig(p=4.0)
     grid = make_grid(2, cfg.box, 32)
-    systems = _lattice_systems(cfg, _resolved_k_max(grid, cfg.stat_k_max))
+    systems = _lattice_systems(cfg, min(finest_resolved_generation(grid), cfg.stat_k_max))
     for pair in systems:
         for system in pair:
             for k in system.generations():
@@ -426,6 +427,21 @@ def test_conditional_expectation_linear_symbol():
     assert np.allclose(avg.values, 0.5, atol=1e-15)
 
 
+def test_finest_resolved_generation_keeps_four_cells_per_side():
+    # the generation the studies cap their lattices at, for every even N
+    # on the default box: 2^-k >= 4 spacing, accepted by the averages,
+    # and the next generation rejected
+    box = ExperimentConfig().box
+    for N in range(4, 129, 2):
+        grid = make_grid(2, box, N)
+        k = finest_resolved_generation(grid)
+        assert k == int(math.floor(math.log2(1.0 / (4.0 * float(np.max(grid.spacing)))) + 1e-9)), N
+        assert 2.0**-k >= 4.0 * float(np.max(grid.spacing)) * (1.0 - 1e-9) > 2.0 ** -(k + 1)
+        _require_resolved(grid, k)
+        with pytest.raises(ValueError, match="too coarse"):
+            _require_resolved(grid, k + 1)
+
+
 def test_conditional_expectation_rejects_coarse_grid():
     grid = make_grid(2, BOX2, 4)
     system = build_system("plus", (0.0, 0.0), BOX2, (-1, 3))
@@ -512,8 +528,20 @@ def test_median_is_smallest_admissible_sample(values):
 
 
 def test_median_empty_error():
-    with pytest.raises(ValueError, match="empty node set"):
-        median(np.array([1.0, 2.0]), S=np.array([False, False]))
+    with pytest.raises(ValueError, match="non-empty last axis"):
+        median(np.array([]))
+    with pytest.raises(ValueError, match="non-empty last axis"):
+        median(np.zeros((3, 0)))
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 8])
+def test_median_along_the_last_axis_is_each_rows_median(size):
+    rng = np.random.default_rng(size)
+    rows = rng.integers(0, 4, size=(2, 5, size)).astype(float)
+    got = median(rows)
+    assert got.shape == (2, 5)
+    for idx in np.ndindex(2, 5):
+        assert got[idx] == median(rows[idx])
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,15 @@ at smoke scale, the verification suite, CSV determinism, and the CLI."""
 
 import itertools
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nrlab.cli import main as cli_main
-from nrlab.discretize import assemble_commutator, assemble_riesz, ball_microgrid, make_grid, read_matrix
-from nrlab.dyadic import Cube, SampledField, box_midpoint_mean, build_system, median
+from nrlab.discretize import Symbol, assemble_commutator, assemble_riesz, ball_microgrid, make_grid, read_matrix
+from nrlab.dyadic import Cube, SampledField, box_midpoint_mean, build_system, finest_resolved_generation, median
 from nrlab.harness import (
     ExperimentConfig,
     ReportRow,
@@ -19,7 +20,6 @@ from nrlab.harness import (
     _mollifier,
     _nwo_statistic,
     _oscillation_partials,
-    _resolved_k_max,
     divergence_study,
     lattice_shift_sample,
     lower_bound_audit,
@@ -280,6 +280,71 @@ def test_studies_build_symbol_independent_operators_once_per_grid(monkeypatch):
     assert calls == {"assemble_riesz": 1, "besov_heat_norm": 0, "besov_neumann_norm": 0, "build_system": 2 * 3}
 
 
+@pytest.mark.parametrize(
+    "study, cfg",
+    [
+        (ratio_study, ExperimentConfig(**SMOKE)),
+        (divergence_study, ExperimentConfig(p=2.0, family="divergence", grid_sizes=(8, 16), num_lattice_shifts=2)),
+    ],
+)
+def test_studies_evaluate_symbols_through_their_call(monkeypatch, study, cfg):
+    # every evaluation of a family symbol goes through Symbol.__call__,
+    # where a layer trace counts it; none unwraps the symbol's func
+    from nrlab import harness
+
+    evaluated, called = {}, {}
+
+    def counted(sym):
+        def func(x):
+            evaluated[sym.name] += 1
+            return sym.func(x)
+
+        return Symbol(sym.name, func, sym.kind)
+
+    family = [counted(sym) for sym in symbol_family(cfg.family, cfg.n)]
+    members = {sym.func: sym.name for sym in family}
+    evaluated.update(dict.fromkeys(members.values(), 0))
+    called.update(evaluated)
+    original = Symbol.__call__
+
+    def call(self, x):
+        if self.func in members:
+            called[members[self.func]] += 1
+        return original(self, x)
+
+    monkeypatch.setattr(Symbol, "__call__", call)
+    monkeypatch.setattr(harness, "symbol_family", lambda name, n: family)
+    study(cfg)
+    assert all(count > 0 for count in evaluated.values())
+    assert called == evaluated
+
+
+def test_studies_free_each_grids_operators_before_the_next_assembly(monkeypatch):
+    # a study's memory peaks while it assembles a grid's Riesz operator,
+    # so no operator of an earlier grid may be alive then
+    from nrlab import harness
+
+    made = []
+
+    def tracked(assemble):
+        def wrapper(*args):
+            op = assemble(*args)
+            made.append(weakref.ref(op))
+            return op
+
+        return wrapper
+
+    def riesz(ell, grid):
+        assert all(ref() is None for ref in made)
+        return tracked(assemble_riesz)(ell, grid)
+
+    monkeypatch.setattr(harness, "assemble_riesz", riesz)
+    monkeypatch.setattr(harness, "assemble_commutator", tracked(assemble_commutator))
+    ratio_study(ExperimentConfig(**SMOKE))
+    divergence_study(ExperimentConfig(p=2.0, family="divergence", grid_sizes=(8, 16), num_lattice_shifts=2))
+    assert len(made) == 2 * (1 + 7) + 2 * (1 + 5)
+
+
 def test_ratio_study_without_resolved_symbol_names_cause(monkeypatch):
     from nrlab import harness
 
@@ -350,7 +415,7 @@ def _oscillation_per_cube(sym, cfg, ppa=6):
             for half in ("plus", "minus"):
                 system = build_system(half, shift, cfg.box, (cfg.k_min, cfg.stat_k_max))
                 for Q in system.cubes[k]:
-                    means = np.array([box_midpoint_mean(sym.func, g.box, ppa) for g in _children(Q, 2)])
+                    means = np.array([box_midpoint_mean(sym, g.box, ppa) for g in _children(Q, 2)])
                     osc = float(np.mean(np.abs(means[:, None] - means[None, :])))
                     totals[k] += osc**cfg.n
         per_shift.append([totals[k] for k in gens])
@@ -398,7 +463,7 @@ def test_oscillation_statistic_matches_per_cube_means_bit_for_bit():
 def test_nwo_statistic_matches_per_cube_sums(name):
     cfg = ExperimentConfig(p=4.0, num_lattice_shifts=3)
     sym = next(s for s in symbol_family("default", 2) if s.name == name)
-    k_max = _resolved_k_max(make_grid(2, cfg.box, 16), cfg.stat_k_max)
+    k_max = min(finest_resolved_generation(make_grid(2, cfg.box, 16)), cfg.stat_k_max)
     got = _nwo_statistic([sym], cfg, _lattice_systems(cfg, k_max))[0]
     want = _nwo_per_cube(sym, cfg, k_max)
     assert want > 0.0
@@ -408,7 +473,7 @@ def test_nwo_statistic_matches_per_cube_sums(name):
 def test_dyadic_statistics_exact_zero_for_controls():
     osc_cfg = ExperimentConfig(p=2.0, family="divergence", num_lattice_shifts=2)
     nwo_cfg = ExperimentConfig(p=4.0, num_lattice_shifts=2)
-    k_max = _resolved_k_max(make_grid(2, nwo_cfg.box, 16), nwo_cfg.stat_k_max)
+    k_max = min(finest_resolved_generation(make_grid(2, nwo_cfg.box, 16)), nwo_cfg.stat_k_max)
     for sym in symbol_family("default", 2):
         if sym.kind == "perhalf-constant":
             osc = _oscillation_partials(sym, osc_cfg, _lattice_systems(osc_cfg, osc_cfg.stat_k_max))
@@ -458,7 +523,7 @@ def test_nwo_statistic_builds_its_geometry_once_for_the_family(monkeypatch, size
 def test_family_statistics_equal_one_symbol_calls_bit_for_bit():
     cfg = ExperimentConfig(p=4.0, num_lattice_shifts=2)
     grid = make_grid(2, cfg.box, 16)
-    systems = _lattice_systems(cfg, _resolved_k_max(grid, cfg.stat_k_max))
+    systems = _lattice_systems(cfg, min(finest_resolved_generation(grid), cfg.stat_k_max))
     family = symbol_family("default", 2)
     fields = [SampledField(grid, sym(grid.nodes)) for sym in family]
     nwo = _nwo_statistic(family, cfg, systems)
@@ -569,8 +634,8 @@ def test_upper_audit_smoke_split_and_rows():
 
 
 def test_upper_audit_mixed_full_equals_whole_kernel_norm():
-    # the audit, mixed_norm(op) and russo_bound(op) read the two same-half
-    # blocks; each must equal the whole-kernel ndarray route exactly
+    # the audit, mixed_norm and russo_bound read the two same-half blocks;
+    # each must equal the whole kernel's norm, taken as one block, exactly
     for ell, N in itertools.product((1, 2), (16, 32)):
         cfg = ExperimentConfig(p=4.0, ell=ell, grid_sizes=(N,), russo_slack=100.0)
         rep = upper_bound_audit(cfg, N=N)
@@ -578,10 +643,10 @@ def test_upper_audit_mixed_full_equals_whole_kernel_norm():
         for sym, row in zip(symbol_family("default", 2), rep.rows):
             op = assemble_commutator(sym, riesz)
             kernel, w = op.kernel, op.weight
-            adjoint = mixed_norm(kernel.T, cfg.p, "weak", w, w)
-            assert row.aux["mixed_full"] == mixed_norm(op, cfg.p) == mixed_norm(kernel, cfg.p, "weak", w, w)
-            assert mixed_norm([B.T for B in op.blocks], cfg.p, "weak", w, w) == adjoint
-            assert row.aux["russo_bound"] == russo_bound(op, cfg.p) == russo_bound(kernel, cfg.p, w, w)
+            adjoint = mixed_norm([kernel.T], cfg.p, w)
+            assert row.aux["mixed_full"] == mixed_norm(op.blocks, cfg.p, w) == mixed_norm([kernel], cfg.p, w)
+            assert mixed_norm([B.T for B in op.blocks], cfg.p, w) == adjoint
+            assert row.aux["russo_bound"] == russo_bound(op.blocks, cfg.p, w) == russo_bound([kernel], cfg.p, w)
 
 
 def test_upper_audit_checks_the_kernel_gate(monkeypatch):

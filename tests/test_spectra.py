@@ -12,10 +12,12 @@ from nrlab.harness import _bump_symbol, _odd_bump_symbol, symbol_family
 from nrlab.spectra import (
     SingularSpectrum,
     abs_power,
+    column_norms,
     mixed_norm,
     russo_bound,
     schatten_norm,
     singular_values,
+    weak_outer_norm,
     weak_schatten_norm,
 )
 
@@ -244,19 +246,75 @@ def test_block_spectrum_identities_property(make, cx, cy, radius, amplitude, N, 
 
 def test_mixed_norm_requires_p_above_2():
     with pytest.raises(ValueError, match="p > 2"):
-        mixed_norm(np.ones((4, 4)), 2.0)
+        mixed_norm([np.ones((4, 4))], 2.0, 1.0)
+    with pytest.raises(ValueError, match="p > 2"):
+        column_norms([np.ones((4, 4))], 2.0, 1.0)
     with pytest.raises(ValueError):
-        russo_bound(np.ones((4, 4)), 1.5)
+        russo_bound([np.ones((4, 4))], 1.5, 1.0)
+
+
+def test_mixed_norms_take_a_block_list_and_one_weight():
+    K = np.ones((4, 4))
+    op = _commutator("bump_a35", 1, N=8)
+    for blocks in (K, op, [], [np.ones(4)]):
+        with pytest.raises(ValueError, match="list of 2-d kernel blocks"):
+            mixed_norm(blocks, 4.0, 1.0)
+        with pytest.raises(ValueError, match="list of 2-d kernel blocks"):
+            russo_bound(blocks, 4.0, 1.0)
+    for weight in (np.full(4, 0.5), 0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="one positive quadrature weight"):
+            mixed_norm([K], 4.0, weight)
+    with pytest.raises(ValueError, match="mode"):
+        mixed_norm([K], 4.0, 1.0, "l2")
+
+
+def test_schatten_norms_take_a_spectrum():
+    s = np.array([1.0, 3.0, 2.0])
+    assert schatten_norm(s, 2.0) == schatten_norm(SingularSpectrum(s), 2.0)
+    assert weak_schatten_norm(s, 2.0) == weak_schatten_norm(SingularSpectrum(s), 2.0)
+    # a matrix is not read as its entries, nor an operator taken apart
+    for bad in (np.diag([3.0, 4.0]), _commutator("bump_a35", 1, N=8), 2.0):
+        for norm in (schatten_norm, weak_schatten_norm):
+            with pytest.raises(ValueError, match="singular_values"):
+                norm(bad, 4.0)
+
+
+def test_mixed_norm_is_column_norms_then_outer_norm():
+    rng = np.random.default_rng(61)
+    blocks = [rng.normal(size=(7, 7)), rng.normal(size=(5, 5))]
+    w = 0.1
+    inner = column_norms(blocks, 4.0, w)
+    assert [g.shape for g in inner] == [(7,), (5,)]
+    for B, g in zip(blocks, inner):
+        assert np.array_equal(g, np.sum(np.abs(B) ** 4.0 * w, axis=0) ** 0.25)
+    assert mixed_norm(blocks, 4.0, w) == weak_outer_norm(np.concatenate(inner), 4.0, w)
+    # block-diagonal blocks read as the whole kernel with zero cross blocks
+    whole = np.zeros((12, 12))
+    whole[:7, :7], whole[7:, 7:] = blocks
+    for mode in ("strong", "weak"):
+        assert mixed_norm(blocks, 4.0, w, mode) == pytest.approx(mixed_norm([whole], 4.0, w, mode), rel=1e-14)
+
+
+def test_weak_outer_norm_sums_the_repeated_weight():
+    # weak_outer_norm's cumulative measure is the running sum of the
+    # weight, as a column-weight array gives it, not weight * j
+    rng = np.random.default_rng(67)
+    g = rng.uniform(0.5, 1.0, size=200)
+    q = 4.0 / 3.0
+    for w in (0.1, 1.0 / 3.0, 0.0625):
+        order = np.argsort(g)[::-1]
+        want = float(np.max(g[order] * np.cumsum(np.full(g.size, w)) ** (1.0 / q)))
+        assert weak_outer_norm(g, 4.0, w) == want
+    assert weak_outer_norm(np.zeros(5), 4.0, 0.5) == 0.0
 
 
 def test_mixed_norm_indicator_kernel():
     # unit-measure grid on both axes: inner L^p is 1 for every y, and
     # both outer norms are 1
     m = 64
-    w = np.full(m, 1.0 / m)
     K = np.ones((m, m))
     for mode in ("strong", "weak"):
-        val = mixed_norm(K, 4.0, mode, row_weights=w, col_weights=w)
+        val = mixed_norm([K], 4.0, 1.0 / m, mode)
         assert val == pytest.approx(1.0, rel=1e-12)
 
 
@@ -266,11 +324,10 @@ def test_mixed_norm_separable_kernel():
     q = p / (p - 1.0)
     g = np.abs(rng.normal(size=40)) + 0.1
     h = np.abs(rng.normal(size=40)) + 0.1
-    wx = np.full(40, 0.05)
-    wy = np.full(40, 0.025)
+    w = 0.05
     K = g[:, None] * h[None, :]
-    val = mixed_norm(K, p, "strong", row_weights=wx, col_weights=wy)
-    expected = float(np.sum(g**p * wx) ** (1 / p) * np.sum(h**q * wy) ** (1 / q))
+    val = mixed_norm([K], p, w, "strong")
+    expected = float(np.sum(g**p * w) ** (1 / p) * np.sum(h**q * w) ** (1 / q))
     assert val == pytest.approx(expected, abs=1e-10 * expected)
 
 
@@ -278,30 +335,28 @@ def test_mixed_norm_weak_below_strong_random():
     rng = np.random.default_rng(29)
     for _ in range(20):
         K = rng.normal(size=(15, 18))
-        wx = rng.uniform(0.01, 0.2, size=15)
-        wy = rng.uniform(0.01, 0.2, size=18)
+        w = float(rng.uniform(0.01, 0.2))
         p = float(rng.uniform(2.1, 8.0))
-        weak = mixed_norm(K, p, "weak", row_weights=wx, col_weights=wy)
-        strong = mixed_norm(K, p, "strong", row_weights=wx, col_weights=wy)
+        weak = mixed_norm([K], p, w, "weak")
+        strong = mixed_norm([K], p, w, "strong")
         assert weak <= strong + 1e-12
 
 
 def test_mixed_norm_weak_exact_on_two_level_kernel():
     # inner values take two levels; the sorted supremum is computable by
-    # hand: g values 2 (weight 0.5) and 1 (weight 1.5 more)
+    # hand: g values 2 (weight 0.5) and 1 (weight 1.5 more).  One row of
+    # weight 0.5 carries inner value |K| 0.5^(1/p)
     p = 4.0
     q = p / (p - 1.0)
     inner_levels = np.array([2.0, 1.0, 1.0, 1.0])
-    wy = np.full(4, 0.5)
-    # kernel with unit row weight reproducing those inner values
-    K = (inner_levels[None, :]) * np.ones((1, 4))
-    val = mixed_norm(K, p, "weak", row_weights=np.array([1.0]), col_weights=wy)
+    K = (inner_levels / 0.5 ** (1 / p))[None, :]
+    val = mixed_norm([K], p, 0.5, "weak")
     candidates = [2.0 * 0.5 ** (1 / q), 1.0 * 1.0 ** (1 / q), 1.0 * 2.0 ** (1 / q)]
     assert val == pytest.approx(max(candidates), rel=1e-14)
 
 
 def test_russo_zero_kernel():
-    assert russo_bound(np.zeros((6, 6)), 4.0) == 0.0
+    assert russo_bound([np.zeros((6, 6))], 4.0, 1.0) == 0.0
     assert weak_schatten_norm(singular_values(np.zeros((6, 6))), 4.0) == 0.0
 
 
@@ -315,27 +370,22 @@ def test_russo_rank_one_against_top_singular_value():
     # commutator kernels, not here.
     rng = np.random.default_rng(41)
     m = 30
-    w = np.full(m, 1.0 / m)
+    w = 1.0 / m
     g = np.abs(rng.normal(size=m)) + 0.05
     h = np.abs(rng.normal(size=m)) + 0.05
     K = g[:, None] * h[None, :]
     # matrix acting on l2(w): top singular value = |g|_{l2(w)} |h|_{l2(w)}
     s1 = float(np.sqrt(np.sum(g**2 * w) * np.sum(h**2 * w)))
-    strong = np.sqrt(
-        mixed_norm(K, 4.0, "strong", row_weights=w, col_weights=w)
-        * mixed_norm(K.T, 4.0, "strong", row_weights=w, col_weights=w)
-    )
+    strong = np.sqrt(mixed_norm([K], 4.0, w, "strong") * mixed_norm([K.T], 4.0, w, "strong"))
     assert strong >= s1 * (1 - 1e-12)
-    weak = russo_bound(K, 4.0, row_weights=w, col_weights=w)
+    weak = russo_bound([K], 4.0, w)
     assert 0.5 * s1 <= weak <= strong
 
 
 def test_russo_matches_manual_composition():
     rng = np.random.default_rng(55)
     K = rng.normal(size=(9, 9))
-    w = rng.uniform(0.05, 0.15, size=9)
-    direct = mixed_norm(K, 3.0, "weak", row_weights=w, col_weights=w)
-    adjoint = mixed_norm(K.T, 3.0, "weak", row_weights=w, col_weights=w)
-    assert russo_bound(K, 3.0, row_weights=w, col_weights=w) == pytest.approx(
-        np.sqrt(direct * adjoint), rel=1e-14
-    )
+    w = 0.1
+    direct = mixed_norm([K], 3.0, w)
+    adjoint = mixed_norm([K.T], 3.0, w)
+    assert russo_bound([K], 3.0, w) == np.sqrt(direct * adjoint)
