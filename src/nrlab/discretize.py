@@ -222,7 +222,12 @@ class Symbol:
         return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)
 
 
-def _row_blocks(total: int, block: int = 512):
+def _row_blocks(total: int, block: int = 256):
+    """Row chunks of one assembly.  `riesz_kernel` holds about ten
+    temporaries of shape (chunk rows, half size); with 256-row chunks in
+    place of 512 the peak resident memory of `ratio-study --grid 32,40`
+    fell from about 77 to 65 MiB (2 vCPUs, numpy 2.4), with the same
+    values."""
     for start in range(0, total, block):
         yield start, min(start + block, total)
 

@@ -10,7 +10,8 @@ is the usual one-third trick.
 
 Averages and energy sums label the grid nodes once per generation
 (`DyadicSystem.labels`: the position of each node's admissible cube, or
--1) and reduce over the labels with `np.bincount`.
+-1) and reduce over the labels with `np.bincount`.  They accept a stack
+of fields on one grid, which then shares each generation's labelling.
 
 Sampled data lives on a quadrature grid (see discretize.QuadratureGrid);
 this module only assumes the grid exposes `nodes`, `spacing` and node
@@ -34,10 +35,12 @@ __all__ = [
     "build_system",
     "haar_basis",
     "conditional_expectation",
+    "labelled_expectation",
     "martingale_difference",
     "median",
     "finest_resolved_generation",
     "dyadic_energy_sum",
+    "dyadic_energy_sums",
     "separated_subcubes",
     "gradient_oscillation_check",
     "nodes_in_cube",
@@ -288,30 +291,43 @@ def _require_resolved(grid, k: int):
 def _cube_means(values: np.ndarray, labels: np.ndarray, count: int) -> np.ndarray:
     """Mean of values over the nodes of each of `count` labelled cubes.
 
-    A block of equal values gets that value itself, not sum/count, so
-    energy sums detect (per-half-)constant fields as exact zeros."""
+    `values` is one field (M,) or a stack of fields (S, M) on the same
+    nodes; the result has shape (count,) or (S, count).  A stack is
+    reduced in one pass, field s taking the labels offset by s * count;
+    `bincount` adds in input order, so each field's means are bit for
+    bit those of a one-field call.  A block of equal values gets that
+    value itself, not sum/count, so energy sums detect (per-half-)
+    constant fields as exact zeros."""
     inside = labels >= 0
-    lab, vals = labels[inside], values[inside]
-    size = np.bincount(lab, minlength=count)
+    size = np.bincount(labels[inside], minlength=count)
     if np.any(size == 0):
         raise ValueError("grid too coarse")
-    lo = np.full(count, np.inf)
-    hi = np.full(count, -np.inf)
+    rows = np.reshape(values, (-1, len(labels)))[:, inside]
+    lab = (labels[inside] + count * np.arange(len(rows))[:, None]).ravel()
+    vals = rows.ravel()
+    total = count * len(rows)
+    lo = np.full(total, np.inf)
+    hi = np.full(total, -np.inf)
     np.minimum.at(lo, lab, vals)
     np.maximum.at(hi, lab, vals)
-    return np.where(lo == hi, lo, np.bincount(lab, vals, count) / size)
+    means = np.where(lo == hi, lo, np.bincount(lab, vals, total) / np.tile(size, len(rows)))
+    return means.reshape(np.shape(values)[:-1] + (count,))
 
 
-def _labelled_expectation(f: SampledField, k: int, system: DyadicSystem) -> tuple:
-    """The generation-k labels of the grid nodes, and f averaged over each
-    labelled cube (unlabelled nodes keep their values)."""
-    _require_resolved(f.grid, k)
+def labelled_expectation(values: np.ndarray, grid, k: int, system: DyadicSystem) -> tuple:
+    """The generation-k labels of the grid nodes, and `values` averaged
+    over each labelled cube (unlabelled nodes keep their values).
+
+    `values` is one field (M,) or a stack of fields (S, M) on the grid's
+    nodes: one labelling serves the whole stack, and each field's
+    averages are bit for bit those of a one-field call."""
+    _require_resolved(grid, k)
     if k not in system.cubes:
         raise ValueError(f"generation {k} outside system range")
-    labels = system.labels(f.grid.nodes, k)
+    labels = system.labels(grid.nodes, k)
     inside = labels >= 0
-    out = f.values.copy()
-    out[inside] = _cube_means(f.values, labels, len(system.cubes[k]))[labels[inside]]
+    out = np.array(values, dtype=float)
+    out[..., inside] = _cube_means(out, labels, len(system.cubes[k]))[..., labels[inside]]
     return labels, out
 
 
@@ -322,7 +338,7 @@ def conditional_expectation(f: SampledField, k: int, system: DyadicSystem) -> Sa
     outside the box coverage) keep their original values; all downstream
     sums only ever look at nodes inside admissible cubes.
     """
-    return SampledField(f.grid, _labelled_expectation(f, k, system)[1])
+    return SampledField(f.grid, labelled_expectation(f.values, f.grid, k, system)[1])
 
 
 def martingale_difference(f: SampledField, k: int, system: DyadicSystem) -> SampledField:
@@ -356,16 +372,26 @@ def dyadic_energy_sum(b: SampledField, system: DyadicSystem, p: float) -> float:
     for k from k_min to k_max - 1.  Zero iff b is grid-constant on each
     admissible finest-generation cube.
     """
+    return float(dyadic_energy_sums(b.values, b.grid, system, p)[0])
+
+
+def dyadic_energy_sums(values: np.ndarray, grid, system: DyadicSystem, p: float) -> np.ndarray:
+    """`dyadic_energy_sum` of each field of a stack (S, M) (or of one
+    field (M,)) on the grid's nodes, as an array of S sums.
+
+    One labelling and one average per generation serve every field and
+    the two differences that generation enters; each field's sum is bit
+    for bit that of a one-field call."""
     if p < 1:
         raise ValueError("p must be >= 1")
+    values = np.reshape(values, (-1, len(grid.nodes)))
+    total = np.zeros(len(values))
     if system.k_min >= system.k_max:
-        return 0.0  # empty sum
-    # one labelling and average per generation, shared by two differences
+        return total  # empty sum
     gens = system.generations()
-    levels = [_labelled_expectation(b, k, system) for k in gens]
-    total = 0.0
+    levels = [labelled_expectation(values, grid, k, system) for k in gens]
     for k, (labels, coarse), (_, fine) in zip(gens, levels, levels[1:]):
-        total += float(np.sum(_cube_means(np.abs(fine - coarse) ** p, labels, len(system.cubes[k]))))
+        total += _cube_means(np.abs(fine - coarse) ** p, labels, len(system.cubes[k])).sum(axis=-1)
     return total
 
 

@@ -31,9 +31,11 @@ from .dyadic import (
     box_midpoint_mean,  # noqa: F401  no caller here; perfbench's layer trace wraps this binding
     build_system,
     conditional_expectation,
-    dyadic_energy_sum,
+    dyadic_energy_sum,  # noqa: F401  no caller here; perfbench's layer trace wraps this binding
+    dyadic_energy_sums,
     finest_resolved_generation,
     haar_basis,
+    labelled_expectation,
     martingale_difference,
     median,
     nodes_in_cube,
@@ -359,14 +361,34 @@ def _lattice_systems(cfg: ExperimentConfig, k_max: int) -> list:
     ]
 
 
-def _energy_statistic(fld: SampledField, cfg: ExperimentConfig, systems: list) -> float:
-    best = 0.0
+def _energy_statistic(fields: list, cfg: ExperimentConfig, systems: list) -> list:
+    """Per sampled field, in order: the dyadic energy sum of the plus and
+    minus systems of a lattice shift, maximized over the shifts.  The
+    fields share one grid, so each (system, generation) is labelled once
+    for all of them."""
+    values = np.stack([fld.values for fld in fields])
+    grid = fields[0].grid
+    best = np.zeros(len(fields))
     for pair in systems:
-        total = 0.0
+        total = np.zeros(len(fields))
         for system in pair:
-            total += dyadic_energy_sum(fld, system, cfg.p)
-        best = max(best, total)
-    return best
+            total += dyadic_energy_sums(values, grid, system, cfg.p)
+        best = np.maximum(best, total)
+    return best.tolist()
+
+
+def _row_count(cubes: list) -> int:
+    """The number of rows (last lattice indices) of one generation's
+    cubes.  Raises unless the cubes form one rectangular index block in C
+    order, last index fastest; then cube c lies in row c % rows, and the
+    first `rows` cubes are one cube of each row."""
+    m = np.array([Q.m for Q in cubes])
+    shape = m[-1] - m[0] + 1
+    if np.all(shape >= 1) and len(m) == np.prod(shape):
+        block = m[0] + np.stack(np.unravel_index(np.arange(len(m)), tuple(shape)), axis=-1)
+        if np.array_equal(m, block):
+            return int(shape[-1])
+    raise ValueError("a generation's cubes must form one C-ordered rectangular index block")
 
 
 def _nwo_statistic(family: list, cfg: ExperimentConfig, systems: list, child_ppa: int = 6, ball_ppa: int = 8) -> list:
@@ -381,14 +403,26 @@ def _nwo_statistic(family: list, cfg: ExperimentConfig, systems: list, child_ppa
     Evaluated per (shift, half, generation), over all the cubes of the
     generation and all the symbols at once.  The geometry does not depend
     on the symbol, so it is built once per generation for the whole
-    family: one witness-ball micro-grid is built for the first cube and
-    translated to every cube's witness centre, giving one (cubes, N_y, n)
-    array; the children's micro-points form one (cubes, 2^n, ppa^n, n)
-    array; and one kernel call covers the generation.  Per symbol there
-    is one symbol call per side, one `median` call for the splits of all
-    the cubes and two masked contractions; each symbol sums its own
-    terms in cube order, so its value does not depend on the family it
-    comes with."""
+    family: every cube's witness ball is checked, one micro-grid is built
+    for the first ball and translated to every cube's witness centre,
+    giving one (cubes, N_y, n) array, and the children's micro-points form
+    one (cubes, 2^n, ppa^n, n) array.  Every cube of a generation has the
+    same witness offset, so x - y is the same for every cube and the
+    kernel depends on a cube only through its row, which fixes x_n + y_n:
+    one kernel call covers one cube per row, shape (rows, 2^n ppa^n, N_y).
+
+    Per symbol there is one symbol call per side and one `median` call for
+    the splits of all the cubes.  With alpha the split, dx = b(x) - alpha
+    and dy = b(y) - alpha, each mask pair (e, f) gives
+
+        <T e, f> = sum_x dx e (K f)_x - sum_x e (K (dy f))_x,
+
+    and one matmul of the row kernels against the (cubes, N_y, 4)
+    right-hand side [f_1, dy f_1, f_2, dy f_2] gives all four products.
+    The two terms cannot cancel: K keeps one sign on the witness ball, and
+    dx e and dy f have opposite fixed signs on each mask pair.  Each
+    symbol sums its own terms in cube order, so its value does not depend
+    on the family it comes with."""
     params = KernelParams(cfg.n, cfg.ell)
     best = [0.0] * len(family)
     for pair in systems:
@@ -398,26 +432,29 @@ def _nwo_statistic(family: list, cfg: ExperimentConfig, systems: list, child_ppa
                 cubes = system.cubes[k]
                 if not cubes:
                     continue
-                # one generation's witness balls differ only by their centres
+                rows = _row_count(cubes)
                 witness = [sign_witness(Q, params, cfg.witness_A) for Q in cubes]
                 y_first, wy = ball_microgrid(witness[0][1], ball_ppa)
                 centres = np.array([y0 for y0, _, _ in witness])
                 y_nodes = y_first + (centres - centres[0])[:, None, :]
                 x_nodes = _subcube_midpoints(system.shift, k, cubes, 1, child_ppa)
                 kv = riesz_kernel(
-                    params, x_nodes[:, :, :, None, :], y_nodes[:, None, None, :, :], singular="zero"
-                )
+                    params, x_nodes[:rows, :, :, None, :], y_nodes[:rows, None, None, :, :], singular="zero"
+                ).reshape(rows, -1, len(y_first))
                 wx = (2.0 ** (-(k + 1)) / child_ppa) ** cfg.n
                 for s, sym in enumerate(family):
                     by = sym(y_nodes.reshape(-1, cfg.n)).reshape(y_nodes.shape[:2])
-                    alpha = median(by)
-                    bx = sym(x_nodes.reshape(-1, cfg.n)).reshape(x_nodes.shape[:3])
-                    # axes: cube, child, child micro-point, ball micro-point
-                    integrand = (bx[..., None] - by[:, None, None, :]) * kv
-                    ax, ay = alpha[:, None, None], alpha[:, None]
+                    alpha = median(by)[:, None]
+                    bx = sym(x_nodes.reshape(-1, cfg.n)).reshape(len(cubes), -1)
+                    dx, dy = bx - alpha, by - alpha
+                    f_above, f_below = by >= alpha, by <= alpha
+                    rhs = np.stack([f_above, dy * f_above, f_below, dy * f_below], axis=-1)
+                    # axes: cube, child micro-point, product
+                    kf = np.matmul(kv, rhs.reshape(-1, rows, len(y_first), 4)).reshape(len(cubes), -1, 4)
                     inner = []
-                    for e_mask, f_mask in ((bx <= ax, by >= ay), (bx > ax, by <= ay)):
-                        raw = np.einsum("cgxy,cgx,cy->cg", integrand, e_mask, f_mask) * wx * wy
+                    for e_mask, j in ((bx <= alpha, 0), (bx > alpha, 2)):
+                        terms = e_mask * (dx * kf[..., j] - kf[..., j + 1])
+                        raw = terms.reshape(len(cubes), 2**cfg.n, -1).sum(axis=-1) * wx * wy
                         inner.append(np.sum(np.abs(raw) / cubes[0].volume, axis=1))
                     for a, b in zip(inner[0].tolist(), inner[1].tolist()):
                         totals[s] += a**cfg.p + b**cfg.p
@@ -448,19 +485,23 @@ def _cube_micropoints(Q, ppa: int):
     return _subcube_midpoints(Q.shift, Q.k, [Q], 0, ppa)[0, 0], (Q.side / ppa) ** Q.n
 
 
-def _tail_statistic(fld: SampledField, cfg: ExperimentConfig, pair: list) -> float:
-    """sum over halves and generations of 2^{nk} ||b - E_k(b)||_p^p, the
-    L^p distance to the generation-k averages, over covered nodes of the
-    unshifted plus and minus systems `pair`."""
-    total = 0.0
-    grid = fld.grid
+def _tail_statistic(fields: list, cfg: ExperimentConfig, pair: list) -> list:
+    """Per sampled field, in order: the sum over halves and generations
+    of 2^{nk} ||b - E_k(b)||_p^p, the L^p distance to the generation-k
+    averages, over covered nodes of the unshifted plus and minus systems
+    `pair`.  Each (system, generation) is labelled once for all the
+    fields, which share one grid."""
+    values = np.stack([fld.values for fld in fields])
+    grid = fields[0].grid
+    total = np.zeros(len(fields))
     for system in pair:
         for k in system.generations():
-            ek = conditional_expectation(fld, k, system).values
-            covered = system.labels(grid.nodes, k) >= 0
-            diff = np.abs(fld.values[covered] - ek[covered]) ** cfg.p
-            total += 2.0 ** (cfg.n * k) * float(np.sum(diff)) * grid.weight
-    return total
+            labels, ek = labelled_expectation(values, grid, k, system)
+            # compress keeps each field's covered nodes contiguous, so its
+            # sum runs as a one-field call's does
+            diff = np.abs(np.compress(labels >= 0, values - ek, axis=-1)) ** cfg.p
+            total += 2.0 ** (cfg.n * k) * diff.sum(axis=-1) * grid.weight
+    return total.tolist()
 
 
 def _double_integral_statistic(fields: list, cfg: ExperimentConfig) -> list:
@@ -696,17 +737,14 @@ def lower_bound_audit(cfg: ExperimentConfig, N: int = None) -> Report:
     systems = _lattice_systems(cfg, min(finest_resolved_generation(grid), cfg.stat_k_max))
     norms = [_commutator_spectrum(sym, riesz, cfg.p)[2] for sym in family]
     fields = [SampledField(grid, sym(grid.nodes)) for sym in family]
-    # the family-wide statistics build their symbol-independent geometry
-    # once per audit
+    # every statistic takes the whole family and builds its
+    # symbol-independent geometry and labels once per audit
+    energy = _energy_statistic(fields, cfg, systems)
     nwo = _nwo_statistic(family, cfg, systems)
+    tail = _tail_statistic(fields, cfg, systems[0])
     double = _double_integral_statistic(fields, cfg)
-    for sym, s_norm, fld, nwo_value, double_value in zip(family, norms, fields, nwo, double):
-        stats = {
-            "energy": _energy_statistic(fld, cfg, systems),
-            "nwo": nwo_value,
-            "tail": _tail_statistic(fld, cfg, systems[0]),
-            "double": double_value,
-        }
+    for sym, s_norm, *values in zip(family, norms, energy, nwo, tail, double):
+        stats = dict(zip(limits, values))
         degenerate = sym.kind == "perhalf-constant"
         for name, value in stats.items():
             level = value ** (1.0 / cfg.p)

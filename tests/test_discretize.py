@@ -164,7 +164,7 @@ def _per_symbol_matrix(b, ell, grid):
 
 @pytest.mark.parametrize("ell", [1, 2])
 def test_shared_riesz_blocks_match_per_symbol_assembly(ell):
-    # N = 40 puts 800 nodes in each half, so the rows span two chunks
+    # N = 40 puts 800 nodes in each half, so the rows span several chunks
     grid = make_grid(2, BOX, 40)
     riesz = assemble_riesz(ell, grid)
     for sym in symbol_family("default", 2):

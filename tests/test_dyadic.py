@@ -21,9 +21,11 @@ from nrlab.dyadic import (
     build_system,
     conditional_expectation,
     dyadic_energy_sum,
+    dyadic_energy_sums,
     finest_resolved_generation,
     gradient_oscillation_check,
     haar_basis,
+    labelled_expectation,
     martingale_difference,
     median,
     nodes_in_cube,
@@ -262,7 +264,7 @@ def test_labelled_reductions_match_the_node_scan(name):
                 got = conditional_expectation(fld, k, system).values
                 assert _close(got, _scan_conditional_expectation(fld, k, system))
             energies.append((dyadic_energy_sum(fld, system, cfg.p), _scan_energy_sum(fld, system, cfg.p)))
-        tails.append((_tail_statistic(fld, cfg, pair), _scan_tail(fld, cfg.p, pair)))
+        tails.append((_tail_statistic([fld], cfg, pair)[0], _scan_tail(fld, cfg.p, pair)))
     for got, want in energies + tails:
         assert _close(got, want)
     assert min(max(want for _, want in energies), min(want for _, want in tails)) > 0.0
@@ -301,6 +303,31 @@ def test_energy_sum_labels_each_generation_once(monkeypatch):
             assert calls == list(s.generations())
 
 
+def test_stacked_reductions_equal_one_field_reductions_bit_for_bit():
+    # N = 64 resolves generation 2, whose cube means are long enough for
+    # pairwise summation; each stacked row must still sum as a 1-d call
+    cfg = ExperimentConfig(p=4.0, num_lattice_shifts=3)
+    grid = make_grid(2, cfg.box, 64)
+    fields = [SampledField(grid, sym(grid.nodes)) for sym in symbol_family("default", 2)]
+    stack = np.stack([f.values for f in fields])
+    systems = [s for pair in _lattice_systems(cfg, finest_resolved_generation(grid)) for s in pair]
+    assert max(len(s.cubes[s.k_max - 1]) for s in systems) > 8
+    for s in systems:
+        want = []
+        for f in fields:
+            levels = [conditional_expectation(f, k, s).values for k in s.generations()]
+            want.append(0.0)
+            for k, coarse, fine in zip(s.generations(), levels, levels[1:]):
+                means = _cube_means(np.abs(fine - coarse) ** cfg.p, s.labels(grid.nodes, k), len(s.cubes[k]))
+                want[-1] += float(np.sum(means))
+        assert dyadic_energy_sums(stack, grid, s, cfg.p).tolist() == want
+        for k in s.generations():
+            labels, averaged = labelled_expectation(stack, grid, k, s)
+            assert np.array_equal(labels, s.labels(grid.nodes, k))
+            for f, row in zip(fields, averaged):
+                assert np.array_equal(row, conditional_expectation(f, k, s).values)
+
+
 def test_labelled_reductions_keep_constant_blocks_and_zeros():
     cfg = ExperimentConfig(p=4.0)
     grid = make_grid(2, cfg.box, 32)
@@ -319,7 +346,7 @@ def test_labelled_reductions_keep_constant_blocks_and_zeros():
             if sym.kind == "perhalf-constant":
                 fld = SampledField(grid, sym(grid.nodes))
                 assert all(dyadic_energy_sum(fld, system, cfg.p) == 0.0 for system in pair)
-                assert _tail_statistic(fld, cfg, pair) == 0.0
+                assert _tail_statistic([fld], cfg, pair) == [0.0]
 
 
 def test_labelled_reductions_reject_an_empty_cube():

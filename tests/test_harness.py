@@ -16,10 +16,12 @@ from nrlab.harness import (
     ExperimentConfig,
     ReportRow,
     _double_integral_statistic,
+    _energy_statistic,
     _lattice_systems,
     _mollifier,
     _nwo_statistic,
     _oscillation_partials,
+    _tail_statistic,
     divergence_study,
     lattice_shift_sample,
     lower_bound_audit,
@@ -459,10 +461,19 @@ def test_oscillation_statistic_matches_per_cube_means_bit_for_bit():
         assert _oscillation_partials(sym, cfg, systems) == _oscillation_per_cube(sym, cfg)
 
 
-@pytest.mark.parametrize("name", ["bump_a35", "odd_bump"])
-def test_nwo_statistic_matches_per_cube_sums(name):
-    cfg = ExperimentConfig(p=4.0, num_lattice_shifts=3)
-    sym = next(s for s in symbol_family("default", 2) if s.name == name)
+@pytest.mark.parametrize(
+    "family, name, ell",
+    [
+        pytest.param("default", "bump_a35", 1, id="bump_a35"),
+        pytest.param("default", "odd_bump", 1, id="odd_bump"),
+        pytest.param("default", "bump_a35", 2, id="bump_a35-ell2"),
+        pytest.param("default", "odd_bump", 2, id="odd_bump-ell2"),
+        pytest.param("divergence", "multiscale", 1, id="divergence-multiscale"),
+    ],
+)
+def test_nwo_statistic_matches_per_cube_sums(family, name, ell):
+    cfg = ExperimentConfig(p=4.0, ell=ell, family=family, num_lattice_shifts=3)
+    sym = next(s for s in symbol_family(family, 2) if s.name == name)
     k_max = min(finest_resolved_generation(make_grid(2, cfg.box, 16)), cfg.stat_k_max)
     got = _nwo_statistic([sym], cfg, _lattice_systems(cfg, k_max))[0]
     want = _nwo_per_cube(sym, cfg, k_max)
@@ -526,12 +537,119 @@ def test_family_statistics_equal_one_symbol_calls_bit_for_bit():
     systems = _lattice_systems(cfg, min(finest_resolved_generation(grid), cfg.stat_k_max))
     family = symbol_family("default", 2)
     fields = [SampledField(grid, sym(grid.nodes)) for sym in family]
-    nwo = _nwo_statistic(family, cfg, systems)
-    double = _double_integral_statistic(fields, cfg)
-    assert len(nwo) == len(double) == len(family)
-    for i, sym in enumerate(family):
-        assert nwo[i] == _nwo_statistic([sym], cfg, systems)[0]
-        assert double[i] == _double_integral_statistic([fields[i]], cfg)[0]
+    single = [
+        (
+            _energy_statistic([fld], cfg, systems)[0],
+            _nwo_statistic([sym], cfg, systems)[0],
+            _tail_statistic([fld], cfg, systems[0])[0],
+            _double_integral_statistic([fld], cfg)[0],
+        )
+        for sym, fld in zip(family, fields)
+    ]
+    for order in (slice(None), slice(None, None, -1)):
+        stats = zip(
+            _energy_statistic(fields[order], cfg, systems),
+            _nwo_statistic(family[order], cfg, systems),
+            _tail_statistic(fields[order], cfg, systems[0]),
+            _double_integral_statistic(fields[order], cfg),
+        )
+        assert list(stats) == single[order]
+    assert all(value > 0.0 for row in single[:5] for value in row)
+
+
+def test_energy_and_tail_label_each_generation_once_for_the_family(monkeypatch):
+    from nrlab.dyadic import DyadicSystem
+
+    cfg = ExperimentConfig(p=4.0, num_lattice_shifts=3)
+    grid = make_grid(2, cfg.box, 16)
+    systems = _lattice_systems(cfg, min(finest_resolved_generation(grid), cfg.stat_k_max))
+    fields = [SampledField(grid, sym(grid.nodes)) for sym in symbol_family("default", 2)]
+    calls = []
+    labels = DyadicSystem.labels
+
+    def counted(self, nodes, k):
+        calls.append((id(self), k))
+        return labels(self, nodes, k)
+
+    monkeypatch.setattr(DyadicSystem, "labels", counted)
+    _energy_statistic(fields, cfg, systems)
+    assert calls == [(id(s), k) for pair in systems for s in pair for k in s.generations()]
+    calls.clear()
+    _tail_statistic(fields, cfg, systems[0])
+    assert calls == [(id(s), k) for s in systems[0] for k in s.generations()]
+
+
+def test_lattice_generations_are_c_ordered_index_blocks():
+    # the NWO statistic's row kernels and the labels rely on this layout
+    for box, k_max in ((((-2.0, 2.0), (-2.0, 2.0)), 3), (((-1.1, 0.9), (-1.3, 0.7), (-0.7, 1.3)), 2)):
+        n = len(box)
+        cfg = ExperimentConfig(n=n, box=box, grid_sizes=(8,))
+        checked = 0
+        for pair in _lattice_systems(cfg, k_max):
+            for system in pair:
+                for k in system.generations():
+                    m = np.array([Q.m for Q in system.cubes[k]])
+                    if not len(m):
+                        continue
+                    shape = tuple(m.max(axis=0) - m.min(axis=0) + 1)
+                    block = m.min(axis=0) + np.stack(np.unravel_index(np.arange(np.prod(shape)), shape), axis=-1)
+                    assert np.array_equal(m, block), (system.half, system.shift, k)
+                    checked += 1
+        # every system has cubes in at least one generation
+        assert checked >= 2 * cfg.num_lattice_shifts
+
+
+def test_nwo_row_count_rejects_a_reordered_generation():
+    from nrlab import harness
+
+    cubes = build_system("plus", (0.0, 0.0), ((-2.0, 2.0), (-2.0, 2.0)), (0, 1)).cubes[1]
+    assert harness._row_count(cubes) == 4
+    for broken in (cubes[::-1], cubes[1:], cubes[:3] + cubes[4:] + cubes[3:4]):
+        with pytest.raises(ValueError, match="C-ordered rectangular index block"):
+            harness._row_count(broken)
+
+
+def test_nwo_kernel_calls_cover_one_cube_per_row(monkeypatch):
+    from nrlab import harness
+
+    recorded = []
+
+    def recording(params, x, y, singular="raise"):
+        recorded.append((x, y))
+        return riesz_kernel(params, x, y, singular)
+
+    monkeypatch.setattr(harness, "riesz_kernel", recording)
+    cfg = ExperimentConfig(num_lattice_shifts=2)
+    systems = _lattice_systems(cfg, 1)
+    _nwo_statistic(symbol_family("default", 2)[:1], cfg, systems)
+    generations = [system.cubes[k] for pair in systems for system in pair for k in system.generations()]
+    generations = [cubes for cubes in generations if cubes]
+    assert len(recorded) == len(generations)
+    for (x, y), cubes in zip(recorded, generations):
+        rows = sorted({Q.m[-1] for Q in cubes})
+        assert x.shape[0] == y.shape[0] == len(rows)
+        # the r-th call row holds the micro-points of the first cube of row r
+        for r, Q in enumerate(cubes[: len(rows)]):
+            assert Q.m[-1] == rows[r] and Q.m[:-1] == cubes[0].m[:-1]
+            assert np.all(Q.contains(x[r].reshape(-1, cfg.n)))
+        # children by children micro-points by ball micro-points
+        assert np.broadcast_shapes(x.shape[:-1], y.shape[:-1])[1:3] == (2**cfg.n, 36)
+    assert sum(len(x) for x, _ in recorded) < sum(len(cubes) for cubes in generations)
+
+
+def test_nwo_statistic_checks_every_cube_witness():
+    # A > 0 keeps the witness ball of every admissible cube inside its
+    # half, so a cube whose half is wrong stands in for a failing one; it
+    # is placed outside the first column, whose cubes carry the kernel
+    cfg = ExperimentConfig(num_lattice_shifts=1)
+    systems = _lattice_systems(cfg, 1)
+    cubes = systems[0][0].cubes[1]
+    rows = len({Q.m[-1] for Q in cubes})
+    bad = cubes[-1]
+    assert cubes.index(bad) >= rows
+    cubes[-1] = Cube(bad.k, bad.m, bad.shift, "minus")
+    with pytest.raises(ValueError, match="A too small for boundary-adjacent cube"):
+        _nwo_statistic(symbol_family("default", 2)[:1], cfg, systems)
 
 
 def _double_integral_by_reduction(fields, n, p):
