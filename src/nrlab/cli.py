@@ -64,8 +64,7 @@ def _emit(report, cfg: ExperimentConfig) -> int:
     for sid, (spec, summary) in sorted(report.spectra.items()):
         write_spectrum_csv(out / f"spectrum_{sid}.csv", spec, summary)
     for key, val in sorted(report.summary.items()):
-        if key != "checks":
-            print(f"{report.experiment}: {key} = {val}")
+        print(f"{report.experiment}: {key} = {val}")
     print(f"{report.experiment}: {'PASS' if report.passed else 'FAIL'}")
     return 0 if report.passed else 1
 

@@ -8,6 +8,8 @@ via h in {0, 1/3}^n: relative to the unshifted lattice the
 per-generation offset alternates between 1/3 and 2/3 of the side, which
 is the usual one-third trick.
 
+Each generation's admissible cubes form one index block, recorded by
+`build_system`; node labels and sub-cube boxes are read from it.
 Averages and energy sums label the grid nodes once per generation
 (`DyadicSystem.labels`: the position of each node's admissible cube, or
 -1) and reduce over the labels with `np.bincount`.  They accept a stack
@@ -44,6 +46,7 @@ __all__ = [
     "separated_subcubes",
     "gradient_oscillation_check",
     "nodes_in_cube",
+    "midpoint_nodes",
     "box_midpoint_mean",
     "numeric_gradient",
 ]
@@ -105,7 +108,9 @@ class Cube:
 
 @dataclass
 class DyadicSystem:
-    """Admissible cubes of one shifted lattice on a box."""
+    """Admissible cubes of one shifted lattice on a box: generation k's
+    index block is `blocks[k]` = (first index, shape), and `cubes[k]` its
+    indices in C order, last index fastest."""
 
     half: str
     shift: tuple
@@ -113,6 +118,7 @@ class DyadicSystem:
     k_min: int
     k_max: int
     cubes: dict = field(default_factory=dict)
+    blocks: dict = field(default_factory=dict)
     _index: dict = field(default_factory=dict, repr=False)
 
     def generations(self) -> range:
@@ -141,18 +147,17 @@ class DyadicSystem:
         +-1; testing those three candidates against the float vertex
         shift + side * m, as `Cube.contains` does, settles it.  Where two
         float boxes overlap by an ulp, the later cube takes the node, as
-        a last-write scan over `cubes[k]` would.  A generation's admissible
-        cubes form one rectangular index block enumerated in C order, so
-        the position is the raveled offset of the index in that block.
+        a last-write scan over `cubes[k]` would.  The position is the
+        raveled offset of the index in the generation's recorded block.
         """
         nodes = np.asarray(nodes, dtype=float)
         out = np.full(len(nodes), -1)
-        cubes = self.cubes[k]
-        if not cubes:
+        first, shape = (np.asarray(v) for v in self.blocks[k])
+        if not np.all(shape):
             return out
         shift = np.asarray(self.shift)
         side = 2.0 ** (-k)
-        first, last = np.asarray(cubes[0].m), np.asarray(cubes[-1].m)
+        last = first + shape - 1
         floor = np.floor((nodes - shift) / side)
         offset = np.full(nodes.shape, -1)
         for step in (-1.0, 0.0, 1.0):
@@ -161,15 +166,28 @@ class DyadicSystem:
             hit = (nodes >= vertex) & (nodes < vertex + side) & (m >= first) & (m <= last)
             offset = np.where(hit, m.astype(int) - first, offset)
         ok = np.all(offset >= 0, axis=1)
-        out[ok] = np.ravel_multi_index(tuple(offset[ok].T), tuple(last - first + 1))
+        out[ok] = np.ravel_multi_index(tuple(offset[ok].T), tuple(shape))
         return out
+
+    def subcube_boxes(self, k: int, levels: int) -> np.ndarray:
+        """`Cube.box` of each generation-(k + levels) sub-cube of the
+        generation-k cubes, shape (cubes, 2^(n levels), n, 2), sub-cubes in
+        lexicographic order of their offsets."""
+        first, shape = self.blocks[k]
+        m = np.asarray(first) + np.stack(np.unravel_index(np.arange(math.prod(shape)), shape), axis=-1)
+        offsets = np.array(list(itertools.product(range(2**levels), repeat=len(shape))), dtype=int)
+        side = 2.0 ** (-(k + levels))
+        lo = np.asarray(self.shift) + side * (2**levels * m[:, None, :] + offsets).astype(float)
+        return np.stack([lo, lo + side], axis=-1)
 
 
 def build_system(half: str, shift, box, k_range) -> DyadicSystem:
     """Enumerate the admissible cubes of a shifted lattice on box x half.
 
     Cubes fully contained in the bounding box and inside the closed
-    half-space are admissible; every other cube is dropped.
+    half-space are admissible; every other cube is dropped.  A cube's
+    half is monotone in its last index alone, so the admissible indices
+    are the per-axis box windows with the last one cut to a run.
 
     Raises "degenerate domain" when the box does not meet the requested
     half-space.
@@ -196,9 +214,11 @@ def build_system(half: str, shift, box, k_range) -> DyadicSystem:
             lo = int(np.ceil((box[j, 0] - shift[j]) / side - 1e-9))
             hi = int(np.floor((box[j, 1] - shift[j]) / side + 1e-9)) - 1
             ranges.append(range(lo, hi + 1))
-        admissible = [Q for Q in (Cube(k, m, shift, half) for m in itertools.product(*ranges)) if Q.in_half()]
-        system.cubes[k] = admissible
-        for Q in admissible:
+        run = [j for j in ranges[-1] if Cube(k, (0,) * (n - 1) + (j,), shift, half).in_half()]
+        ranges[-1] = range(run[0], run[-1] + 1) if run else range(0)
+        system.blocks[k] = (tuple(r.start for r in ranges), tuple(len(r) for r in ranges))
+        system.cubes[k] = [Cube(k, m, shift, half) for m in itertools.product(*ranges)]
+        for Q in system.cubes[k]:
             system._index[(k, Q.m)] = Q
     return system
 
@@ -414,15 +434,22 @@ def separated_subcubes(Q: Cube, a) -> tuple:
     )
 
 
+def midpoint_nodes(boxes, points_per_axis: int) -> np.ndarray:
+    """Tensor midpoint-rule nodes of axis-aligned boxes (..., n, 2), as an
+    array (..., points_per_axis^n, n): nodes in C order of their per-axis
+    positions, last axis fastest."""
+    boxes = np.asarray(boxes, dtype=float)
+    lo, hi = boxes[..., 0], boxes[..., 1]
+    n, ppa = boxes.shape[-2], points_per_axis
+    axes = lo[..., None] + (np.arange(ppa) + 0.5) * (hi - lo)[..., None] / ppa
+    # node p takes coordinate j from axes[..., j, idx[p, j]]
+    idx = np.stack(np.unravel_index(np.arange(ppa**n), (ppa,) * n), axis=-1)
+    return axes[..., np.arange(n), idx]
+
+
 def box_midpoint_mean(func: Callable, box: np.ndarray, points_per_axis: int = 24) -> float:
-    """Mean of func over an axis-aligned box by the tensor midpoint rule."""
-    box = np.asarray(box, dtype=float)
-    axes = [
-        lo + (np.arange(points_per_axis) + 0.5) * (hi - lo) / points_per_axis
-        for lo, hi in box
-    ]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    return float(np.mean(func(mesh.reshape(-1, box.shape[0]))))
+    """Mean of func over an axis-aligned box (n, 2) on its `midpoint_nodes`."""
+    return float(np.mean(func(midpoint_nodes(box, points_per_axis))))
 
 
 def numeric_gradient(func: Callable, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

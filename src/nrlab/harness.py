@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -38,6 +39,7 @@ from .dyadic import (
     labelled_expectation,
     martingale_difference,
     median,
+    midpoint_nodes,
     nodes_in_cube,
 )
 from .kernels import (
@@ -115,7 +117,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.box = tuple(tuple(float(v) for v in pair) for pair in np.atleast_2d(self.box))
-        self.grid_sizes = tuple(int(v) for v in np.atleast_1d(self.grid_sizes))
+        # field types are annotation strings here (postponed evaluation)
+        for f in fields(self):
+            if f.type == "int":
+                setattr(self, f.name, _as_int(f.name, getattr(self, f.name)))
+        sizes = np.atleast_1d(np.asarray(self.grid_sizes, dtype=object)).tolist()
+        self.grid_sizes = tuple(_as_int("grid_sizes entry", v) for v in sizes)
         if len(self.box) != self.n:
             raise ValueError("box must have one (lo, hi) pair per dimension")
         if any(lo >= hi for lo, hi in self.box):
@@ -131,25 +138,12 @@ class ExperimentConfig:
                 check_grid(self.n, self.box, N)
             except ValueError as exc:
                 raise ValueError(f"grid_sizes entry {N} is rejected: {exc}") from None
-        # a bad value would otherwise surface minutes later, inside an
+        # a bad float would otherwise surface minutes later, inside an
         # SVD, as an empty sup or as a silent FAIL
-        for name in (
-            "p",
-            "t_min",
-            "t_max",
-            "ratio_spread_max",
-            "ratio_drift_max",
-            "divergence_growth_min",
-            "audit_C_energy",
-            "audit_C_nwo",
-            "audit_C_tail",
-            "audit_C_double",
-            "russo_slack",
-            "witness_A",
-        ):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{f.name} must be finite and > 0, got {value}")
         if not self.t_min < self.t_max:
             raise ValueError(f"t_min must be < t_max, got {self.t_min} >= {self.t_max}")
         for name in ("t_per_decade", "shift_per_decade", "shift_angles", "num_lattice_shifts"):
@@ -189,8 +183,6 @@ class ExperimentConfig:
             if len(flat) % 2:
                 raise ValueError("box must flatten to lo/hi pairs")
             kw["box"] = tuple((flat[i], flat[i + 1]) for i in range(0, len(flat), 2))
-        if "grid_sizes" in kw:
-            kw["grid_sizes"] = tuple(int(v) for v in np.atleast_1d(kw["grid_sizes"]))
         return cls(**kw)
 
     @classmethod
@@ -202,6 +194,14 @@ class ExperimentConfig:
 
     def updated(self, **overrides) -> "ExperimentConfig":
         return replace(self, **overrides)
+
+
+def _as_int(name: str, value) -> int:
+    """`value` as an int, or a ValueError naming the field: a float or a
+    bool would be truncated, or fail far from the config that caused it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -377,20 +377,6 @@ def _energy_statistic(fields: list, cfg: ExperimentConfig, systems: list) -> lis
     return best.tolist()
 
 
-def _row_count(cubes: list) -> int:
-    """The number of rows (last lattice indices) of one generation's
-    cubes.  Raises unless the cubes form one rectangular index block in C
-    order, last index fastest; then cube c lies in row c % rows, and the
-    first `rows` cubes are one cube of each row."""
-    m = np.array([Q.m for Q in cubes])
-    shape = m[-1] - m[0] + 1
-    if np.all(shape >= 1) and len(m) == np.prod(shape):
-        block = m[0] + np.stack(np.unravel_index(np.arange(len(m)), tuple(shape)), axis=-1)
-        if np.array_equal(m, block):
-            return int(shape[-1])
-    raise ValueError("a generation's cubes must form one C-ordered rectangular index block")
-
-
 def _nwo_statistic(family: list, cfg: ExperimentConfig, systems: list, child_ppa: int = 6, ball_ppa: int = 8) -> list:
     """Per symbol of `family`, in family order: the sum over halves,
     generations and admissible cubes of (sum_children |<T e, f>|)^p with
@@ -405,11 +391,12 @@ def _nwo_statistic(family: list, cfg: ExperimentConfig, systems: list, child_ppa
     on the symbol, so it is built once per generation for the whole
     family: every cube's witness ball is checked, one micro-grid is built
     for the first ball and translated to every cube's witness centre,
-    giving one (cubes, N_y, n) array, and the children's micro-points form
-    one (cubes, 2^n, ppa^n, n) array.  Every cube of a generation has the
-    same witness offset, so x - y is the same for every cube and the
+    giving one (cubes, N_y, n) array, and the children's `midpoint_nodes`
+    form one (cubes, 2^n, ppa^n, n) array.  Every cube of a generation has
+    the same witness offset, so x - y is the same for every cube and the
     kernel depends on a cube only through its row, which fixes x_n + y_n:
-    one kernel call covers one cube per row, shape (rows, 2^n ppa^n, N_y).
+    the generation's recorded index block puts one cube of each row first,
+    so one kernel call covers them, shape (rows, 2^n ppa^n, N_y).
 
     Per symbol there is one symbol call per side and one `median` call for
     the splits of all the cubes.  With alpha the split, dx = b(x) - alpha
@@ -432,12 +419,12 @@ def _nwo_statistic(family: list, cfg: ExperimentConfig, systems: list, child_ppa
                 cubes = system.cubes[k]
                 if not cubes:
                     continue
-                rows = _row_count(cubes)
+                rows = system.blocks[k][1][-1]
                 witness = [sign_witness(Q, params, cfg.witness_A) for Q in cubes]
                 y_first, wy = ball_microgrid(witness[0][1], ball_ppa)
                 centres = np.array([y0 for y0, _, _ in witness])
                 y_nodes = y_first + (centres - centres[0])[:, None, :]
-                x_nodes = _subcube_midpoints(system.shift, k, cubes, 1, child_ppa)
+                x_nodes = midpoint_nodes(system.subcube_boxes(k, 1), child_ppa)
                 kv = riesz_kernel(
                     params, x_nodes[:rows, :, :, None, :], y_nodes[:rows, None, None, :, :], singular="zero"
                 ).reshape(rows, -1, len(y_first))
@@ -460,29 +447,6 @@ def _nwo_statistic(family: list, cfg: ExperimentConfig, systems: list, child_ppa
                         totals[s] += a**cfg.p + b**cfg.p
         best = [max(b, t) for b, t in zip(best, totals)]
     return best
-
-
-def _subcube_midpoints(shift, k: int, cubes, levels: int, ppa: int) -> np.ndarray:
-    """Midpoint-rule nodes of the generation-(k + levels) sub-cubes of
-    generation-k cubes, as an array of shape (cubes, 2^(n levels), ppa^n, n).
-
-    Sub-cubes come in lexicographic order of their offsets; each one's
-    nodes are computed with the same operations, and in the same order,
-    as `box_midpoint_mean` uses on the sub-cube's box."""
-    m = np.array([Q.m for Q in cubes], dtype=int)
-    n = m.shape[1]
-    offsets = np.array(list(itertools.product(range(2**levels), repeat=n)), dtype=int)
-    side = 2.0 ** (-(k + levels))
-    lo = np.asarray(shift, dtype=float) + side * (2**levels * m[:, None, :] + offsets).astype(float)
-    hi = lo + side
-    axes = lo[..., None] + (np.arange(ppa) + 0.5) * (hi - lo)[..., None] / ppa
-    # node p of a sub-cube takes coordinate j from axes[..., j, idx[p, j]]
-    idx = np.stack([g.reshape(-1) for g in np.meshgrid(*[np.arange(ppa)] * n, indexing="ij")], axis=-1)
-    return axes[:, :, np.arange(n), idx]
-
-
-def _cube_micropoints(Q, ppa: int):
-    return _subcube_midpoints(Q.shift, Q.k, [Q], 0, ppa)[0, 0], (Q.side / ppa) ** Q.n
 
 
 def _tail_statistic(fields: list, cfg: ExperimentConfig, pair: list) -> list:
@@ -524,36 +488,37 @@ def _double_integral_statistic(fields: list, cfg: ExperimentConfig) -> list:
     return totals
 
 
-def _oscillation_partials(sym: Symbol, cfg: ExperimentConfig, systems: list, ppa: int = 6) -> dict:
-    """Cumulative dyadic oscillation statistic per top generation K:
-    sup over lattice shifts of (sum_{k<=K} sum_Q osc_Q^n)^{1/n}, where
-    osc_Q is the mean absolute gap between generation-(k+2) sub-averages.
-    `systems` are the lattice systems over generations k_min..stat_k_max.
+def _oscillation_partials(family: list, cfg: ExperimentConfig, systems: list, ppa: int = 6) -> list:
+    """Per symbol of `family`, in family order, a dict K -> the cumulative
+    dyadic oscillation statistic up to top generation K: sup over lattice
+    shifts of (sum_{k<=K} sum_Q osc_Q^n)^{1/n}, where osc_Q is the mean
+    absolute gap between generation-(k+2) sub-averages.  `systems` are
+    the lattice systems over generations k_min..stat_k_max.
 
-    Evaluated per (shift, half, generation), over all the cubes of the
-    generation at once: one symbol call on the midpoint nodes of every
-    grandchild, block means per grandchild, and one broadcast gap mean
-    per cube.  The sub-averages equal `box_midpoint_mean` on each
-    grandchild bit for bit, and osc_Q^n is summed in cube order."""
-    out = {}
+    Per (shift, half, generation), the `midpoint_nodes` of every
+    grandchild are built once for the family; each symbol then makes one
+    call on them, takes block means per grandchild (`box_midpoint_mean`
+    on each grandchild, bit for bit) and one broadcast gap mean per cube,
+    and sums its osc_Q^n in cube order, as a one-symbol call does."""
     gens = range(cfg.k_min, cfg.stat_k_max + 1)
-    per_shift = np.zeros((len(systems), len(gens)))
+    per_shift = np.zeros((len(family), len(systems), len(gens)))
     for si, pair in enumerate(systems):
         for ki, k in enumerate(gens):
-            gen_total = 0.0
+            totals = [0.0] * len(family)
             for system in pair:
-                cubes = system.cubes[k]
-                if not cubes:
+                if not system.cubes[k]:
                     continue
-                nodes = _subcube_midpoints(system.shift, k, cubes, 2, ppa)
-                means = sym(nodes.reshape(-1, cfg.n)).reshape(nodes.shape[:3]).mean(axis=-1)
-                gaps = np.abs(means[:, :, None] - means[:, None, :])
-                for osc in gaps.reshape(len(cubes), -1).mean(axis=-1).tolist():
-                    gen_total += osc**cfg.n
-            per_shift[si, ki] = gen_total
-    for ki, k in enumerate(gens):
-        out[k] = float(np.max(np.sum(per_shift[:, : ki + 1], axis=1)) ** (1.0 / cfg.n))
-    return out
+                nodes = midpoint_nodes(system.subcube_boxes(k, 2), ppa)
+                for s, sym in enumerate(family):
+                    means = sym(nodes.reshape(-1, cfg.n)).reshape(nodes.shape[:3]).mean(axis=-1)
+                    gaps = np.abs(means[:, :, None] - means[:, None, :])
+                    for osc in gaps.reshape(len(nodes), -1).mean(axis=-1).tolist():
+                        totals[s] += osc**cfg.n
+            per_shift[:, si, ki] = totals
+    return [
+        {k: float(np.max(np.sum(sums[:, : ki + 1], axis=1)) ** (1.0 / cfg.n)) for ki, k in enumerate(gens)}
+        for sums in per_shift
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -670,11 +635,11 @@ def divergence_study(cfg: ExperimentConfig) -> Report:
             spectra[f"divergence_{sym.name}_N{N}"] = (spec, None)
         # as in ratio_study: free this grid's operators before the next
         del riesz
-    systems = _lattice_systems(cfg, cfg.stat_k_max)
+    oscillation = _oscillation_partials(family, cfg, _lattice_systems(cfg, cfg.stat_k_max))
     rows = []
     growth_ok = True
     controls_ok = True
-    for sym in family:
+    for sym, partials in zip(family, oscillation):
         values = [norms[sym.name, N] for N in cfg.grid_sizes]
         for N, s_norm in zip(cfg.grid_sizes, values):
             rows.append(
@@ -693,7 +658,6 @@ def divergence_study(cfg: ExperimentConfig) -> Report:
         else:
             increasing = all(b > a for a, b in zip(values, values[1:]))
             growth_ok &= increasing and values[-1] >= cfg.divergence_growth_min * values[0]
-        partials = _oscillation_partials(sym, cfg, systems)
         for K, stat in partials.items():
             rows.append(
                 ReportRow(
@@ -846,13 +810,12 @@ def upper_bound_audit(cfg: ExperimentConfig, N: int = None) -> Report:
 # verification suite
 
 
-def _check(name, measured, tolerance, ok, status=None):
-    return {
-        "name": name,
-        "status": status if status is not None else ("pass" if ok else "fail"),
-        "measured": float(measured),
-        "tolerance": float(tolerance),
-    }
+def _check(name, measured, tolerance, ok, status=None) -> ReportRow:
+    """One invariant check as a row: its status is the note, and its
+    measurement, finite or not, is in `aux`."""
+    status = status if status is not None else ("pass" if ok else "fail")
+    aux = {"measured": float(measured), "tolerance": float(tolerance)}
+    return ReportRow("verify", name, 0, math.nan, math.nan, math.nan, aux=aux, note=status)
 
 
 def sign_witness_audit(cfg: ExperimentConfig, ell: int, count: int = 50, rng=None):
@@ -874,7 +837,7 @@ def sign_witness_audit(cfg: ExperimentConfig, ell: int, count: int = 50, rng=Non
         for Q in (pool[i] for i in idx):
             y0, ball, bound = sign_witness(Q, params, cfg.witness_A)
             y_nodes, _ = ball_microgrid(ball, 6)
-            x_nodes, _ = _cube_micropoints(Q, 5)
+            x_nodes = midpoint_nodes(Q.box, 5)
             kv = riesz_kernel(params, x_nodes[:, None, :], y_nodes[None, :, :], singular="zero")
             if np.any(kv == 0.0) or np.min(kv) < 0.0 < np.max(kv):
                 sign_bad += 1
@@ -889,8 +852,11 @@ def verify_suite(cfg: ExperimentConfig) -> Report:
     """Machine-readable invariant checks across all modules.
 
     Failures are report content, not exceptions; the CLI exit code is
-    derived from the rows.  Rows with status "info" record measurements
-    that are reported but intentionally not asserted.
+    derived from the rows.  Each check is one row, with its status
+    ("pass", "fail" or "info") as the note and its measurement, which may
+    be infinite, in `aux`; `write_invariants_csv` writes them.  Rows with
+    status "info" record measurements that are reported but
+    intentionally not asserted.
     """
     rng = np.random.default_rng(cfg.seed)
     checks = []
@@ -943,7 +909,7 @@ def verify_suite(cfg: ExperimentConfig) -> Report:
     Q = system.cubes[0][0]
     basis = haar_basis(Q)
     ppa = 8
-    nodes, w = _cube_micropoints(Q, ppa)
+    nodes, w = midpoint_nodes(Q.box, ppa), (Q.side / ppa) ** n
     mat = np.stack([h.evaluate(nodes) for h in basis] + [np.full(len(nodes), Q.volume**-0.5)])
     gram = mat @ mat.T * w
     gram_err = float(np.max(np.abs(gram - np.eye(len(mat)))))
@@ -1043,8 +1009,8 @@ def verify_suite(cfg: ExperimentConfig) -> Report:
     checks.append(_check("cz_size_bound", 0.0 if size_ok_all else 1.0, 0.0, size_ok_all))
     checks.append(_check("cz_smoothness_ratio_info", worst_ratio, 0.0, True, status="info"))
 
-    passed = all(c["status"] != "fail" for c in checks)
-    return Report("verify", [ReportRow("verify", c["name"], 0, c["measured"], math.nan, math.nan, aux={"tolerance": c["tolerance"]}, note=c["status"]) for c in checks], {"passed": passed, "checks": checks}, passed)
+    passed = all(c.note != "fail" for c in checks)
+    return Report("verify", checks, {"passed": passed}, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -1089,6 +1055,6 @@ def write_spectrum_csv(path, spectrum, summary: dict = None):
 
 def write_invariants_csv(path, report: Report):
     lines = ["name,status,measured,tolerance"]
-    for c in report.summary["checks"]:
-        lines.append(f"{c['name']},{c['status']},{_fmt(c['measured'])},{_fmt(c['tolerance'])}")
+    for c in report.rows:
+        lines.append(f"{c.symbol},{c.note},{_fmt(c.aux['measured'])},{_fmt(c.aux['tolerance'])}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

@@ -76,3 +76,23 @@ def test_every_parameter_a_counter_reads_by_name_exists():
                 missing.append(f"{p.module}.{p.attr}({name})")
     assert checked >= 6
     assert missing == []
+
+
+
+def _unused_imports() -> list:
+    """(module, name) of each import in src/nrlab marked `noqa: F401`:
+    kept with no caller in its module."""
+    src = Path(__file__).resolve().parents[1] / "src" / "nrlab"
+    return [
+        (f"nrlab.{path.stem}", line.partition("#")[0].strip().rstrip(",").split(" as ")[-1])
+        for path in sorted(src.glob("*.py"))
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if "noqa: F401" in line.partition("#")[2]
+    ]
+
+
+def test_every_unused_import_is_a_wrap_point():
+    # an import with no caller is kept only for the layer trace to wrap;
+    # once no wrap point names it, it is dead and must go with it
+    wrapped = {(p.module, p.attr) for p in _nrlab_points()}
+    assert [f"{m}.{a}" for m, a in _unused_imports() if (m, a) not in wrapped] == []

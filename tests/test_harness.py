@@ -35,6 +35,7 @@ from nrlab.harness import (
     write_spectrum_csv,
 )
 from nrlab.kernels import KernelParams, riesz_kernel, sign_witness
+from nrlab.kvconfig import write_kv_file
 from nrlab.spectra import mixed_norm, russo_bound
 
 SMOKE = dict(p=4.0, grid_sizes=(8, 16), t_per_decade=6, shift_per_decade=6, shift_angles=8)
@@ -163,6 +164,34 @@ def test_config_updated_returns_modified_copy():
     cfg = ExperimentConfig()
     other = cfg.updated(p=6.0)
     assert other.p == 6.0 and cfg.p == 4.0 and other.box == cfg.box
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"grid_sizes": (32.7, 64)},
+        {"grid_sizes": (True, 64)},
+        {"n": 2.0},
+        {"ell": 1.0},
+        {"t_per_decade": 16.5},
+        {"shift_per_decade": True},
+        {"shift_angles": 2.5},
+        {"num_lattice_shifts": 2.5},
+        {"k_min": -1.5},
+        {"stat_k_max": 1.5},
+        {"seed": 0.5},
+    ],
+    ids=lambda overrides: next(iter(overrides)) + "=" + repr(next(iter(overrides.values()))),
+)
+def test_config_rejects_non_integer_integer_fields(tmp_path, overrides):
+    # built directly and loaded from a config file line: nothing is truncated
+    name = next(iter(overrides))
+    with pytest.raises(ValueError, match=f"^{name}.* must be an int"):
+        ExperimentConfig(**overrides)
+    path = tmp_path / "run.cfg"
+    write_kv_file(path, overrides)
+    with pytest.raises(ValueError, match=f"^{name}.* must be an int"):
+        ExperimentConfig.from_file(path)
 
 
 def test_report_row_rejects_infinite_norms():
@@ -458,7 +487,7 @@ def test_oscillation_statistic_matches_per_cube_means_bit_for_bit():
     cfg = ExperimentConfig(p=2.0, ell=2, family="divergence", num_lattice_shifts=2, stat_k_max=1)
     systems = _lattice_systems(cfg, cfg.stat_k_max)
     for sym in symbol_family("divergence", 2):
-        assert _oscillation_partials(sym, cfg, systems) == _oscillation_per_cube(sym, cfg)
+        assert _oscillation_partials([sym], cfg, systems)[0] == _oscillation_per_cube(sym, cfg)
 
 
 @pytest.mark.parametrize(
@@ -487,7 +516,7 @@ def test_dyadic_statistics_exact_zero_for_controls():
     k_max = min(finest_resolved_generation(make_grid(2, nwo_cfg.box, 16)), nwo_cfg.stat_k_max)
     for sym in symbol_family("default", 2):
         if sym.kind == "perhalf-constant":
-            osc = _oscillation_partials(sym, osc_cfg, _lattice_systems(osc_cfg, osc_cfg.stat_k_max))
+            osc = _oscillation_partials([sym], osc_cfg, _lattice_systems(osc_cfg, osc_cfg.stat_k_max))[0]
             assert all(v == 0.0 for v in osc.values())
             assert _nwo_statistic([sym], nwo_cfg, _lattice_systems(nwo_cfg, k_max))[0] == 0.0
 
@@ -535,6 +564,8 @@ def test_family_statistics_equal_one_symbol_calls_bit_for_bit():
     cfg = ExperimentConfig(p=4.0, num_lattice_shifts=2)
     grid = make_grid(2, cfg.box, 16)
     systems = _lattice_systems(cfg, min(finest_resolved_generation(grid), cfg.stat_k_max))
+    # the oscillation statistic runs over generations k_min..stat_k_max
+    osc_systems = _lattice_systems(cfg, cfg.stat_k_max)
     family = symbol_family("default", 2)
     fields = [SampledField(grid, sym(grid.nodes)) for sym in family]
     single = [
@@ -543,6 +574,7 @@ def test_family_statistics_equal_one_symbol_calls_bit_for_bit():
             _nwo_statistic([sym], cfg, systems)[0],
             _tail_statistic([fld], cfg, systems[0])[0],
             _double_integral_statistic([fld], cfg)[0],
+            _oscillation_partials([sym], cfg, osc_systems)[0],
         )
         for sym, fld in zip(family, fields)
     ]
@@ -552,9 +584,10 @@ def test_family_statistics_equal_one_symbol_calls_bit_for_bit():
             _nwo_statistic(family[order], cfg, systems),
             _tail_statistic(fields[order], cfg, systems[0]),
             _double_integral_statistic(fields[order], cfg),
+            _oscillation_partials(family[order], cfg, osc_systems),
         )
         assert list(stats) == single[order]
-    assert all(value > 0.0 for row in single[:5] for value in row)
+    assert all(value > 0.0 for row in single[:5] for value in row[:4] + tuple(row[4].values()))
 
 
 def test_energy_and_tail_label_each_generation_once_for_the_family(monkeypatch):
@@ -599,14 +632,25 @@ def test_lattice_generations_are_c_ordered_index_blocks():
         assert checked >= 2 * cfg.num_lattice_shifts
 
 
-def test_nwo_row_count_rejects_a_reordered_generation():
-    from nrlab import harness
-
-    cubes = build_system("plus", (0.0, 0.0), ((-2.0, 2.0), (-2.0, 2.0)), (0, 1)).cubes[1]
-    assert harness._row_count(cubes) == 4
-    for broken in (cubes[::-1], cubes[1:], cubes[:3] + cubes[4:] + cubes[3:4]):
-        with pytest.raises(ValueError, match="C-ordered rectangular index block"):
-            harness._row_count(broken)
+def test_recorded_block_is_the_c_order_enumeration_of_each_generation():
+    # the labels, the sub-cube boxes and the NWO statistic's rows read the
+    # record, so it must list exactly cubes[k], in the same order
+    for box, k_max in ((((-2.0, 2.0), (-2.0, 2.0)), 3), (((-1.1, 0.9), (-1.3, 0.7), (-0.7, 1.3)), 2)):
+        n = len(box)
+        cfg = ExperimentConfig(n=n, box=box, grid_sizes=(8,))
+        seen = set()
+        for pair in _lattice_systems(cfg, k_max):
+            for system in pair:
+                for k in system.generations():
+                    first, shape = system.blocks[k]
+                    assert len(first) == len(shape) == n
+                    block = [tuple(np.add(first, i)) for i in itertools.product(*map(range, shape))]
+                    assert [Q.m for Q in system.cubes[k]] == block, (system.half, system.shift, k)
+                    seen.add((system.half, any(system.shift), bool(block)))
+        # both halves, shifted and unshifted lattices, empty generations too
+        assert {(half, shifted, True) for half in ("plus", "minus") for shifted in (False, True)} <= seen
+        if n == 2:
+            assert ("plus", True, False) in seen
 
 
 def test_nwo_kernel_calls_cover_one_cube_per_row(monkeypatch):
@@ -816,6 +860,25 @@ def test_verify_suite_catches_broken_reflection(monkeypatch):
     assert not rep.passed
     failed = {row.symbol for row in rep.rows if row.note == "fail"}
     assert failed & {"semigroup_conservation_interior", "semigroup_even_extension"}
+
+
+def test_verify_reports_an_infinite_measurement_as_a_failure(monkeypatch, tmp_path, capsys):
+    # Haar functions that evaluate to zero give the coefficient bound a
+    # zero right-hand side, so its ratio reads inf; that is a failed
+    # check, not an exception
+    from dataclasses import replace
+
+    from nrlab import harness
+    from nrlab.dyadic import haar_basis
+
+    def vanishing(Q):
+        return [replace(h, child_signs=(0.0,) * len(h.child_signs)) for h in haar_basis(Q)]
+
+    monkeypatch.setattr(harness, "haar_basis", vanishing)
+    assert cli_main(["verify", "--out", str(tmp_path)]) == 1
+    assert "verify: FAIL" in capsys.readouterr().out
+    lines = (tmp_path / "invariants.csv").read_text().splitlines()
+    assert "haar_coefficient_bound,fail,inf,1" in lines
 
 
 # ---------------------------------------------------------------------------
