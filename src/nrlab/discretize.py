@@ -18,7 +18,7 @@ O(n N^{n+1}) instead of O(N^{2n}).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -43,9 +43,9 @@ __all__ = [
     "ball_microgrid",
 ]
 
-# Sign of the reflected heat-kernel term.  Correct value is +1; the
-# verification suite flips it to prove the even-extension identity check
-# actually catches a corrupted kernel.
+# Sign of the mirror-image term of a cell with one reflecting wall.
+# Correct value is +1; test_verify_suite_catches_broken_reflection flips
+# it to prove verify's even-extension check catches a corrupted kernel.
 _REFLECTED_SIGN = 1.0
 
 _MAGIC = b"NRLMAT1\x00"
@@ -150,18 +150,21 @@ def make_grid(n: int, box, N: int) -> QuadratureGrid:
 
 @dataclass
 class OperatorMatrix:
-    """Kernel samples on the two same-half node blocks plus the quadrature weight.
+    """Kernel samples on the two same-half node blocks of one grid.
 
     `blocks` holds raw kernel values K(x_i, x_j) on the plus-plus and the
     minus-minus node pairs, in the order of `grid.half_indices()`.  The
     kernel gate makes every cross-half value vanish, so no array holds
     one: the discrete operator on l2(grid, w) is block-diagonal, its
-    blocks are blocks * w, and its singular values are the union of
-    theirs.  `kernel` and `matrix` build the whole M x M array, with
-    +0.0 cross-half entries, for the consumers that read it.
+    blocks are blocks * w with w = `weight` (the grid's), and its
+    singular values are the union of theirs.  `ell` is the Riesz index
+    and `symbol` the name of the commutator's symbol ("" for the Riesz
+    operator).  `kernel` and `matrix` build the whole M x M array, with
+    +0.0 cross-half entries; `export_matrix`, verify's S^4 check and the
+    benchmark's assembly counter read them.
 
-    `cores` holds, per block, the sorted positions of its support core:
-    the block is exactly zero on every pair of positions outside it, and
+    `cores` holds, per block, a boolean mask of its support core: the
+    block is exactly zero on every pair of positions outside it, and
     `singular_values` reads only the core's rows and columns (see
     `nrlab.spectra`).  A commutator's core is where b differs from its
     most frequent value on the half; by default (the Riesz operator) it
@@ -169,28 +172,27 @@ class OperatorMatrix:
     """
 
     blocks: list
-    weight: float
     grid: QuadratureGrid
-    meta: dict = field(default_factory=dict)
+    ell: int
+    symbol: str = ""
     cores: list = None
 
     def __post_init__(self):
         self.blocks = [np.asarray(B, dtype=float) for B in self.blocks]
-        sizes = [(len(idx), len(idx)) for idx in self.grid.half_indices()]
-        if [B.shape for B in self.blocks] != sizes:
+        sizes = [len(idx) for idx in self.grid.half_indices()]
+        if [B.shape for B in self.blocks] != [(m, m) for m in sizes]:
             raise ValueError("blocks inconsistent with the grid's half sizes")
         if not all(np.all(np.isfinite(B)) for B in self.blocks):
             raise ValueError("non-finite entries in matrix")
         if self.cores is None:
-            self.cores = [np.arange(m) for m, _ in sizes]
+            self.cores = [np.ones(m, dtype=bool) for m in sizes]
         self.cores = [np.asarray(core) for core in self.cores]
-        if len(self.cores) != len(self.blocks):
-            raise ValueError("one core per block required")
-        for core, (m, _) in zip(self.cores, sizes):
-            if core.ndim != 1 or core.dtype.kind not in "iu" or np.any(np.diff(core) <= 0):
-                raise ValueError("each core must be a sorted 1-d array of distinct positions")
-            if core.size and (core[0] < 0 or core[-1] >= m):
-                raise ValueError("core positions outside the block")
+        if [(core.dtype, core.shape) for core in self.cores] != [(np.dtype(bool), (m,)) for m in sizes]:
+            raise ValueError("need one core per block: a boolean mask of the block's length")
+
+    @property
+    def weight(self) -> float:
+        return self.grid.weight
 
     @property
     def kernel(self) -> np.ndarray:
@@ -248,7 +250,7 @@ def assemble_riesz(ell: int, grid: QuadratureGrid) -> OperatorMatrix:
         for i0, i1 in _row_blocks(len(idx)):
             block[i0:i1] = riesz_kernel(params, xh[i0:i1, None, :], xh[None, :, :], singular="zero")
         blocks.append(block)
-    return OperatorMatrix(blocks, grid.weight, grid, {"symbol": "", "ell": ell, "grid": grid.id})
+    return OperatorMatrix(blocks, grid, ell)
 
 
 def assemble_commutator(b, riesz: OperatorMatrix) -> OperatorMatrix:
@@ -273,25 +275,29 @@ def assemble_commutator(b, riesz: OperatorMatrix) -> OperatorMatrix:
         block *= K
         blocks.append(block)
         values, counts = np.unique(bh, return_counts=True)
-        cores.append(np.flatnonzero(bh != values[np.argmax(counts)]))
-    meta = {"symbol": getattr(b, "name", "symbol"), "ell": riesz.meta["ell"], "grid": grid.id}
-    return OperatorMatrix(blocks, riesz.weight, grid, meta, cores)
+        cores.append(bh != values[np.argmax(counts)])
+    return OperatorMatrix(blocks, grid, riesz.ell, getattr(b, "name", "symbol"), cores)
 
 
 def _heat_1d(t: float, d: np.ndarray) -> np.ndarray:
     return np.exp(-(d**2) / (4.0 * t)) / np.sqrt(4.0 * np.pi * t)
 
 
-def _interval_neumann_1d(t: float, x: np.ndarray, y: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Heat kernel on [a, b] with reflecting ends, by the method of images.
+def _cell_heat_1d(t: float, x: np.ndarray, walls: list) -> np.ndarray:
+    """Heat kernel between the nodes x of one cell, by the method of
+    images in its reflecting `walls`: none, one, or both ends a < b.
 
-    Images are summed until the leftover Gaussian mass is below e^-25,
-    so constants are preserved to ~1e-11 at any t.
+    Two walls sum images until the leftover Gaussian mass is below
+    e^-25, so constants are preserved to ~1e-11 at any t.
     """
-    length = b - a
+    diff = x[:, None] - x[None, :]
+    if not walls:
+        return _heat_1d(t, diff)
+    summ = x[:, None] + x[None, :] - 2.0 * walls[0]
+    if len(walls) == 1:
+        return _heat_1d(t, diff) + _REFLECTED_SIGN * _heat_1d(t, summ)
+    length = walls[1] - walls[0]
     reach = int(np.ceil(10.0 * np.sqrt(t) / (2.0 * length))) + 1
-    diff = x[:, None] - y[None, :]
-    summ = x[:, None] + y[None, :] - 2.0 * a
     out = np.zeros_like(diff)
     for i in range(-reach, reach + 1):
         out += _heat_1d(t, diff + 2.0 * i * length)
@@ -302,36 +308,33 @@ def _interval_neumann_1d(t: float, x: np.ndarray, y: np.ndarray, a: float, b: fl
 def heat_axis_matrices(t: float, grid: QuadratureGrid, kernel: str = "neumann") -> list:
     """Per-axis midpoint-rule matrices of the heat semigroup at time t.
 
-    They do not depend on the field, so a caller that evolves several
-    fields builds them once and hands each field to `apply_axis_matrices`.
+    Each axis has reflecting walls: none for "full"; x_n = 0 on the last
+    axis for "neumann"; the box faces for "neumann-box", and x_n = 0 too
+    where it lies strictly inside the box.  The walls cut the axis into
+    cells, and each cell evolves on its own.  The matrices do not depend
+    on the field, so a caller that evolves several fields builds them
+    once and hands each field to `apply_axis_matrices`.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     if kernel not in ("neumann", "full", "neumann-box"):
         raise ValueError("kernel must be 'neumann', 'full' or 'neumann-box'")
     mats = []
-    for j in range(grid.dim):
-        c = grid.axes[j]
-        dx = grid.spacing[j]
+    for j, c in enumerate(grid.axes):
+        lo, hi = grid.box[j]
         last = j == grid.dim - 1
-        if kernel == "full" or (kernel == "neumann" and not last):
-            mats.append(_heat_1d(t, c[:, None] - c[None, :]) * dx)
-        elif kernel == "neumann" and last:
-            direct = _heat_1d(t, c[:, None] - c[None, :])
-            reflected = _heat_1d(t, c[:, None] + c[None, :])
-            gate = (c[:, None] * c[None, :] >= 0.0).astype(float)
-            mats.append((direct + _REFLECTED_SIGN * reflected) * gate * dx)
-        elif kernel == "neumann-box" and not last:
-            mats.append(_interval_neumann_1d(t, c, c, grid.box[j, 0], grid.box[j, 1]) * dx)
+        if kernel == "full":
+            walls = []
+        elif kernel == "neumann":
+            walls = [0.0] if last else []
         else:
-            # interface splits the axis; reflecting walls on both sides
-            mat = np.zeros((c.size, c.size))
-            pos, neg = c > 0.0, c < 0.0
-            if np.any(pos):
-                mat[np.ix_(pos, pos)] = _interval_neumann_1d(t, c[pos], c[pos], 0.0, grid.box[j, 1])
-            if np.any(neg):
-                mat[np.ix_(neg, neg)] = _interval_neumann_1d(t, c[neg], c[neg], grid.box[j, 0], 0.0)
-            mats.append(mat * dx)
+            walls = [lo, 0.0, hi] if last and lo < 0.0 < hi else [lo, hi]
+        edges = [-np.inf, *walls, np.inf]
+        mat = np.zeros((c.size, c.size))
+        for a, b in zip(edges, edges[1:]):
+            i0, i1 = np.searchsorted(c, (a, b))
+            mat[i0:i1, i0:i1] = _cell_heat_1d(t, c[i0:i1], [w for w in (a, b) if np.isfinite(w)])
+        mats.append(mat * grid.spacing[j])
     return mats
 
 
@@ -344,13 +347,13 @@ def apply_axis_matrices(values: np.ndarray, mats: list, grid: QuadratureGrid) ->
 
 
 def apply_semigroup(f: SampledField, t: float, grid: QuadratureGrid, kernel: str = "neumann") -> SampledField:
-    """Midpoint-rule heat semigroup at time t, factored axis by axis.
+    """Midpoint-rule heat semigroup at time t, factored axis by axis
+    (walls as in `heat_axis_matrices`).
 
-    kernel="neumann" uses the reflected-and-gated kernel (independent
-    Neumann evolutions on the two half-spaces); kernel="full" uses the
-    free heat kernel on the whole box, which is what the even-extension
-    identity compares against.  kernel="neumann-box" additionally
-    reflects at the outer box walls, so per-half constants are fixed
+    kernel="neumann" evolves the two half-spaces independently;
+    kernel="full" is the free heat kernel on the whole box, which is what
+    the even-extension identity compares against.  kernel="neumann-box"
+    also reflects at the box faces, so per-half constants are fixed
     points at every t; the Besov heat route uses it to keep the norm of
     a constant at zero instead of at box-truncation size.
     """
@@ -367,7 +370,7 @@ def export_matrix(op: OperatorMatrix, path):
     path = str(path)
     mat = op.matrix
     n = op.grid.dim
-    header = struct.pack("<8sqqq", _MAGIC, n, op.grid.shape[0], int(op.meta.get("ell", 0)))
+    header = struct.pack("<8sqqq", _MAGIC, n, op.grid.shape[0], op.ell)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(mat.astype("<f8").tobytes(order="F"))
@@ -375,11 +378,11 @@ def export_matrix(op: OperatorMatrix, path):
         "magic": "NRLMAT1",
         "n": n,
         "N": op.grid.shape[0],
-        "ell": int(op.meta.get("ell", 0)),
+        "ell": op.ell,
         "rows": mat.shape[0],
         "cols": mat.shape[1],
         "weight": op.weight,
-        "symbol": str(op.meta.get("symbol", "")),
+        "symbol": op.symbol,
         "grid": op.grid.id,
         "box": [float(v) for v in op.grid.box.reshape(-1)],
     }

@@ -116,7 +116,8 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.box = tuple(tuple(float(v) for v in pair) for pair in np.atleast_2d(self.box))
+        pairs = np.atleast_2d(np.asarray(self.box, dtype=object))
+        self.box = tuple(tuple(_as_float("box entry", v) for v in pair) for pair in pairs)
         # field types are annotation strings here (postponed evaluation)
         for f in fields(self):
             if f.type == "int":
@@ -127,6 +128,9 @@ class ExperimentConfig:
             raise ValueError("box must have one (lo, hi) pair per dimension")
         if any(lo >= hi for lo, hi in self.box):
             raise ValueError("box pairs must satisfy lo < hi")
+        # every study compares the two halves
+        if not self.box[-1][0] < 0.0 < self.box[-1][1]:
+            raise ValueError(f"box must straddle x_n = 0 on its last axis, got {self.box[-1]}")
         if any(n2 <= n1 for n1, n2 in zip(self.grid_sizes, self.grid_sizes[1:])):
             raise ValueError("grid size ladder must be strictly increasing")
         if not 1 <= self.ell <= self.n:
@@ -142,7 +146,7 @@ class ExperimentConfig:
         # SVD, as an empty sup or as a silent FAIL
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "float" and not (math.isfinite(value) and value > 0.0):
+            if f.type == "float" and not (math.isfinite(_as_float(f.name, value)) and value > 0.0):
                 raise ValueError(f"{f.name} must be finite and > 0, got {value}")
         if not self.t_min < self.t_max:
             raise ValueError(f"t_min must be < t_max, got {self.t_min} >= {self.t_max}")
@@ -179,7 +183,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         kw = dict(data)
         if "box" in kw:
-            flat = [float(v) for v in np.atleast_1d(kw["box"])]
+            flat = np.asarray(kw["box"], dtype=object).ravel().tolist()
             if len(flat) % 2:
                 raise ValueError("box must flatten to lo/hi pairs")
             kw["box"] = tuple((flat[i], flat[i + 1]) for i in range(0, len(flat), 2))
@@ -202,6 +206,14 @@ def _as_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an int, got {value!r}")
     return int(value)
+
+
+def _as_float(name: str, value) -> float:
+    """`value` as a float, or a ValueError naming the field: a bool or a
+    string is not a number, even where Python would convert it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -274,13 +286,6 @@ def _halfconst_symbol(name, c_plus, c_minus):
     return Symbol(name=name, func=func, kind="perhalf-constant")
 
 
-def _sum_symbol(name, parts):
-    def func(x):
-        return sum(p(x) for p in parts)
-
-    return Symbol(name=name, func=func)
-
-
 def _default_family(n: int) -> list:
     if n != 2:
         raise ValueError("built-in symbol families are two-dimensional")
@@ -298,14 +303,8 @@ def _default_family(n: int) -> list:
 def _divergence_family(n: int) -> list:
     if n != 2:
         raise ValueError("built-in symbol families are two-dimensional")
-    multi = _sum_symbol(
-        "multiscale",
-        [
-            _bump_symbol("", (-0.4, 0.45), 0.5),
-            _bump_symbol("", (0.35, 0.35), 0.22),
-            _bump_symbol("", (0.1, 0.8), 0.1),
-        ],
-    )
+    parts = [_mollifier((-0.4, 0.45), 0.5), _mollifier((0.35, 0.35), 0.22), _mollifier((0.1, 0.8), 0.1)]
+    multi = Symbol(name="multiscale", func=lambda x: sum(part(x) for part in parts))
     return [
         multi,
         # finer feature scales than the ratio-study family on purpose: the
@@ -926,9 +925,9 @@ def verify_suite(cfg: ExperimentConfig) -> Report:
     tower_err = float(np.max(np.abs(re.values[mask] - direct.values[mask])))
     checks.append(_check("conditional_expectation_tower", tower_err, 1e-10, tower_err <= 1e-10))
 
-    delta = martingale_difference(ffld, 0, system)
+    deltas = {k: martingale_difference(ffld, k, system).values for k in (0, 1)}
     mz = max(
-        abs(float(np.mean(delta.values[nodes_in_cube(fine, c)]))) for c in system.cubes[0]
+        abs(float(np.mean(deltas[0][nodes_in_cube(fine, c)]))) for c in system.cubes[0]
     )
     checks.append(_check("martingale_mean_zero", mz, 1e-12, mz <= 1e-12))
 
@@ -967,7 +966,7 @@ def verify_suite(cfg: ExperimentConfig) -> Report:
     for ci in sel:
         c = cube_pool[ci]
         cmask = nodes_in_cube(fine, c)
-        dvals = martingale_difference(ffld, c.k, system).values[cmask]
+        dvals = deltas[c.k][cmask]
         lhs = float(np.mean(np.abs(dvals) ** cfg.p))
         coeffs = [
             abs(float(np.sum(ffld.values[cmask] * hf.evaluate(fine.nodes[cmask]) * fine.weight)))

@@ -90,15 +90,10 @@ def abs_power(x, p: float) -> np.ndarray:
 
 def _block_singular_values(block: np.ndarray, weight: float, rows, cols) -> np.ndarray:
     """Singular values of weight * block, min(block.shape) of them, given
-    the core `rows` and `cols`: block[i, j] = 0 whenever row i is outside
-    `rows` and column j is outside `cols`.  See the module docstring for
+    the boolean core masks `rows` and `cols`: block[i, j] = 0 whenever
+    rows[i] and cols[j] are both False.  See the module docstring for
     the reduction."""
-    rest_rows, rest_cols = (
-        np.setdiff1d(np.arange(size), core, assume_unique=True) for size, core in zip(block.shape, (rows, cols))
-    )
-    core, below, right = (
-        block[np.ix_(i, j)] * weight for i, j in ((rows, cols), (rest_rows, cols), (rows, rest_cols))
-    )
+    core, below, right = (block[np.ix_(i, j)] * weight for i, j in ((rows, cols), (~rows, cols), (rows, ~cols)))
     if not all(np.all(np.isfinite(piece)) for piece in (core, below, right)):
         raise ValueError("non-finite entries in matrix")
     r1 = np.linalg.qr(below, mode="r")
@@ -116,7 +111,7 @@ def singular_values(M) -> SingularSpectrum:
     """Descending singular values of a dense matrix or an OperatorMatrix.
 
     An OperatorMatrix is read block by block, each reduced to its `cores`;
-    a plain matrix is one block with every row and column in its core.
+    a plain matrix is one block whose core masks are all True.
     See the module docstring for how each block is handled.
     """
     if hasattr(M, "cores"):
@@ -125,7 +120,7 @@ def singular_values(M) -> SingularSpectrum:
         A = np.asarray(M, dtype=float)
         if A.ndim != 2:
             raise ValueError("expected a 2-d matrix")
-        blocks = [(A, 1.0, np.arange(A.shape[0]), np.arange(A.shape[1]))]
+        blocks = [(A, 1.0, np.ones(A.shape[0], dtype=bool), np.ones(A.shape[1], dtype=bool))]
     return SingularSpectrum(np.concatenate([_block_singular_values(*b) for b in blocks]))
 
 

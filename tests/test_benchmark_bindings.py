@@ -1,14 +1,17 @@
 """The benchmark's layer trace (`perfbench/layertrace.py`) wraps nrlab
 functions under the names their callers bind, listed in `WRAP_POINTS`,
-and its counters read some arguments by parameter name
-(`_param(orig, "grid")`).  A change that drops or renames one of those
-bindings or parameters leaves its per-layer metrics missing; these
-tests fail on it first."""
+its counters read some arguments by parameter name
+(`_param(orig, "grid")`), and some attributes of the wrapped call's
+result (`out.kernel`).  A change that drops or renames one of those
+bindings, parameters or attributes leaves its per-layer metrics
+missing; these tests fail on it first."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import runpy
+import typing
 from pathlib import Path
 
 import nrlab.cli  # noqa: F401  loads every module the wrap points name
@@ -55,6 +58,25 @@ def _parameters_read_by_name() -> dict:
     return reads
 
 
+def _result_attributes_read() -> dict:
+    """Counter function name -> the attribute names it reads from the
+    wrapped call's result, `out.<name>`."""
+    reads = {}
+    for node in ast.parse(LAYERTRACE.read_text(encoding="utf-8")).body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        names = sorted(
+            {
+                attr.attr
+                for attr in ast.walk(node)
+                if isinstance(attr, ast.Attribute) and isinstance(attr.value, ast.Name) and attr.value.id == "out"
+            }
+        )
+        if names:
+            reads[node.name] = names
+    return reads
+
+
 def test_every_wrapped_nrlab_binding_resolves():
     names = [(p.module, p.attr) for p in _nrlab_points()]
     assert names
@@ -77,6 +99,26 @@ def test_every_parameter_a_counter_reads_by_name_exists():
     assert checked >= 6
     assert missing == []
 
+
+def test_every_result_attribute_a_counter_reads_exists():
+    # a counter whose attribute is gone stops silently: the tracer marks
+    # it broken and reports its metrics missing
+    reads = _result_attributes_read()
+    assert reads.get("_count_assembly") == ["kernel"]
+    checked, missing = set(), []
+    for p in _nrlab_points():
+        if p.count is None or p.count.__name__ not in reads:
+            continue
+        func = _resolve(p.module, p.attr)
+        returned = typing.get_type_hints(func).get("return") if func is not None else None
+        for name in reads[p.count.__name__]:
+            fields = {f.name for f in dataclasses.fields(returned)} if dataclasses.is_dataclass(returned) else set()
+            if returned is not None and (name in fields or hasattr(returned, name)):
+                checked.add(f"{returned.__name__}.{name}")
+            else:
+                missing.append(f"{p.module}.{p.attr} -> {returned}.{name}")
+    assert missing == []
+    assert {"OperatorMatrix.kernel", "SingularSpectrum.values", "DyadicSystem.cubes"} <= checked
 
 
 def _unused_imports() -> list:

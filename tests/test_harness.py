@@ -194,6 +194,33 @@ def test_config_rejects_non_integer_integer_fields(tmp_path, overrides):
         ExperimentConfig.from_file(path)
 
 
+@pytest.mark.parametrize(
+    "overrides, match",
+    [
+        ({"p": True}, "p must be a number, got True"),
+        ({"witness_A": True}, "witness_A must be a number, got True"),
+        ({"t_max": "ten"}, "t_max must be a number, got 'ten'"),
+        ({"box": ((True, 2.0), (-2.0, 2.0))}, "box entry must be a number, got True"),
+        ({"box": (("a", 2.0), (-2.0, 2.0))}, "box entry must be a number, got 'a'"),
+        ({"box": ((-2.0, 2.0), (0.25, 4.25))}, r"box must straddle x_n = 0 on its last axis, got \(0.25, 4.25\)"),
+        ({"box": ((-2.0, 2.0), (-4.0, 0.0))}, r"box must straddle x_n = 0 on its last axis, got \(-4.0, 0.0\)"),
+    ],
+    ids=["p_bool", "witness_A_bool", "t_max_string", "box_bool", "box_string", "box_above", "box_below"],
+)
+def test_config_rejects_non_numbers_and_one_sided_boxes(tmp_path, overrides, match):
+    # built directly and loaded from a config file line, where a box is
+    # one flat lo/hi list
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig(**overrides)
+    path = tmp_path / "run.cfg"
+    write_kv_file(path, {k: [v for pair in val for v in pair] if k == "box" else val for k, val in overrides.items()})
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig.from_file(path)
+    # ints stay accepted in float fields and in the box
+    cfg = ExperimentConfig(p=4, box=((-2, 2), (-1, 3)), grid_sizes=(8,))
+    assert cfg.p == 4 and cfg.box == ((-2.0, 2.0), (-1.0, 3.0))
+
+
 def test_report_row_rejects_infinite_norms():
     with pytest.raises(ValueError, match="finite"):
         ReportRow("x", "s", 8, math.inf, 1.0, 1.0)

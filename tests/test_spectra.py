@@ -150,7 +150,7 @@ def _core_cases():
 def test_core_spectrum_matches_full_svd(case, ell):
     name, sym, N = _core_cases()[case]
     op = assemble_commutator(sym, assemble_riesz(ell, make_grid(2, ((-2.0, 2.0), (-2.0, 2.0)), N)))
-    sizes = [core.size for core in op.cores]
+    sizes = [np.count_nonzero(core) for core in op.cores]
     if name == "lifted":
         # a non-zero background is not in the core
         assert 0 < sizes[0] < len(op.blocks[0]) and sizes[1] == 0
@@ -166,7 +166,7 @@ def test_core_spectrum_matches_full_svd(case, ell):
 
 def test_core_spectrum_stays_within_twice_the_core(monkeypatch):
     op = _commutator("bump_a35", 1, N=32)
-    s = max(core.size for core in op.cores)
+    s = max(np.count_nonzero(core) for core in op.cores)
     assert 0 < s < len(op.blocks[0]) // 4
     shapes = []
     for name in ("eigvalsh", "svd"):
