@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .discretize import assemble_commutator, assemble_riesz, export_matrix, make_grid
+from .discretize import assemble_commutator, export_matrix, make_grid
 from .harness import (
     ExperimentConfig,
     divergence_study,
@@ -128,7 +128,7 @@ def main(argv=None) -> int:
         if not match:
             raise SystemExit(f"symbol {args.symbol!r} not in family {cfg.family!r}")
         grid = make_grid(cfg.n, cfg.box, cfg.grid_sizes[0])
-        op = assemble_commutator(match[0], assemble_riesz(cfg.ell, grid))
+        op = assemble_commutator(match[0], cfg.ell, grid)
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         path = out / f"matrix_{args.symbol}_N{cfg.grid_sizes[0]}.bin"

@@ -5,10 +5,13 @@ axis every node carries the same weight w = cell volume, no node ever
 sits on the interface x_n = 0, and matrix entries carry one factor of w
 so the discrete operator acts on l2(grid, w).  Singular-kernel matrices
 use a zero diagonal (principal-value convention; for the commutator the
-factor b(x)-b(y) vanishes there anyway).  Operators are stored as their
-two same-half blocks.  Neither the Riesz blocks nor the semigroup's axis
-matrices depend on the symbol: callers build them once per grid (and
-time) and apply them to every symbol.
+factor b(x)-b(y) vanishes there anyway).  An operator is stored as the
+support-core strips of its two same-half blocks: a commutator block is
+exactly zero off the rows and columns of the nodes where b leaves its
+background value on the half, so the kernel is evaluated on those rows
+and columns only, and no m x m array is formed (see `OperatorMatrix`).
+The semigroup's axis matrices do not depend on the symbol: callers build
+them once per grid and time and apply them to every symbol.
 
 The semigroup is applied in factored form, one axis at a time, which is
 algebraically identical to the dense midpoint-rule matrix but costs
@@ -41,6 +44,7 @@ __all__ = [
     "export_matrix",
     "read_matrix",
     "ball_microgrid",
+    "row_blocks",
 ]
 
 # Sign of the mirror-image term of a cell with one reflecting wall.
@@ -150,49 +154,73 @@ def make_grid(n: int, box, N: int) -> QuadratureGrid:
 
 @dataclass
 class OperatorMatrix:
-    """Kernel samples on the two same-half node blocks of one grid.
+    """An operator on l2(grid, w) stored as the support-core strips of its
+    two same-half blocks.
 
-    `blocks` holds raw kernel values K(x_i, x_j) on the plus-plus and the
-    minus-minus node pairs, in the order of `grid.half_indices()`.  The
-    kernel gate makes every cross-half value vanish, so no array holds
-    one: the discrete operator on l2(grid, w) is block-diagonal, its
-    blocks are blocks * w with w = `weight` (the grid's), and its
-    singular values are the union of theirs.  `ell` is the Riesz index
-    and `symbol` the name of the commutator's symbol ("" for the Riesz
-    operator).  `kernel` and `matrix` build the whole M x M array, with
-    +0.0 cross-half entries; `export_matrix`, verify's S^4 check and the
-    benchmark's assembly counter read them.
+    The kernel gate makes every cross-half value vanish, so the discrete
+    operator is block-diagonal, with one m x m block B per half in the
+    order of `grid.half_indices()`; its singular values are the union of
+    the blocks'.  Entries are raw kernel values, and the operator is
+    B * w with w = `weight` (the grid's).  `ell` is the Riesz index and
+    `symbol` the name of the commutator's symbol ("" for the Riesz
+    operator).
 
-    `cores` holds, per block, a boolean mask of its support core: the
-    block is exactly zero on every pair of positions outside it, and
-    `singular_values` reads only the core's rows and columns (see
-    `nrlab.spectra`).  A commutator's core is where b differs from its
-    most frequent value on the half; by default (the Riesz operator) it
-    is every position.
+    Per block, `cores` holds a boolean mask of its support core S: the
+    block is exactly zero on every pair of positions outside it.  Only
+    the core's rows and columns are stored: `row_strips` holds B[S, :]
+    (s x m) and `col_strips` holds B[:, S] (m x s).  A commutator's core
+    is where b differs from its most frequent value on the half, so a
+    per-half constant holds two empty strips; the Riesz operator's core
+    is every position, and both its strips are the whole block.
+
+    `values` holds, per block, the symbol at the half's nodes (None for
+    the Riesz operator).  `blocks`, `kernel` and `matrix` are dense views
+    for matrix export and for tests; no study or audit reads them.
+    `blocks` evaluates each half's whole block again, (b_i - b_j) K_ij
+    from `values` (K_ij alone for the Riesz operator), in row chunks.
+    The strips fix the value of every entry but not the sign of every
+    exact zero, and the export writes those signs: off the core the
+    entry is +0.0 * K_ij, and for ell < n, where the column strip is the
+    row strip's transpose, its zeros at x_ell = y_ell have the opposite
+    sign (see `assemble_commutator`).  `kernel` and `matrix` are the
+    whole M x M array, with +0.0 cross-half entries.
     """
 
-    blocks: list
     grid: QuadratureGrid
     ell: int
-    symbol: str = ""
-    cores: list = None
+    symbol: str
+    cores: list
+    row_strips: list
+    col_strips: list
+    values: list = None
 
     def __post_init__(self):
-        self.blocks = [np.asarray(B, dtype=float) for B in self.blocks]
         sizes = [len(idx) for idx in self.grid.half_indices()]
-        if [B.shape for B in self.blocks] != [(m, m) for m in sizes]:
-            raise ValueError("blocks inconsistent with the grid's half sizes")
-        if not all(np.all(np.isfinite(B)) for B in self.blocks):
-            raise ValueError("non-finite entries in matrix")
-        if self.cores is None:
-            self.cores = [np.ones(m, dtype=bool) for m in sizes]
         self.cores = [np.asarray(core) for core in self.cores]
         if [(core.dtype, core.shape) for core in self.cores] != [(np.dtype(bool), (m,)) for m in sizes]:
             raise ValueError("need one core per block: a boolean mask of the block's length")
+        self.row_strips = [np.asarray(R, dtype=float) for R in self.row_strips]
+        self.col_strips = [np.asarray(C, dtype=float) for C in self.col_strips]
+        shapes = [((np.count_nonzero(core), m), (m, np.count_nonzero(core))) for core, m in zip(self.cores, sizes)]
+        if [(R.shape, C.shape) for R, C in zip(self.row_strips, self.col_strips)] != shapes:
+            raise ValueError("need one row strip (s x m) and one column strip (m x s) per core")
+        if not all(np.all(np.isfinite(A)) for A in self.row_strips + self.col_strips):
+            raise ValueError("non-finite entries in matrix")
+        if self.values is not None and [np.shape(v) for v in self.values] != [(m,) for m in sizes]:
+            raise ValueError("need the symbol's values on each half, or None")
 
     @property
     def weight(self) -> float:
         return self.grid.weight
+
+    @property
+    def blocks(self) -> list:
+        params = KernelParams(self.grid.dim, self.ell)
+        out = []
+        for h, idx in enumerate(self.grid.half_indices()):
+            bh = None if self.values is None else self.values[h]
+            out.append(_kernel_strip(params, self.grid.nodes[idx], self.grid.nodes[idx], bh, bh))
+        return out
 
     @property
     def kernel(self) -> np.ndarray:
@@ -224,59 +252,81 @@ class Symbol:
         return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)
 
 
-def _row_blocks(total: int, block: int = 256):
-    """Row chunks of one assembly.  `riesz_kernel` holds about ten
-    temporaries of shape (chunk rows, half size); with 256-row chunks in
-    place of 512 the peak resident memory of `ratio-study --grid 32,40`
-    fell from about 77 to 65 MiB (2 vCPUs, numpy 2.4), with the same
-    values."""
-    for start in range(0, total, block):
-        yield start, min(start + block, total)
+def row_blocks(rows: int, cols: int):
+    """Row chunks of one kernel evaluation of rows x cols pairs, each of
+    at most 2^16 pairs (at least one row).  `riesz_kernel` holds about
+    nine temporaries of a chunk's shape, so a chunk holds about 4.5 MiB
+    whatever the grid; the upper audit's cross-half gate check, 512 x 512
+    pairs per half at N = 32, held 16.5 MiB in one piece."""
+    step = max(1, 2**16 // max(cols, 1))
+    for start in range(0, rows, step):
+        yield start, min(start + step, rows)
+
+
+def _kernel_strip(params: KernelParams, x: np.ndarray, y: np.ndarray, bx=None, by=None) -> np.ndarray:
+    """K_ell(x_i, y_j) with zero at coincident pairs, times b(x_i) - b(y_j)
+    when the symbol's values bx and by are given, in row chunks."""
+    out = np.empty((len(x), len(y)))
+    for i0, i1 in row_blocks(len(x), len(y)):
+        out[i0:i1] = riesz_kernel(params, x[i0:i1, None, :], y[None, :, :], singular="zero")
+        if bx is not None:
+            out[i0:i1] *= bx[i0:i1, None] - by[None, :]
+    return out
 
 
 def assemble_riesz(ell: int, grid: QuadratureGrid) -> OperatorMatrix:
-    """Same-half blocks of K_ell(x_i, x_j) w with zero diagonal.
+    """Same-half blocks of K_ell(x_i, x_j) w with zero diagonal, the core
+    every position, so that both strips are the whole block.
 
-    The kernel does not depend on the symbol, so one operator per grid
-    serves every commutator assembled on it.  First-order quadrature
-    only: without the commutator factor the principal-value singularity
-    is not resolved by the midpoint rule.
+    First-order quadrature only: without the commutator factor the
+    principal-value singularity is not resolved by the midpoint rule.
+    No study needs this operator; `assemble_commutator` evaluates the
+    kernel on the core rows and columns alone.
     """
     params = KernelParams(grid.dim, ell)
-    blocks = []
+    cores, blocks = [], []
     for idx in grid.half_indices():
-        xh = grid.nodes[idx]
-        block = np.empty((len(idx), len(idx)))
-        for i0, i1 in _row_blocks(len(idx)):
-            block[i0:i1] = riesz_kernel(params, xh[i0:i1, None, :], xh[None, :, :], singular="zero")
-        blocks.append(block)
-    return OperatorMatrix(blocks, grid, ell)
+        cores.append(np.ones(len(idx), dtype=bool))
+        blocks.append(_kernel_strip(params, grid.nodes[idx], grid.nodes[idx]))
+    return OperatorMatrix(grid, ell, "", cores, blocks, blocks)
 
 
-def assemble_commutator(b, riesz: OperatorMatrix) -> OperatorMatrix:
-    """Blocks of (b(x_i) - b(x_j)) K_ell(x_i, x_j) w, zero diagonal, from
-    the Riesz operator of the grid (`assemble_riesz`).
+def assemble_commutator(b, ell: int, grid: QuadratureGrid) -> OperatorMatrix:
+    """Core strips of (b(x_i) - b(x_j)) K_ell(x_i, x_j) w, zero diagonal.
+
+    Each block's core S is where b differs from its most frequent value
+    on the half, so a symbol on a constant background has a narrow core
+    and a per-half constant an empty one.  Off the core both nodes carry
+    that value and the entry is exactly zero, so the kernel is evaluated
+    only on the core rows: the row strip is (b_S - b) K_ell(x_S, x).  For
+    ell < n the column strip is its transpose, with no copy: there
+    K_ell(y, x) = -K_ell(x, y) (the numerator x_ell - y_ell changes sign,
+    the denominators do not), bit for bit except that x_ell = y_ell gives
+    -0.0 both ways, so the block is exactly symmetric up to the sign of
+    its zeros.  For ell = n the reflected numerator x_n + y_n does not
+    change sign, and the column strip (b - b_S) K_n(x, x_S) is evaluated
+    too.
 
     Exactly zero for per-half-constant b: the kernel gate kills pairs in
     distinct halves and b(x) - b(y) is identically zero within one half.
-    Each block's core is where b differs from its most frequent value on
-    the half, so a symbol on a constant background has a narrow core and
-    a per-half constant an empty one.
     """
-    grid = riesz.grid
     x = grid.nodes
     bv = np.asarray(b(x) if callable(b) else b, dtype=float)
     if bv.shape != (len(x),):
         raise ValueError("symbol must evaluate to one value per node")
-    blocks, cores = [], []
-    for idx, K in zip(grid.half_indices(), riesz.blocks):
-        bh = bv[idx]
-        block = bh[:, None] - bh[None, :]
-        block *= K
-        blocks.append(block)
-        values, counts = np.unique(bh, return_counts=True)
-        cores.append(bh != values[np.argmax(counts)])
-    return OperatorMatrix(blocks, grid, riesz.ell, getattr(b, "name", "symbol"), cores)
+    params = KernelParams(grid.dim, ell)
+    cores, rows, cols, values = [], [], [], []
+    for idx in grid.half_indices():
+        xh, bh = x[idx], bv[idx]
+        levels, counts = np.unique(bh, return_counts=True)
+        core = bh != levels[np.argmax(counts)]
+        row = _kernel_strip(params, xh[core], xh, bh[core], bh)
+        col = row.T if ell < grid.dim else _kernel_strip(params, xh, xh[core], bh, bh[core])
+        cores.append(core)
+        rows.append(row)
+        cols.append(col)
+        values.append(bh)
+    return OperatorMatrix(grid, ell, getattr(b, "name", "symbol"), cores, rows, cols, values)
 
 
 def _heat_1d(t: float, d: np.ndarray) -> np.ndarray:

@@ -22,10 +22,10 @@ from .discretize import (
     Symbol,
     apply_semigroup,
     assemble_commutator,
-    assemble_riesz,
     ball_microgrid,
     check_grid,
     make_grid,
+    row_blocks,
 )
 from .dyadic import (
     SampledField,
@@ -53,8 +53,8 @@ from .kernels import (
 from .kvconfig import read_kv_file, write_kv_file
 from .spectra import (
     abs_power,
-    column_norms,
     mixed_norm,
+    operator_column_norms,
     russo_bound,  # noqa: F401  no caller here; perfbench's layer trace wraps this binding
     schatten_norm,
     singular_values,
@@ -524,8 +524,8 @@ def _oscillation_partials(family: list, cfg: ExperimentConfig, systems: list, pp
 # studies
 
 
-def _commutator_spectrum(sym: Symbol, riesz, p: float):
-    op = assemble_commutator(sym, riesz)
+def _commutator_spectrum(sym: Symbol, ell: int, grid, p: float):
+    op = assemble_commutator(sym, ell, grid)
     spec = singular_values(op)
     return op, spec, schatten_norm(spec, p)
 
@@ -550,11 +550,10 @@ def ratio_study(cfg: ExperimentConfig) -> Report:
     for N in cfg.grid_sizes:
         grid = make_grid(cfg.n, cfg.box, N)
         shift_grid = default_shift_grid(grid, cfg.shift_per_decade, cfg.shift_angles)
-        riesz = assemble_riesz(cfg.ell, grid)
         heat = besov_heat_norm(family, params, grid, t_grid)
         ext = besov_neumann_norm(family, params, grid, shift_grid)
         for sym, b_heat, b_ext in zip(family, heat, ext):
-            spec, s_norm = _commutator_spectrum(sym, riesz, cfg.p)[1:]
+            spec, s_norm = _commutator_spectrum(sym, cfg.ell, grid, cfg.p)[1:]
             if N == cfg.grid_sizes[-1]:
                 spectra[f"ratio_{sym.name}_N{N}"] = (spec, None)
             degenerate = sym.kind == "perhalf-constant"
@@ -580,9 +579,6 @@ def ratio_study(cfg: ExperimentConfig) -> Report:
             )
             if not note:
                 ratios.setdefault(sym.name, {})[N] = ratio
-        # no operator of this grid may stay alive through the next grid's
-        # assembly, where the study's memory peaks
-        del riesz
     n_top = cfg.grid_sizes[-1]
     top = [r[n_top] for r in ratios.values() if n_top in r]
     if not top:
@@ -628,12 +624,10 @@ def divergence_study(cfg: ExperimentConfig) -> Report:
     spectra = {}
     norms = {}
     for N in cfg.grid_sizes:
-        riesz = assemble_riesz(cfg.ell, make_grid(cfg.n, cfg.box, N))
+        grid = make_grid(cfg.n, cfg.box, N)
         for sym in family:
-            spec, norms[sym.name, N] = _commutator_spectrum(sym, riesz, cfg.p)[1:]
+            spec, norms[sym.name, N] = _commutator_spectrum(sym, cfg.ell, grid, cfg.p)[1:]
             spectra[f"divergence_{sym.name}_N{N}"] = (spec, None)
-        # as in ratio_study: free this grid's operators before the next
-        del riesz
     oscillation = _oscillation_partials(family, cfg, _lattice_systems(cfg, cfg.stat_k_max))
     rows = []
     growth_ok = True
@@ -696,9 +690,8 @@ def lower_bound_audit(cfg: ExperimentConfig, N: int = None) -> Report:
     }
     constants = {name: [] for name in limits}
     grid = make_grid(cfg.n, cfg.box, N)
-    riesz = assemble_riesz(cfg.ell, grid)
     systems = _lattice_systems(cfg, min(finest_resolved_generation(grid), cfg.stat_k_max))
-    norms = [_commutator_spectrum(sym, riesz, cfg.p)[2] for sym in family]
+    norms = [_commutator_spectrum(sym, cfg.ell, grid, cfg.p)[2] for sym in family]
     fields = [SampledField(grid, sym(grid.nodes)) for sym in family]
     # every statistic takes the whole family and builds its
     # symbol-independent geometry and labels once per audit
@@ -743,6 +736,15 @@ def lower_bound_audit(cfg: ExperimentConfig, N: int = None) -> Report:
     return Report("lower-audit", rows, summary, passed)
 
 
+def _kernel_vanishes(params: KernelParams, x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether K_ell(x_i, y_j) == 0.0 on every pair, evaluated in
+    `row_blocks` chunks and stopping at the first non-zero chunk."""
+    return all(
+        np.all(riesz_kernel(params, x[i0:i1, None, :], y[None, :, :]) == 0.0)
+        for i0, i1 in row_blocks(len(x), len(y))
+    )
+
+
 def upper_bound_audit(cfg: ExperimentConfig, N: int = None) -> Report:
     """Checks weak-Schatten(commutator) <= kernel-factorization bound
     times the configured slack, plus the exact half-space split of the
@@ -760,21 +762,17 @@ def upper_bound_audit(cfg: ExperimentConfig, N: int = None) -> Report:
     grid = make_grid(cfg.n, cfg.box, N)
     params = KernelParams(cfg.n, cfg.ell)
     xp, xm = grid.nodes[grid.mask_plus], grid.nodes[grid.mask_minus]
-    cross_zero = bool(
-        np.all(riesz_kernel(params, xp[:, None, :], xm[None, :, :]) == 0.0)
-        and np.all(riesz_kernel(params, xm[:, None, :], xp[None, :, :]) == 0.0)
-    )
-    riesz = assemble_riesz(cfg.ell, grid)
+    cross_zero = _kernel_vanishes(params, xp, xm) and _kernel_vanishes(params, xm, xp)
     for sym in symbol_family(cfg.family, cfg.n):
-        op, spec, s_norm = _commutator_spectrum(sym, riesz, cfg.p)
+        op, spec, s_norm = _commutator_spectrum(sym, cfg.ell, grid, cfg.p)
         weak = weak_schatten_norm(spec, cfg.p)
         # the full mixed norm is the direct half of the Russo bound, as
-        # russo_bound computes it; both read the two same-half blocks, so
-        # no whole M x M kernel is built.  The same-half norms reuse the
-        # full norm's per-block column norms.
-        inner = column_norms(op.blocks, cfg.p, op.weight)
+        # russo_bound computes it on the dense blocks; here both halves
+        # come from the core strips, bit for bit.  The same-half norms
+        # reuse the full norm's per-block column norms.
+        inner = operator_column_norms(op, cfg.p)
         k_full = weak_outer_norm(np.concatenate(inner), cfg.p, op.weight)
-        adjoint = mixed_norm([B.T for B in op.blocks], cfg.p, op.weight)
+        adjoint = weak_outer_norm(np.concatenate(operator_column_norms(op, cfg.p, adjoint=True)), cfg.p, op.weight)
         bound = float(np.sqrt(k_full * adjoint))
         spectra[f"upper_{sym.name}_N{N}"] = (
             spec,
@@ -857,9 +855,19 @@ def verify_suite(cfg: ExperimentConfig) -> Report:
     status "info" record measurements that are reported but
     intentionally not asserted.
     """
+    n = cfg.n
+    # the even-extension check mirrors this grid across x_n = 0, so a box
+    # that is not symmetric there is refused before any check runs
+    grid = make_grid(n, cfg.box, 48)
+    try:
+        mirror = grid.mirror_index()
+    except ValueError:
+        lo, hi = cfg.box[-1]
+        raise ValueError(
+            f"verify needs box symmetric across x_n = 0 on its last axis, got ({lo!r}, {hi!r})"
+        ) from None
     rng = np.random.default_rng(cfg.seed)
     checks = []
-    n = cfg.n
     params = KernelParams(n, cfg.ell)
 
     # kernel gating on cross-half pairs
@@ -873,7 +881,6 @@ def verify_suite(cfg: ExperimentConfig) -> Report:
     checks.append(_check("heat_cross_half_zero", heat_gate, 0.0, heat_gate == 0.0))
 
     # semigroup identities on a grid sized for t+s
-    grid = make_grid(n, cfg.box, 48)
     ones = SampledField(grid, np.ones(len(grid.nodes)))
     t, s = 0.01, 0.02
     interior = np.all(np.abs(grid.nodes) < 1.0, axis=1)
@@ -888,7 +895,6 @@ def verify_suite(cfg: ExperimentConfig) -> Report:
     comp_err = float(np.max(np.abs(comp - once)))
     checks.append(_check("semigroup_composition", comp_err, 1e-6, comp_err <= 1e-6))
 
-    mirror = grid.mirror_index()
     plus_vals = np.where(grid.mask_plus, fld.values, 0.0)
     even_vals = plus_vals + plus_vals[mirror]
     route_a = apply_semigroup(SampledField(grid, plus_vals), t, grid).values
@@ -945,7 +951,7 @@ def verify_suite(cfg: ExperimentConfig) -> Report:
     small = make_grid(n, cfg.box, 16)
     s4_err = 0.0
     for ell in sorted({1, n}):
-        op = assemble_commutator(odd, assemble_riesz(ell, small))
+        op = assemble_commutator(odd, ell, small)
         s4 = float(np.sum(singular_values(op).values ** 4))
         gram = op.matrix.T @ op.matrix
         fro2 = float(np.sum(gram * gram))

@@ -1,25 +1,27 @@
 """Singular spectra, Schatten and weak Schatten norms, mixed kernel norms.
 
 Spectra are taken block by block.  An assembled Neumann operator is
-stored as its plus-plus and minus-minus blocks (the kernel gate kills
-cross-half pairs), and its singular values are the union of theirs; a
-plain matrix is one block.
+block-diagonal, with a plus-plus and a minus-minus block (the kernel
+gate kills cross-half pairs), and its singular values are the union of
+theirs; a plain matrix is one block.
 
-Each block is reduced to its support core first.  A commutator block
+Each block is read from its support core.  A commutator block
 (b(x_i) - b(x_j)) K(x_i, x_j) w vanishes wherever b takes its background
 value at both nodes: off the core S (the nodes where b differs from its
 most frequent value on the half), the factor b_i - b_j is exactly 0.0,
-so with C the rest of the block B_CC = 0 K_CC = +-0.0.  Then, with
-B_CS = Q1 R1 and B_SC^T = Q2 R2 (QR, orthonormal columns),
+so with C the rest of the block B_CC = 0 K_CC = +-0.0.  An OperatorMatrix
+stores only the core's row strip B[S, :] and column strip B[:, S].
+Then, with B_CS = Q1 R1 and B_SC^T = Q2 R2 (QR, orthonormal columns),
 
     [[B_SS, B_SC], [B_CS, 0]] = diag(I, Q1) [[B_SS, R2^T], [R1, 0]] diag(I, Q2^T),
 
 an orthogonal equivalence: B has the singular values of the small
 matrix H on the right, of size s + min(s, m - s), and zeros for the
-rest.  Only B_SS, B_CS and B_SC are read and weighted, so a block costs
+rest.  B_SS and B_SC come from the row strip and B_CS from the column
+strip, and only they are weighted, so a block costs
 O(m s^2) for the two QRs and O((2s)^3) for H's spectrum instead of
-O(m^3).  An exactly symmetric block (the commutator for ell < n, where
-K_ell(y,x) = -K_ell(x,y) bit for bit) has a symmetric H (R2 = R1), and
+O(m^3).  An exactly symmetric block (the commutator for ell < n, whose
+column strip is its row strip's transpose) has a symmetric H (R2 = R1), and
 its singular values are the absolute eigenvalues of H (`eigvalsh`); any
 other H goes through a values-only SVD.  An empty core (a per-half
 constant) gives exact zeros; a plain matrix, or the Riesz operator, has
@@ -37,8 +39,10 @@ the only slack against the assembled matrix is quadrature error.
 Each norm takes one input form: the Schatten norms a spectrum, the
 mixed norms a list of diagonal kernel blocks and one quadrature weight.
 A mixed norm is `column_norms` followed by an outer norm, so a caller
-that needs several outer norms of the same columns (the upper audit)
-makes one pass over the blocks.
+that needs several outer norms of the same columns makes one pass over
+the blocks.  `operator_column_norms` gives an OperatorMatrix's column
+norms, and its adjoint's, bit for bit from the core strips; the upper
+audit takes its mixed norms from it, and no m x m block is formed.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ __all__ = [
     "schatten_norm",
     "weak_schatten_norm",
     "column_norms",
+    "operator_column_norms",
     "weak_outer_norm",
     "mixed_norm",
     "russo_bound",
@@ -88,12 +93,10 @@ def abs_power(x, p: float) -> np.ndarray:
     return out
 
 
-def _block_singular_values(block: np.ndarray, weight: float, rows, cols) -> np.ndarray:
-    """Singular values of weight * block, min(block.shape) of them, given
-    the boolean core masks `rows` and `cols`: block[i, j] = 0 whenever
-    rows[i] and cols[j] are both False.  See the module docstring for
-    the reduction."""
-    core, below, right = (block[np.ix_(i, j)] * weight for i, j in ((rows, cols), (~rows, cols), (rows, ~cols)))
+def _block_singular_values(core, below, right) -> np.ndarray:
+    """Singular values of the block [[core, right], [below, 0]], as many
+    as the smaller side of it, from its weighted pieces B_SS, B_CS and
+    B_SC.  See the module docstring for the reduction."""
     if not all(np.all(np.isfinite(piece)) for piece in (core, below, right)):
         raise ValueError("non-finite entries in matrix")
     r1 = np.linalg.qr(below, mode="r")
@@ -104,24 +107,35 @@ def _block_singular_values(block: np.ndarray, weight: float, rows, cols) -> np.n
         r2 = np.linalg.qr(right.T, mode="r")
         h = np.block([[core, r2.T], [r1, np.zeros((len(r1), len(r2)))]])
         vals = np.linalg.svd(h, compute_uv=False)
-    return np.concatenate([vals, np.zeros(min(block.shape) - vals.size)])
+    size = min(len(core) + len(below), core.shape[1] + right.shape[1])
+    return np.concatenate([vals, np.zeros(size - vals.size)])
+
+
+def _core_pieces(core, R, C, weight: float) -> tuple:
+    """B_SS and B_SC from the row strip R and B_CS from the column strip
+    C, each gathered once and weighted in place."""
+    pieces = R[:, core], C[~core], R[:, ~core]
+    for piece in pieces:
+        piece *= weight
+    return pieces
 
 
 def singular_values(M) -> SingularSpectrum:
     """Descending singular values of a dense matrix or an OperatorMatrix.
 
-    An OperatorMatrix is read block by block, each reduced to its `cores`;
-    a plain matrix is one block whose core masks are all True.
-    See the module docstring for how each block is handled.
+    An OperatorMatrix is read block by block from its core strips: B_SS
+    and B_SC from the row strip, B_CS from the column strip.  A plain
+    matrix is one block whose core is every position.  See the module
+    docstring for how each block is handled.
     """
-    if hasattr(M, "cores"):
-        blocks = [(B, M.weight, core, core) for B, core in zip(M.blocks, M.cores)]
+    if hasattr(M, "row_strips"):
+        pieces = (_core_pieces(core, R, C, M.weight) for core, R, C in zip(M.cores, M.row_strips, M.col_strips))
     else:
         A = np.asarray(M, dtype=float)
         if A.ndim != 2:
             raise ValueError("expected a 2-d matrix")
-        blocks = [(A, 1.0, np.ones(A.shape[0], dtype=bool), np.ones(A.shape[1], dtype=bool))]
-    return SingularSpectrum(np.concatenate([_block_singular_values(*b) for b in blocks]))
+        pieces = [(A, A[:0], A[:, :0])]
+    return SingularSpectrum(np.concatenate([_block_singular_values(*piece) for piece in pieces]))
 
 
 def _spectrum_values(s) -> np.ndarray:
@@ -172,11 +186,51 @@ def column_norms(blocks, p: float, weight: float) -> list:
         raise ValueError("expected a non-empty list of 2-d kernel blocks")
     if np.ndim(weight) != 0 or not weight > 0:
         raise ValueError("weight must be one positive quadrature weight")
+    return [np.sum(_weighted_powers(B, p, weight), axis=0) ** (1.0 / p) for B in blocks]
+
+
+def _weighted_powers(x, p: float, weight: float) -> np.ndarray:
+    """|x|^p * weight, the terms of an inner L^p(weight) norm."""
+    terms = abs_power(np.asarray(x, dtype=float), p)
+    terms *= weight
+    return terms
+
+
+def operator_column_norms(op, p: float, adjoint: bool = False) -> list:
+    """`column_norms` of an OperatorMatrix's blocks (of their transposes
+    with `adjoint`), bit for bit, read from its core strips.
+
+    A core column is the column strip's.  An off-core column is zero off
+    the core rows, so its terms are the row strip's; likewise a core row
+    is the row strip's and an off-core row is zero off the core columns.
+    The sums run in the order `column_norms` takes on the dense block.  A
+    block's columns are added row by row, top to bottom (a cumulative
+    sum, since an axis-0 sum over a single column is pairwise instead);
+    zero rows add nothing.  A transposed block's columns are the block's
+    rows, which are contiguous, so numpy sums each pairwise; that order
+    depends on where the zeros sit, so each off-core row is laid back
+    into a zero row, a chunk of rows at a time, before it is summed.
+    """
+    if p <= 2:
+        raise ValueError("mixed norm requires p > 2")
+    w = op.weight
     inner = []
-    for B in blocks:
-        terms = abs_power(np.asarray(B, dtype=float), p)
-        terms *= weight
-        inner.append(np.sum(terms, axis=0) ** (1.0 / p))
+    for core, R, C in zip(op.cores, op.row_strips, op.col_strips):
+        sums = np.zeros(len(core))
+        if adjoint:
+            sums[core] = np.sum(_weighted_powers(R, p, w), axis=1)
+            rest = np.flatnonzero(~core)
+            terms = _weighted_powers(C[rest], p, w)
+            for i0 in range(0, len(rest), 256):
+                part = slice(i0, i0 + 256)
+                rows = np.zeros((len(rest[part]), len(core)))
+                rows[:, core] = terms[part]
+                sums[rest[part]] = np.sum(rows, axis=1)
+        else:
+            for cols, terms in ((core, C), (~core, R[:, ~core])):
+                if len(terms):
+                    sums[cols] = np.cumsum(_weighted_powers(terms, p, w), axis=0)[-1]
+        inner.append(sums ** (1.0 / p))
     return inner
 
 

@@ -31,6 +31,7 @@ from nrlab.discretize import (
 from nrlab.dyadic import SampledField
 from nrlab.harness import symbol_family
 from nrlab.kernels import Ball, KernelParams, riesz_kernel
+from nrlab.spectra import singular_values
 
 BOX = ((-2.0, 2.0), (-2.0, 2.0))
 
@@ -90,7 +91,7 @@ def test_commutator_per_half_constant_is_exact_zero():
 
     for N in (16, 32, 64):
         grid = make_grid(2, BOX, N)
-        op = assemble_commutator(b, assemble_riesz(1, grid))
+        op = assemble_commutator(b, 1, grid)
         assert not np.any(op.matrix)
 
 
@@ -104,7 +105,7 @@ def test_commutator_two_node_hand_value():
         spacing=np.array([0.5, 0.5]),
         weight=1.0,
     )
-    op = assemble_commutator(lambda p: np.asarray(p)[..., 1], assemble_riesz(2, grid))
+    op = assemble_commutator(lambda p: np.asarray(p)[..., 1], 2, grid)
     k12 = riesz_kernel(KernelParams(2, 2), nodes[0], nodes[1])
     k21 = riesz_kernel(KernelParams(2, 2), nodes[1], nodes[0])
     assert op.matrix[0, 0] == 0.0 and op.matrix[1, 1] == 0.0
@@ -114,15 +115,15 @@ def test_commutator_two_node_hand_value():
 
 def test_commutator_sign_flips_with_symbol():
     grid = make_grid(2, BOX, 16)
-    op_pos = assemble_commutator(_bump, assemble_riesz(1, grid))
-    op_neg = assemble_commutator(lambda p: -_bump(p), assemble_riesz(1, grid))
+    op_pos = assemble_commutator(_bump, 1, grid)
+    op_neg = assemble_commutator(lambda p: -_bump(p), 1, grid)
     assert np.array_equal(op_neg.matrix, -op_pos.matrix)
 
 
 def test_commutator_cross_half_entries_are_positive_zero():
     grid = make_grid(2, BOX, 16)
     for ell in (1, 2):
-        op = assemble_commutator(lambda p: _bump(p, (0.2, 0.0), 0.8), assemble_riesz(ell, grid))
+        op = assemble_commutator(lambda p: _bump(p, (0.2, 0.0), 0.8), ell, grid)
         for rows, cols in ((grid.mask_plus, grid.mask_minus), (grid.mask_minus, grid.mask_plus)):
             cross = op.matrix[np.ix_(rows, cols)]
             assert np.all(cross == 0.0) and not np.any(np.signbit(cross))
@@ -132,15 +133,15 @@ def test_commutator_symmetric_exactly_for_tangential_ell():
     # K_l(y, x) = -K_l(x, y) bit for bit for l < n; the normal kernel's
     # reflected term is swap-symmetric instead
     grid = make_grid(2, BOX, 16)
-    m1 = assemble_commutator(_bump, assemble_riesz(1, grid)).matrix
-    m2 = assemble_commutator(_bump, assemble_riesz(2, grid)).matrix
+    m1 = assemble_commutator(_bump, 1, grid).matrix
+    m2 = assemble_commutator(_bump, 2, grid).matrix
     assert np.array_equal(m1, m1.T)
     assert not np.array_equal(m2, m2.T)
 
 
 def test_half_blocks_split():
     grid = make_grid(2, BOX, 8)
-    op = assemble_commutator(lambda p: _bump(p, (0.2, 0.0), 0.8), assemble_riesz(2, grid))
+    op = assemble_commutator(lambda p: _bump(p, (0.2, 0.0), 0.8), 2, grid)
     plus, minus = grid.mask_plus, grid.mask_minus
     blocks = [B * op.weight for B in op.blocks]
     assert len(blocks) == 2
@@ -148,29 +149,58 @@ def test_half_blocks_split():
     assert np.array_equal(blocks[1], op.matrix[np.ix_(minus, minus)])
 
 
-def _per_symbol_matrix(b, ell, grid):
-    """The whole weighted commutator matrix from one kernel pass per
-    symbol: same-half pairs in row chunks of 512, cross-half entries left
-    at +0.0."""
+def _whole_blocks(b, ell, grid):
+    """Each half's whole block (b_i - b_j) K_ij, unweighted, from one
+    kernel pass per symbol in row chunks of 512: the dense assembly the
+    core strips replace."""
     params = KernelParams(grid.dim, ell)
     bv = b(grid.nodes)
-    kernel = np.zeros((len(bv), len(bv)))
+    blocks = []
     for idx in grid.half_indices():
-        xh = grid.nodes[idx]
+        xh, bh = grid.nodes[idx], bv[idx]
+        block = np.empty((len(idx), len(idx)))
         for i0 in range(0, len(idx), 512):
-            rows = idx[i0 : i0 + 512]
             K = riesz_kernel(params, xh[i0 : i0 + 512, None, :], xh[None, :, :], singular="zero")
-            kernel[rows[:, None], idx] = (bv[rows, None] - bv[None, idx]) * K
+            block[i0 : i0 + 512] = (bh[i0 : i0 + 512, None] - bh[None, :]) * K
+        blocks.append(block)
+    return blocks
+
+
+def _per_symbol_matrix(b, ell, grid):
+    """The whole weighted commutator matrix from `_whole_blocks`,
+    cross-half entries left at +0.0."""
+    kernel = np.zeros((len(grid.nodes), len(grid.nodes)))
+    for idx, block in zip(grid.half_indices(), _whole_blocks(b, ell, grid)):
+        kernel[np.ix_(idx, idx)] = block
     return kernel * grid.weight
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+@pytest.mark.parametrize("family", ["default", "divergence"])
+def test_strips_are_the_core_rows_and_columns_of_the_whole_blocks(family, ell):
+    # the row strip is B[S, :] bit for bit, signed zeros included; for
+    # ell = n so is the column strip B[:, S].  For ell < n the column
+    # strip is the row strip's transpose, with no copy: the same values,
+    # with the opposite zero where x_1 = y_1 (see test_kernels.py)
+    grid = make_grid(2, BOX, 32)
+    for sym in symbol_family(family, 2):
+        op = assemble_commutator(sym, ell, grid)
+        assert op.ell == ell and op.symbol == sym.name
+        for block, core, R, C in zip(_whole_blocks(sym, ell, grid), op.cores, op.row_strips, op.col_strips):
+            assert R.tobytes() == block[core].tobytes()
+            if ell == 2:
+                assert C.tobytes() == block[:, core].tobytes()
+            else:
+                assert C.base is R
+                assert np.array_equal(C, block[:, core])
 
 
 @pytest.mark.parametrize("ell", [1, 2])
 def test_shared_riesz_blocks_match_per_symbol_assembly(ell):
     # N = 40 puts 800 nodes in each half, so the rows span several chunks
     grid = make_grid(2, BOX, 40)
-    riesz = assemble_riesz(ell, grid)
     for sym in symbol_family("default", 2):
-        op = assemble_commutator(sym, riesz)
+        op = assemble_commutator(sym, ell, grid)
         want = _per_symbol_matrix(sym, ell, grid)
         assert np.array_equal(op.matrix, want)
         for idx, block in zip(grid.half_indices(), (B * op.weight for B in op.blocks)):
@@ -182,7 +212,7 @@ def test_stored_blocks_are_exactly_symmetric_for_tangential_ell():
     riesz = assemble_riesz(1, grid)
     assert all(np.array_equal(K, -K.T) for K in riesz.blocks)
     for sym in symbol_family("default", 2):
-        for B in assemble_commutator(sym, riesz).blocks:
+        for B in assemble_commutator(sym, 1, grid).blocks:
             assert np.array_equal(B, B.T)
 
 
@@ -190,9 +220,8 @@ def test_control_blocks_are_exact_zeros():
     grid = make_grid(2, BOX, 16)
     controls = [s for s in symbol_family("default", 2) if s.kind == "perhalf-constant"]
     for ell in (1, 2):
-        riesz = assemble_riesz(ell, grid)
         for sym in controls:
-            for B in assemble_commutator(sym, riesz).blocks:
+            for B in assemble_commutator(sym, ell, grid).blocks:
                 assert np.all(B == 0.0)
 
 
@@ -217,16 +246,23 @@ def test_half_indices_reject_interface_nodes():
 
 def test_operator_matrix_validation():
     grid = make_grid(2, BOX, 4)
-    with pytest.raises(ValueError, match="half sizes"):
-        OperatorMatrix(blocks=[np.ones((8, 8))], grid=grid, ell=1)
-    with pytest.raises(ValueError, match="half sizes"):
-        OperatorMatrix(blocks=[np.ones((8, 8)), np.ones((8, 7))], grid=grid, ell=1)
+    full, empty = np.ones(8, dtype=bool), np.zeros(8, dtype=bool)
+    narrow = np.arange(8) < 3
+    strips = [np.zeros((8, 8)), np.zeros((8, 8))]
+    for rows, cols, cores in (
+        ([np.ones((8, 8))], [np.ones((8, 8))], [full, full]),
+        (strips, [np.zeros((8, 8)), np.zeros((8, 7))], [full, full]),
+        (strips, strips, [narrow, full]),
+        ([np.zeros((3, 8)), np.zeros((8, 8))], [np.zeros((3, 8)), np.zeros((8, 8))], [narrow, full]),
+    ):
+        with pytest.raises(ValueError, match="one row strip"):
+            OperatorMatrix(grid, 1, "", cores, rows, cols)
     bad = np.zeros((8, 8))
     bad[0, 0] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
-        OperatorMatrix(blocks=[np.zeros((8, 8)), bad], grid=grid, ell=1)
-    zeros = [np.zeros((8, 8)), np.zeros((8, 8))]
-    full = np.ones(8, dtype=bool)
+        OperatorMatrix(grid, 1, "", [full, full], [np.zeros((8, 8)), bad], strips)
+    with pytest.raises(ValueError, match="non-finite"):
+        OperatorMatrix(grid, 1, "", [full, full], strips, [bad, np.zeros((8, 8))])
     for cores, match in (
         ([full], "one core per block"),
         ([np.arange(8), full], "boolean mask"),
@@ -237,10 +273,16 @@ def test_operator_matrix_validation():
         ([np.ones(7, dtype=bool), full], "boolean mask"),
     ):
         with pytest.raises(ValueError, match=match):
-            OperatorMatrix(zeros, grid, 1, "", cores)
-    op = OperatorMatrix(zeros, grid, 2, "b")
-    assert op.weight == grid.weight and (op.ell, op.symbol) == (2, "b")
+            OperatorMatrix(grid, 1, "", cores, strips, strips)
+    with pytest.raises(ValueError, match="symbol's values"):
+        OperatorMatrix(grid, 1, "", [full, full], strips, strips, [np.zeros(8)])
+    op = OperatorMatrix(grid, 2, "b", [full, full], strips, strips)
+    assert op.weight == grid.weight and (op.ell, op.symbol, op.values) == (2, "b", None)
     assert all(np.array_equal(core, full) for core in op.cores)
+    # an empty core holds two empty strips
+    op = OperatorMatrix(grid, 1, "c", [empty, empty], [np.zeros((0, 8))] * 2, [np.zeros((8, 0))] * 2, [np.ones(8)] * 2)
+    assert [R.shape for R in op.row_strips] == [(0, 8), (0, 8)]
+    assert all(np.all(B == 0.0) for B in op.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +292,9 @@ def test_operator_matrix_validation():
 @pytest.mark.parametrize("N", [16, 32])
 def test_commutator_vanishes_off_its_core(N):
     grid = make_grid(2, BOX, N)
-    riesz = assemble_riesz(2, grid)
     symbols = symbol_family("default", 2) + symbol_family("divergence", 2)
     for sym in symbols:
-        op = assemble_commutator(sym, riesz)
+        op = assemble_commutator(sym, 2, grid)
         for idx, block, core in zip(grid.half_indices(), op.blocks, op.cores):
             bh = sym(grid.nodes[idx])
             rest = ~core
@@ -266,11 +307,22 @@ def test_commutator_vanishes_off_its_core(N):
             assert all(np.count_nonzero(core) == 0 for core in op.cores)
 
 
+def test_per_half_constant_holds_no_strip():
+    grid = make_grid(2, BOX, 16)
+    for ell in (1, 2):
+        for sym in (s for s in symbol_family("default", 2) if s.kind == "perhalf-constant"):
+            op = assemble_commutator(sym, ell, grid)
+            assert [R.shape for R in op.row_strips] == [(0, 128), (0, 128)]
+            assert [C.shape for C in op.col_strips] == [(128, 0), (128, 0)]
+            s = singular_values(op).values
+            assert s.size == 256 and np.all(s == 0.0)
+
+
 def test_core_background_is_the_most_frequent_value():
     grid = make_grid(2, BOX, 16)
     sym = next(s for s in symbol_family("default", 2) if s.name == "bump_a35")
-    lifted = assemble_commutator(lambda x: sym(x) + 0.7, assemble_riesz(1, grid))
-    plain = assemble_commutator(sym, assemble_riesz(1, grid))
+    lifted = assemble_commutator(lambda x: sym(x) + 0.7, 1, grid)
+    plain = assemble_commutator(sym, 1, grid)
     for a, b in zip(lifted.cores, plain.cores):
         assert np.array_equal(a, b)
     assert np.count_nonzero(lifted.cores[0]) > 0 and np.count_nonzero(lifted.cores[1]) == 0
@@ -478,7 +530,7 @@ def test_semigroup_rejects_bad_t():
 
 def test_matrix_export_roundtrip(tmp_path):
     grid = make_grid(2, ((-1.0, 1.0), (-1.0, 1.0)), 8)
-    op = assemble_commutator(_bump, assemble_riesz(2, grid))
+    op = assemble_commutator(_bump, 2, grid)
     path = tmp_path / "mat.bin"
     export_matrix(op, path)
     mat, header, sidecar = read_matrix(path)
@@ -496,7 +548,7 @@ def test_matrix_export_roundtrip(tmp_path):
 def test_export_bytes_are_zeros_plus_blocks(tmp_path):
     grid = make_grid(2, BOX, 8)
     odd = next(s for s in symbol_family("default", 2) if s.name == "odd_bump")
-    op = assemble_commutator(odd, assemble_riesz(2, grid))
+    op = assemble_commutator(odd, 2, grid)
     path = tmp_path / "mat.bin"
     export_matrix(op, path)
     whole = np.zeros((64, 64))
@@ -521,7 +573,7 @@ def test_export_bytes_are_zeros_plus_blocks(tmp_path):
 def test_export_read_roundtrip_property(N, ell, width, height, data):
     grid = make_grid(2, ((-0.5 * width, 0.5 * width), (-height, height)), N)
     values = data.draw(arrays(np.float64, len(grid.nodes), elements=st.floats(-1e6, 1e6)))
-    op = assemble_commutator(values, assemble_riesz(ell, grid))
+    op = assemble_commutator(values, ell, grid)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "mat.bin"
         export_matrix(op, path)

@@ -1,8 +1,10 @@
 """Experiment harness: config round-trips, symbol families, study drivers
 at smoke scale, the verification suite, CSV determinism, and the CLI."""
 
+import hashlib
 import itertools
 import math
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 from nrlab.cli import main as cli_main
-from nrlab.discretize import Symbol, assemble_commutator, assemble_riesz, ball_microgrid, make_grid, read_matrix
+from nrlab.discretize import Symbol, assemble_commutator, ball_microgrid, make_grid, read_matrix
 from nrlab.dyadic import Cube, SampledField, box_midpoint_mean, build_system, finest_resolved_generation, median
 from nrlab.harness import (
     ExperimentConfig,
@@ -321,21 +323,28 @@ def _count_calls(monkeypatch, module, names):
 
 
 def test_studies_build_symbol_independent_operators_once_per_grid(monkeypatch):
-    from nrlab import harness
+    # no study assembles a Riesz operator: each commutator evaluates the
+    # kernel on its own core strips; the Besov routes and the dyadic
+    # systems are still built once per grid for the whole family
+    from nrlab import discretize, harness
 
-    names = ("assemble_riesz", "besov_heat_norm", "besov_neumann_norm", "build_system")
+    assert not hasattr(harness, "assemble_riesz")
+    riesz_calls = _count_calls(monkeypatch, discretize, ("assemble_riesz",))
+    names = ("assemble_commutator", "besov_heat_norm", "besov_neumann_norm", "build_system")
     calls = _count_calls(monkeypatch, harness, names)
     ratio_study(ExperimentConfig(**SMOKE))
-    assert calls == {"assemble_riesz": 2, "besov_heat_norm": 2, "besov_neumann_norm": 2, "build_system": 0}
+    assert calls == {"assemble_commutator": 2 * 7, "besov_heat_norm": 2, "besov_neumann_norm": 2, "build_system": 0}
 
     calls.update(dict.fromkeys(calls, 0))
     divergence_study(ExperimentConfig(p=2.0, family="divergence", grid_sizes=(8, 16), num_lattice_shifts=2))
-    assert calls == {"assemble_riesz": 2, "besov_heat_norm": 0, "besov_neumann_norm": 0, "build_system": 2 * 2}
+    assert calls == {"assemble_commutator": 2 * 5, "besov_heat_norm": 0, "besov_neumann_norm": 0, "build_system": 2 * 2}
 
     calls.update(dict.fromkeys(calls, 0))
     audit = dict(audit_C_energy=1e9, audit_C_nwo=1e9, audit_C_tail=1e9, audit_C_double=1e9)
     lower_bound_audit(ExperimentConfig(p=4.0, grid_sizes=(16,), num_lattice_shifts=3, **audit), N=16)
-    assert calls == {"assemble_riesz": 1, "besov_heat_norm": 0, "besov_neumann_norm": 0, "build_system": 2 * 3}
+    assert calls == {"assemble_commutator": 7, "besov_heat_norm": 0, "besov_neumann_norm": 0, "build_system": 2 * 3}
+    upper_bound_audit(ExperimentConfig(p=4.0, grid_sizes=(16,)), N=16)
+    assert riesz_calls == {"assemble_riesz": 0}
 
 
 @pytest.mark.parametrize(
@@ -378,29 +387,42 @@ def test_studies_evaluate_symbols_through_their_call(monkeypatch, study, cfg):
 
 
 def test_studies_free_each_grids_operators_before_the_next_assembly(monkeypatch):
-    # a study's memory peaks while it assembles a grid's Riesz operator,
-    # so no operator of an earlier grid may be alive then
+    # a study holds one commutator at a time: none, of this grid or an
+    # earlier one, is alive when the next is assembled (the allocation
+    # guard below bounds the memory of each)
     from nrlab import harness
 
     made = []
 
-    def tracked(assemble):
-        def wrapper(*args):
-            op = assemble(*args)
-            made.append(weakref.ref(op))
-            return op
-
-        return wrapper
-
-    def riesz(ell, grid):
+    def commutator(*args):
         assert all(ref() is None for ref in made)
-        return tracked(assemble_riesz)(ell, grid)
+        op = assemble_commutator(*args)
+        made.append(weakref.ref(op))
+        return op
 
-    monkeypatch.setattr(harness, "assemble_riesz", riesz)
-    monkeypatch.setattr(harness, "assemble_commutator", tracked(assemble_commutator))
+    monkeypatch.setattr(harness, "assemble_commutator", commutator)
     ratio_study(ExperimentConfig(**SMOKE))
     divergence_study(ExperimentConfig(p=2.0, family="divergence", grid_sizes=(8, 16), num_lattice_shifts=2))
-    assert len(made) == 2 * (1 + 7) + 2 * (1 + 5)
+    assert len(made) == 2 * 7 + 2 * 5
+
+
+def test_study_and_audit_at_n64_allocate_less_than_one_half_block():
+    # no commutator or Riesz block is formed as an m x m array: at N = 64
+    # (m = 2048 nodes per half) the ratio study and the upper audit each
+    # peak below one m x m float64 array, 32 MiB (the lower audit's
+    # double-integral statistic still forms arrays of that shape)
+    limit = 8 * 2048**2
+    for run in (
+        lambda: ratio_study(ExperimentConfig(grid_sizes=(32, 64))),
+        lambda: upper_bound_audit(ExperimentConfig(grid_sizes=(64,)), N=64),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
 
 
 def test_ratio_study_without_resolved_symbol_names_cause(monkeypatch):
@@ -828,9 +850,9 @@ def test_upper_audit_mixed_full_equals_whole_kernel_norm():
     for ell, N in itertools.product((1, 2), (16, 32)):
         cfg = ExperimentConfig(p=4.0, ell=ell, grid_sizes=(N,), russo_slack=100.0)
         rep = upper_bound_audit(cfg, N=N)
-        riesz = assemble_riesz(ell, make_grid(2, cfg.box, N))
+        grid = make_grid(2, cfg.box, N)
         for sym, row in zip(symbol_family("default", 2), rep.rows):
-            op = assemble_commutator(sym, riesz)
+            op = assemble_commutator(sym, ell, grid)
             kernel, w = op.kernel, op.weight
             adjoint = mixed_norm([kernel.T], cfg.p, w)
             assert row.aux["mixed_full"] == mixed_norm(op.blocks, cfg.p, w) == mixed_norm([kernel], cfg.p, w)
@@ -877,6 +899,26 @@ def test_verify_suite_all_checks_pass():
         "witness_sign_constant_ell1",
     ):
         assert expected in notes
+
+
+def test_verify_refuses_an_asymmetric_box_before_its_first_check(monkeypatch, tmp_path):
+    # the even-extension check mirrors the grid across x_n = 0; a box that
+    # straddles the interface without being symmetric there is refused
+    # by name before any check runs, and the ratio study still runs on it
+    from nrlab import harness
+
+    ran = []
+    monkeypatch.setattr(harness, "_check", lambda *args, **kwargs: ran.append(args))
+    box = ((-1.0, 3.0), (-2.5, 1.5))
+    with pytest.raises(ValueError, match="verify needs box symmetric across x_n = 0 .*got \\(-2.5, 1.5\\)"):
+        verify_suite(ExperimentConfig(box=box))
+    config = tmp_path / "asym.cfg"
+    write_kv_file(config, {"box": [-1.0, 3.0, -2.5, 1.5]})
+    with pytest.raises(ValueError, match="verify needs box"):
+        cli_main(["verify", "--config", str(config), "--out", str(tmp_path / "verify")])
+    assert ran == []
+    rep = ratio_study(ExperimentConfig(**SMOKE, box=box))
+    assert rep.rows and all(math.isfinite(r.schatten) for r in rep.rows)
 
 
 def test_verify_suite_catches_broken_reflection(monkeypatch):
@@ -1029,10 +1071,24 @@ def test_cli_export_matrix_roundtrip(tmp_path):
     assert path.exists() and Path(str(path) + ".cfg").exists()
     matrix, header, sidecar = read_matrix(path)
     grid = make_grid(2, ((-2.0, 2.0), (-2.0, 2.0)), 8)
-    op = assemble_commutator(symbol_family("default", 2)[0], assemble_riesz(1, grid))
+    op = assemble_commutator(symbol_family("default", 2)[0], 1, grid)
     assert np.array_equal(matrix, op.matrix)
     assert header == {"n": 2, "N": 8, "ell": 1}
     assert sidecar["symbol"] == "bump_a35"
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_cli_export_matrix_bytes_are_pinned(tmp_path, ell):
+    # SHA-256 of the export recorded when each commutator was assembled
+    # as two dense blocks; odd_bump has a core in both halves, and its
+    # exact zeros carry signs the bytes record
+    digest = {
+        1: "b3ddbb2cfa45f852080376235eafd884724b4800f1690eab01ab878e8f0157a7",
+        2: "8884840bbcfde0816a2d104689f40f6b9b52b53fded79203e602e40246415307",
+    }[ell]
+    rc = cli_main(["export-matrix", "--grid", "8", "--ell", str(ell), "--symbol", "odd_bump", "--out", str(tmp_path)])
+    assert rc == 0
+    assert hashlib.sha256((tmp_path / "matrix_odd_bump_N8.bin").read_bytes()).hexdigest() == digest
 
 
 def test_cli_export_matrix_unknown_symbol(tmp_path):

@@ -8,7 +8,9 @@ import math
 import numpy as np
 import pytest
 
+from nrlab.discretize import assemble_commutator, make_grid
 from nrlab.dyadic import Cube
+from nrlab.harness import symbol_family
 from nrlab.kernels import (
     Ball,
     KernelParams,
@@ -157,6 +159,38 @@ def test_riesz_reflection_covariance():
         k2 = riesz_kernel(KernelParams(2, 2), x, y)
         k2r = riesz_kernel(KernelParams(2, 2), reflect(x), reflect(y))
         assert k2r == pytest.approx(-k2, rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [16, 32])
+def test_tangential_kernel_is_antisymmetric_on_strip_pairs(N):
+    # a commutator's column strip for ell < n is its row strip's
+    # transpose (`assemble_commutator`), which needs K(y, x) == -K(x, y)
+    # on every pair of a core node x and a node y of its half: bit for
+    # bit on the non-zero values, and the zeros, where x_1 = y_1, are
+    # -0.0 both ways (+0.0 on the diagonal).  The normal kernel's
+    # reflected numerator x_n + y_n does not change sign.
+    grid = make_grid(2, ((-2.0, 2.0), (-2.0, 2.0)), N)
+    tangential, normal = KernelParams(2, 1), KernelParams(2, 2)
+    pairs = 0
+    for sym in symbol_family("default", 2) + symbol_family("divergence", 2):
+        for idx, core in zip(grid.half_indices(), assemble_commutator(sym, 1, grid).cores):
+            xh = grid.nodes[idx]
+            xs = xh[core]
+            k_xy = riesz_kernel(tangential, xs[:, None, :], xh[None, :, :], singular="zero")
+            k_yx = riesz_kernel(tangential, xh[:, None, :], xs[None, :, :], singular="zero")
+            assert np.array_equal(k_yx, -k_xy.T)
+            nonzero = k_xy != 0.0
+            assert np.array_equal(nonzero, xs[:, None, 0] != xh[None, :, 0])
+            assert (-k_xy[nonzero]).tobytes() == k_yx.T[nonzero].tobytes()
+            coincident = np.all(xs[:, None, :] == xh[None, :, :], axis=-1)
+            assert np.array_equal(np.signbit(k_xy[~nonzero]), ~coincident[~nonzero])
+            assert np.array_equal(np.signbit(k_yx.T[~nonzero]), ~coincident[~nonzero])
+            pairs += k_xy.size
+            if len(xs):
+                n_xy = riesz_kernel(normal, xs[:, None, :], xh[None, :, :], singular="zero")
+                n_yx = riesz_kernel(normal, xh[:, None, :], xs[None, :, :], singular="zero")
+                assert not np.array_equal(n_yx, -n_xy.T)
+    assert pairs > 0
 
 
 def test_riesz_singularity_handling():

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrlab.discretize import assemble_commutator, assemble_riesz, make_grid
+from nrlab.discretize import assemble_commutator, make_grid
 from nrlab.harness import _bump_symbol, _odd_bump_symbol, symbol_family
 from nrlab.spectra import (
     SingularSpectrum,
     abs_power,
     column_norms,
     mixed_norm,
+    operator_column_norms,
     russo_bound,
     schatten_norm,
     singular_values,
@@ -118,7 +119,7 @@ def test_spectrum_invariant_under_permutation():
 
 def _commutator(name, ell, N=16):
     sym = next(s for s in symbol_family("default", 2) if s.name == name)
-    return assemble_commutator(sym, assemble_riesz(ell, make_grid(2, ((-2.0, 2.0), (-2.0, 2.0)), N)))
+    return assemble_commutator(sym, ell, make_grid(2, ((-2.0, 2.0), (-2.0, 2.0)), N))
 
 
 @pytest.mark.parametrize("ell", [1, 2])
@@ -149,7 +150,7 @@ def _core_cases():
 @pytest.mark.parametrize("case", range(3))
 def test_core_spectrum_matches_full_svd(case, ell):
     name, sym, N = _core_cases()[case]
-    op = assemble_commutator(sym, assemble_riesz(ell, make_grid(2, ((-2.0, 2.0), (-2.0, 2.0)), N)))
+    op = assemble_commutator(sym, ell, make_grid(2, ((-2.0, 2.0), (-2.0, 2.0)), N))
     sizes = [np.count_nonzero(core) for core in op.cores]
     if name == "lifted":
         # a non-zero background is not in the core
@@ -179,6 +180,31 @@ def test_core_spectrum_stays_within_twice_the_core(monkeypatch):
         monkeypatch.setattr(np.linalg, name, record)
     singular_values(op)
     assert shapes and all(max(shape) <= 2 * s for shape in shapes)
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_tangential_spectra_take_the_symmetric_path(monkeypatch, ell):
+    # for ell < n the column strip is the row strip's transpose, so every
+    # block is symmetric and its spectrum comes from eigvalsh; for ell = n
+    # a block with a non-empty core goes through the SVD
+    calls = {"eigvalsh": 0, "svd": 0}
+    for name in calls:
+
+        def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    grid = make_grid(2, ((-2.0, 2.0), (-2.0, 2.0)), 16)
+    ops = [assemble_commutator(sym, ell, grid) for sym in symbol_family("default", 2)]
+    for op in ops:
+        singular_values(op)
+    nonempty = sum(np.count_nonzero(core) > 0 for op in ops for core in op.cores)
+    assert nonempty >= 6
+    if ell == 1:
+        assert calls == {"eigvalsh": 2 * len(ops), "svd": 0}
+    else:
+        assert calls == {"eigvalsh": 2 * len(ops) - nonempty, "svd": nonempty}
 
 
 @pytest.mark.parametrize("p", [2.0, 2.5, 4.0])
@@ -228,7 +254,7 @@ def test_symmetric_matrix_spectrum_is_absolute_eigenvalues():
 )
 def test_block_spectrum_identities_property(make, cx, cy, radius, amplitude, N, ell):
     sym = make("random", (cx, cy), radius, amplitude)
-    op = assemble_commutator(sym, assemble_riesz(ell, make_grid(2, ((-2.0, 2.0), (-2.0, 2.0)), N)))
+    op = assemble_commutator(sym, ell, make_grid(2, ((-2.0, 2.0), (-2.0, 2.0)), N))
     s = singular_values(op).values
     # the union of the two blocks' spectra is the whole matrix's spectrum
     full = np.linalg.svd(op.matrix, compute_uv=False)
@@ -277,6 +303,29 @@ def test_schatten_norms_take_a_spectrum():
         for norm in (schatten_norm, weak_schatten_norm):
             with pytest.raises(ValueError, match="singular_values"):
                 norm(bad, 4.0)
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_operator_column_norms_match_the_dense_blocks_bit_for_bit(ell):
+    # the default family (empty, narrow and two-sided cores), a core of
+    # one node and a core of all but one node per half (every value
+    # distinct: the background is the smallest); sums over one strip
+    # column or one off-core column must still run in the dense order
+    grid = make_grid(2, ((-2.0, 2.0), (-2.0, 2.0)), 16)
+    one = np.where(np.arange(len(grid.nodes)) == 200, 1.5, 0.0)
+    cases = symbol_family("default", 2) + [one, np.sin(np.arange(len(grid.nodes)))]
+    for b in cases:
+        op = assemble_commutator(b, ell, grid)
+        sizes = [np.count_nonzero(core) for core in op.cores]
+        blocks = op.blocks
+        for p in (2.5, 4.0):
+            for adjoint, dense in ((False, blocks), (True, [B.T for B in blocks])):
+                got = operator_column_norms(op, p, adjoint)
+                want = column_norms(dense, p, op.weight)
+                assert [g.tobytes() for g in got] == [g.tobytes() for g in want], (sizes, p, adjoint)
+    assert sizes == [127, 127]
+    with pytest.raises(ValueError, match="p > 2"):
+        operator_column_norms(op, 2.0)
 
 
 def test_mixed_norm_is_column_norms_then_outer_norm():
