@@ -14,7 +14,6 @@ from .discretize import (
     Symbol,
     apply_semigroup,
     assemble_commutator,
-    assemble_riesz,
     export_matrix,
     make_grid,
     read_matrix,

@@ -5,9 +5,9 @@ axis every node carries the same weight w = cell volume, no node ever
 sits on the interface x_n = 0, and matrix entries carry one factor of w
 so the discrete operator acts on l2(grid, w).  Singular-kernel matrices
 use a zero diagonal (principal-value convention; for the commutator the
-factor b(x)-b(y) vanishes there anyway).  An operator is stored as the
-support-core strips of its two same-half blocks: a commutator block is
-exactly zero off the rows and columns of the nodes where b leaves its
+factor b(x)-b(y) vanishes there anyway).  A commutator is stored as the
+support-core strips of its two same-half blocks: a block is exactly
+zero off the rows and columns of the nodes where b leaves its
 background value on the half, so the kernel is evaluated on those rows
 and columns only, and no m x m array is formed (see `OperatorMatrix`).
 The semigroup's axis matrices do not depend on the symbol: callers build
@@ -37,7 +37,6 @@ __all__ = [
     "check_grid",
     "make_grid",
     "assemble_commutator",
-    "assemble_riesz",
     "apply_semigroup",
     "apply_axis_matrices",
     "heat_axis_matrices",
@@ -154,30 +153,27 @@ def make_grid(n: int, box, N: int) -> QuadratureGrid:
 
 @dataclass
 class OperatorMatrix:
-    """An operator on l2(grid, w) stored as the support-core strips of its
-    two same-half blocks.
+    """A commutator on l2(grid, w) stored as the support-core strips of
+    its two same-half blocks.
 
     The kernel gate makes every cross-half value vanish, so the discrete
     operator is block-diagonal, with one m x m block B per half in the
     order of `grid.half_indices()`; its singular values are the union of
     the blocks'.  Entries are raw kernel values, and the operator is
     B * w with w = `weight` (the grid's).  `ell` is the Riesz index and
-    `symbol` the name of the commutator's symbol ("" for the Riesz
-    operator).
+    `symbol` the name of the commutator's symbol.
 
     Per block, `cores` holds a boolean mask of its support core S: the
     block is exactly zero on every pair of positions outside it.  Only
     the core's rows and columns are stored: `row_strips` holds B[S, :]
-    (s x m) and `col_strips` holds B[:, S] (m x s).  A commutator's core
-    is where b differs from its most frequent value on the half, so a
-    per-half constant holds two empty strips; the Riesz operator's core
-    is every position, and both its strips are the whole block.
+    (s x m) and `col_strips` holds B[:, S] (m x s).  The core is where b
+    differs from its most frequent value on the half, so a per-half
+    constant holds two empty strips.
 
-    `values` holds, per block, the symbol at the half's nodes (None for
-    the Riesz operator).  `blocks`, `kernel` and `matrix` are dense views
-    for matrix export and for tests; no study or audit reads them.
-    `blocks` evaluates each half's whole block again, (b_i - b_j) K_ij
-    from `values` (K_ij alone for the Riesz operator), in row chunks.
+    `values` holds, per block, the symbol at the half's nodes.  `blocks`,
+    `kernel` and `matrix` are dense views for matrix export and for
+    tests; no study or audit reads them.  `blocks` evaluates each half's
+    whole block again, (b_i - b_j) K_ij from `values`, in row chunks.
     The strips fix the value of every entry but not the sign of every
     exact zero, and the export writes those signs: off the core the
     entry is +0.0 * K_ij, and for ell < n, where the column strip is the
@@ -192,7 +188,7 @@ class OperatorMatrix:
     cores: list
     row_strips: list
     col_strips: list
-    values: list = None
+    values: list
 
     def __post_init__(self):
         sizes = [len(idx) for idx in self.grid.half_indices()]
@@ -206,8 +202,8 @@ class OperatorMatrix:
             raise ValueError("need one row strip (s x m) and one column strip (m x s) per core")
         if not all(np.all(np.isfinite(A)) for A in self.row_strips + self.col_strips):
             raise ValueError("non-finite entries in matrix")
-        if self.values is not None and [np.shape(v) for v in self.values] != [(m,) for m in sizes]:
-            raise ValueError("need the symbol's values on each half, or None")
+        if [np.shape(v) for v in self.values] != [(m,) for m in sizes]:
+            raise ValueError("need the symbol's values on each half")
 
     @property
     def weight(self) -> float:
@@ -216,11 +212,9 @@ class OperatorMatrix:
     @property
     def blocks(self) -> list:
         params = KernelParams(self.grid.dim, self.ell)
-        out = []
-        for h, idx in enumerate(self.grid.half_indices()):
-            bh = None if self.values is None else self.values[h]
-            out.append(_kernel_strip(params, self.grid.nodes[idx], self.grid.nodes[idx], bh, bh))
-        return out
+        nodes = self.grid.nodes
+        halves = zip(self.grid.half_indices(), self.values)
+        return [_kernel_strip(params, nodes[idx], nodes[idx], bh, bh) for idx, bh in halves]
 
     @property
     def kernel(self) -> np.ndarray:
@@ -263,32 +257,14 @@ def row_blocks(rows: int, cols: int):
         yield start, min(start + step, rows)
 
 
-def _kernel_strip(params: KernelParams, x: np.ndarray, y: np.ndarray, bx=None, by=None) -> np.ndarray:
+def _kernel_strip(params: KernelParams, x: np.ndarray, y: np.ndarray, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
     """K_ell(x_i, y_j) with zero at coincident pairs, times b(x_i) - b(y_j)
-    when the symbol's values bx and by are given, in row chunks."""
+    from the symbol's values bx and by, in row chunks."""
     out = np.empty((len(x), len(y)))
     for i0, i1 in row_blocks(len(x), len(y)):
         out[i0:i1] = riesz_kernel(params, x[i0:i1, None, :], y[None, :, :], singular="zero")
-        if bx is not None:
-            out[i0:i1] *= bx[i0:i1, None] - by[None, :]
+        out[i0:i1] *= bx[i0:i1, None] - by[None, :]
     return out
-
-
-def assemble_riesz(ell: int, grid: QuadratureGrid) -> OperatorMatrix:
-    """Same-half blocks of K_ell(x_i, x_j) w with zero diagonal, the core
-    every position, so that both strips are the whole block.
-
-    First-order quadrature only: without the commutator factor the
-    principal-value singularity is not resolved by the midpoint rule.
-    No study needs this operator; `assemble_commutator` evaluates the
-    kernel on the core rows and columns alone.
-    """
-    params = KernelParams(grid.dim, ell)
-    cores, blocks = [], []
-    for idx in grid.half_indices():
-        cores.append(np.ones(len(idx), dtype=bool))
-        blocks.append(_kernel_strip(params, grid.nodes[idx], grid.nodes[idx]))
-    return OperatorMatrix(grid, ell, "", cores, blocks, blocks)
 
 
 def assemble_commutator(b, ell: int, grid: QuadratureGrid) -> OperatorMatrix:

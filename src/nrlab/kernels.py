@@ -264,7 +264,10 @@ def sign_witness(
     y0 = center(Q) + A s e_l, with the offset flipped to -A s e_n for
     l = n on the minus half-space so that y0 moves away from the
     interface.  The ball is B(y0, s/12) intersected with the half-space,
-    and the certified magnitude is (C_n/2) (A s)^(-n).
+    and the certified magnitude is (C_n/2) (A s)^(-n).  For a cube inside
+    its half the ball stays in that half for every A > 0: y0's last
+    coordinate is the centre's, at least s/2 from the interface, or is
+    moved away from it.
 
     The certified bound is provable for l < n (and audited as such); for
     l = n the kernel vanishes on the interface, so boundary-adjacent
@@ -274,17 +277,13 @@ def sign_witness(
     A = float(A)
     if A <= 0.0:
         raise ValueError("offset multiplier A must be positive")
+    if not Q.in_half():
+        raise ValueError("cube leaves its half-space")
     center = np.asarray(Q.center, dtype=float)
     side = float(Q.side)
     direction = np.zeros(params.n)
     sign = -1.0 if (params.ell == params.n and Q.half == "minus") else 1.0
     direction[params.ell - 1] = sign
     y0 = center + A * side * direction
-
-    radius = side / 12.0
-    yn = y0[-1]
-    inside = yn - radius >= 0.0 if Q.half == "plus" else yn + radius <= 0.0
-    if not inside:
-        raise ValueError("A too small for boundary-adjacent cube")
     bound = 0.5 * params.cn * (A * side) ** (-params.n)
-    return y0, Ball(y0, radius, Q.half), bound
+    return y0, Ball(y0, side / 12.0, Q.half), bound

@@ -24,8 +24,8 @@ O(m^3).  An exactly symmetric block (the commutator for ell < n, whose
 column strip is its row strip's transpose) has a symmetric H (R2 = R1), and
 its singular values are the absolute eigenvalues of H (`eigvalsh`); any
 other H goes through a values-only SVD.  An empty core (a per-half
-constant) gives exact zeros; a plain matrix, or the Riesz operator, has
-every position in its core, and H is the block itself.
+constant) gives exact zeros; a plain matrix has every position in its
+core, and H is the matrix itself.
 
 The weak-norm upper bound implemented by `russo_bound` is the kernel
 factorization
@@ -40,9 +40,12 @@ Each norm takes one input form: the Schatten norms a spectrum, the
 mixed norms a list of diagonal kernel blocks and one quadrature weight.
 A mixed norm is `column_norms` followed by an outer norm, so a caller
 that needs several outer norms of the same columns makes one pass over
-the blocks.  `operator_column_norms` gives an OperatorMatrix's column
-norms, and its adjoint's, bit for bit from the core strips; the upper
-audit takes its mixed norms from it, and no m x m block is formed.
+the blocks.  A column's terms are added row by row, top to bottom,
+whatever the memory layout of its block, and exact zeros add nothing
+to such a sum.  So `operator_column_norms`, which reads an
+OperatorMatrix's column norms, or its adjoint's, from the core strips
+alone, gives the dense blocks' norms bit for bit; the upper audit takes
+its mixed norms from it, and no m x m block is formed.
 """
 
 from __future__ import annotations
@@ -97,8 +100,6 @@ def _block_singular_values(core, below, right) -> np.ndarray:
     """Singular values of the block [[core, right], [below, 0]], as many
     as the smaller side of it, from its weighted pieces B_SS, B_CS and
     B_SC.  See the module docstring for the reduction."""
-    if not all(np.all(np.isfinite(piece)) for piece in (core, below, right)):
-        raise ValueError("non-finite entries in matrix")
     r1 = np.linalg.qr(below, mode="r")
     if np.array_equal(core, core.T) and np.array_equal(right, below.T):
         h = np.block([[core, r1.T], [r1, np.zeros((len(r1), len(r1)))]])
@@ -134,6 +135,8 @@ def singular_values(M) -> SingularSpectrum:
         A = np.asarray(M, dtype=float)
         if A.ndim != 2:
             raise ValueError("expected a 2-d matrix")
+        if not np.all(np.isfinite(A)):
+            raise ValueError("non-finite entries in matrix")
         pieces = [(A, A[:0], A[:, :0])]
     return SingularSpectrum(np.concatenate([_block_singular_values(*piece) for piece in pieces]))
 
@@ -174,7 +177,9 @@ def weak_schatten_norm(s, p: float) -> float:
 
 def column_norms(blocks, p: float, weight: float) -> list:
     """Per diagonal block, the L^p(weight) norm of each column:
-    (sum_i |B_ij|^p weight)^(1/p) over the rows i of the block.
+    (sum_i |B_ij|^p weight)^(1/p) over the rows i of the block, added
+    row by row, top to bottom (a cumulative sum: `np.sum` would add a
+    contiguous axis pairwise).
 
     `blocks` is a non-empty list of 2-d kernels sampled without
     quadrature weights, and `weight` is the quadrature weight of every
@@ -186,14 +191,13 @@ def column_norms(blocks, p: float, weight: float) -> list:
         raise ValueError("expected a non-empty list of 2-d kernel blocks")
     if np.ndim(weight) != 0 or not weight > 0:
         raise ValueError("weight must be one positive quadrature weight")
-    return [np.sum(_weighted_powers(B, p, weight), axis=0) ** (1.0 / p) for B in blocks]
-
-
-def _weighted_powers(x, p: float, weight: float) -> np.ndarray:
-    """|x|^p * weight, the terms of an inner L^p(weight) norm."""
-    terms = abs_power(np.asarray(x, dtype=float), p)
-    terms *= weight
-    return terms
+    inner = []
+    for B in blocks:
+        terms = abs_power(np.asarray(B, dtype=float), p)
+        terms *= weight
+        sums = np.cumsum(terms, axis=0)[-1] if len(terms) else np.zeros(terms.shape[1])
+        inner.append(sums ** (1.0 / p))
+    return inner
 
 
 def operator_column_norms(op, p: float, adjoint: bool = False) -> list:
@@ -201,36 +205,18 @@ def operator_column_norms(op, p: float, adjoint: bool = False) -> list:
     with `adjoint`), bit for bit, read from its core strips.
 
     A core column is the column strip's.  An off-core column is zero off
-    the core rows, so its terms are the row strip's; likewise a core row
-    is the row strip's and an off-core row is zero off the core columns.
-    The sums run in the order `column_norms` takes on the dense block.  A
-    block's columns are added row by row, top to bottom (a cumulative
-    sum, since an axis-0 sum over a single column is pairwise instead);
-    zero rows add nothing.  A transposed block's columns are the block's
-    rows, which are contiguous, so numpy sums each pairwise; that order
-    depends on where the zeros sit, so each off-core row is laid back
-    into a zero row, a chunk of rows at a time, before it is summed.
+    the core rows, so its terms are the row strip's off-core columns.  A
+    transposed block's strips are the block's, swapped and transposed.
+    Exact zeros add nothing to a row-by-row sum, so leaving them out
+    keeps every sum of the dense block bit for bit.
     """
-    if p <= 2:
-        raise ValueError("mixed norm requires p > 2")
-    w = op.weight
     inner = []
     for core, R, C in zip(op.cores, op.row_strips, op.col_strips):
-        sums = np.zeros(len(core))
         if adjoint:
-            sums[core] = np.sum(_weighted_powers(R, p, w), axis=1)
-            rest = np.flatnonzero(~core)
-            terms = _weighted_powers(C[rest], p, w)
-            for i0 in range(0, len(rest), 256):
-                part = slice(i0, i0 + 256)
-                rows = np.zeros((len(rest[part]), len(core)))
-                rows[:, core] = terms[part]
-                sums[rest[part]] = np.sum(rows, axis=1)
-        else:
-            for cols, terms in ((core, C), (~core, R[:, ~core])):
-                if len(terms):
-                    sums[cols] = np.cumsum(_weighted_powers(terms, p, w), axis=0)[-1]
-        inner.append(sums ** (1.0 / p))
+            R, C = C.T, R.T
+        g = np.empty(len(core))
+        g[core], g[~core] = column_norms([C, R[:, ~core]], p, op.weight)
+        inner.append(g)
     return inner
 
 

@@ -21,7 +21,6 @@ from nrlab.discretize import (
     QuadratureGrid,
     apply_semigroup,
     assemble_commutator,
-    assemble_riesz,
     ball_microgrid,
     export_matrix,
     heat_axis_matrices,
@@ -150,25 +149,27 @@ def test_half_blocks_split():
 
 
 def _whole_blocks(b, ell, grid):
-    """Each half's whole block (b_i - b_j) K_ij, unweighted, from one
-    kernel pass per symbol in row chunks of 512: the dense assembly the
-    core strips replace."""
+    """Each half's whole block (b_i - b_j) K_ij, unweighted, or K_ij
+    alone for b=None, from one kernel pass per symbol in row chunks of
+    512: the dense assembly the core strips replace."""
     params = KernelParams(grid.dim, ell)
-    bv = b(grid.nodes)
+    bv = None if b is None else b(grid.nodes)
     blocks = []
     for idx in grid.half_indices():
-        xh, bh = grid.nodes[idx], bv[idx]
+        xh, bh = grid.nodes[idx], None if bv is None else bv[idx]
         block = np.empty((len(idx), len(idx)))
         for i0 in range(0, len(idx), 512):
             K = riesz_kernel(params, xh[i0 : i0 + 512, None, :], xh[None, :, :], singular="zero")
-            block[i0 : i0 + 512] = (bh[i0 : i0 + 512, None] - bh[None, :]) * K
+            if bh is not None:
+                K = (bh[i0 : i0 + 512, None] - bh[None, :]) * K
+            block[i0 : i0 + 512] = K
         blocks.append(block)
     return blocks
 
 
 def _per_symbol_matrix(b, ell, grid):
-    """The whole weighted commutator matrix from `_whole_blocks`,
-    cross-half entries left at +0.0."""
+    """The whole weighted matrix from `_whole_blocks` (the Riesz
+    operator's for b=None), cross-half entries left at +0.0."""
     kernel = np.zeros((len(grid.nodes), len(grid.nodes)))
     for idx, block in zip(grid.half_indices(), _whole_blocks(b, ell, grid)):
         kernel[np.ix_(idx, idx)] = block
@@ -209,8 +210,7 @@ def test_shared_riesz_blocks_match_per_symbol_assembly(ell):
 
 def test_stored_blocks_are_exactly_symmetric_for_tangential_ell():
     grid = make_grid(2, BOX, 16)
-    riesz = assemble_riesz(1, grid)
-    assert all(np.array_equal(K, -K.T) for K in riesz.blocks)
+    assert all(np.array_equal(K, -K.T) for K in _whole_blocks(None, 1, grid))
     for sym in symbol_family("default", 2):
         for B in assemble_commutator(sym, 1, grid).blocks:
             assert np.array_equal(B, B.T)
@@ -238,7 +238,7 @@ def test_half_indices_reject_interface_nodes():
     with pytest.raises(ValueError, match="interface"):
         grid.half_indices()
     with pytest.raises(ValueError, match="interface"):
-        assemble_riesz(1, grid)
+        assemble_commutator(np.array([1.0, 2.0]), 1, grid)
     one_half = make_grid(2, ((0.0, 1.0), (0.0, 1.0)), 4)
     (idx,) = one_half.half_indices()
     assert np.array_equal(idx, np.arange(16))
@@ -249,6 +249,7 @@ def test_operator_matrix_validation():
     full, empty = np.ones(8, dtype=bool), np.zeros(8, dtype=bool)
     narrow = np.arange(8) < 3
     strips = [np.zeros((8, 8)), np.zeros((8, 8))]
+    values = [np.zeros(8), np.zeros(8)]
     for rows, cols, cores in (
         ([np.ones((8, 8))], [np.ones((8, 8))], [full, full]),
         (strips, [np.zeros((8, 8)), np.zeros((8, 7))], [full, full]),
@@ -256,13 +257,13 @@ def test_operator_matrix_validation():
         ([np.zeros((3, 8)), np.zeros((8, 8))], [np.zeros((3, 8)), np.zeros((8, 8))], [narrow, full]),
     ):
         with pytest.raises(ValueError, match="one row strip"):
-            OperatorMatrix(grid, 1, "", cores, rows, cols)
+            OperatorMatrix(grid, 1, "", cores, rows, cols, values)
     bad = np.zeros((8, 8))
     bad[0, 0] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
-        OperatorMatrix(grid, 1, "", [full, full], [np.zeros((8, 8)), bad], strips)
+        OperatorMatrix(grid, 1, "", [full, full], [np.zeros((8, 8)), bad], strips, values)
     with pytest.raises(ValueError, match="non-finite"):
-        OperatorMatrix(grid, 1, "", [full, full], strips, [bad, np.zeros((8, 8))])
+        OperatorMatrix(grid, 1, "", [full, full], strips, [bad, np.zeros((8, 8))], values)
     for cores, match in (
         ([full], "one core per block"),
         ([np.arange(8), full], "boolean mask"),
@@ -273,11 +274,11 @@ def test_operator_matrix_validation():
         ([np.ones(7, dtype=bool), full], "boolean mask"),
     ):
         with pytest.raises(ValueError, match=match):
-            OperatorMatrix(grid, 1, "", cores, strips, strips)
+            OperatorMatrix(grid, 1, "", cores, strips, strips, values)
     with pytest.raises(ValueError, match="symbol's values"):
         OperatorMatrix(grid, 1, "", [full, full], strips, strips, [np.zeros(8)])
-    op = OperatorMatrix(grid, 2, "b", [full, full], strips, strips)
-    assert op.weight == grid.weight and (op.ell, op.symbol, op.values) == (2, "b", None)
+    op = OperatorMatrix(grid, 2, "b", [full, full], strips, strips, values)
+    assert op.weight == grid.weight and (op.ell, op.symbol) == (2, "b")
     assert all(np.array_equal(core, full) for core in op.cores)
     # an empty core holds two empty strips
     op = OperatorMatrix(grid, 1, "c", [empty, empty], [np.zeros((0, 8))] * 2, [np.zeros((8, 0))] * 2, [np.ones(8)] * 2)
@@ -328,30 +329,23 @@ def test_core_background_is_the_most_frequent_value():
     assert np.count_nonzero(lifted.cores[0]) > 0 and np.count_nonzero(lifted.cores[1]) == 0
 
 
-def test_riesz_operator_core_is_every_position():
-    grid = make_grid(2, BOX, 8)
-    op = assemble_riesz(1, grid)
-    for idx, core in zip(grid.half_indices(), op.cores):
-        assert np.array_equal(core, np.ones(len(idx), dtype=bool))
-
-
 # ---------------------------------------------------------------------------
-# raw Riesz assembly
+# the Riesz kernel on the grid
 
 
 def test_riesz_matrix_cross_half_block_zero():
     grid = make_grid(2, BOX, 16)
-    op = assemble_riesz(1, grid)
-    cross = op.matrix[np.ix_(grid.mask_plus, grid.mask_minus)]
+    x = grid.nodes
+    matrix = riesz_kernel(KernelParams(2, 1), x[:, None, :], x[None, :, :], singular="zero")
+    cross = matrix[np.ix_(grid.mask_plus, grid.mask_minus)]
     assert not np.any(cross)
-    assert not np.any(op.matrix[np.ix_(grid.mask_minus, grid.mask_plus)])
+    assert not np.any(matrix[np.ix_(grid.mask_minus, grid.mask_plus)])
 
 
 def test_riesz_matrix_gating_action_on_vectors():
     grid = make_grid(2, BOX, 16)
-    op = assemble_riesz(2, grid)
     f = np.where(grid.mask_plus, 1.0, 0.0) * _bump(grid.nodes, (0.3, 0.6), 0.5)
-    out = op.matrix @ f
+    out = _per_symbol_matrix(None, 2, grid) @ f
     assert not np.any(out[grid.mask_minus])
 
 
@@ -370,8 +364,7 @@ def test_riesz_operator_norm_stable_under_refinement():
     norms = []
     for N in (16, 32, 64):
         grid = make_grid(2, BOX, N)
-        op = assemble_riesz(1, grid)
-        norms.append(_top_singular_value(op.matrix))
+        norms.append(_top_singular_value(_per_symbol_matrix(None, 1, grid)))
     assert max(norms) / min(norms) < 3.0
 
 
@@ -382,10 +375,10 @@ def test_riesz_term_symmetry_split():
     # reflected numerator x2 + y2 is swap-symmetric, so M + M^T isolates
     # exactly twice the reflected term.
     grid = make_grid(2, ((0.0, 1.0), (0.0, 1.0)), 8)
-    op1 = assemble_riesz(1, grid)
-    assert np.allclose(op1.matrix + op1.matrix.T, 0.0, atol=1e-15)
+    m1 = _per_symbol_matrix(None, 1, grid)
+    assert np.allclose(m1 + m1.T, 0.0, atol=1e-15)
 
-    op2 = assemble_riesz(2, grid)
+    m2 = _per_symbol_matrix(None, 2, grid)
     params = KernelParams(2, 2)
     x = grid.nodes[:, None, :]
     y = grid.nodes[None, :, :]
@@ -393,7 +386,7 @@ def test_riesz_term_symmetry_split():
     summ = x[..., 1] + y[..., 1]
     reflected = -params.cn * summ / (d1**2 + summ**2) ** 1.5
     np.fill_diagonal(reflected, 0.0)
-    sym = op2.matrix + op2.matrix.T
+    sym = m2 + m2.T
     assert np.allclose(sym, 2.0 * reflected * grid.weight, atol=1e-13)
 
 

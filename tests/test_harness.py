@@ -323,13 +323,12 @@ def _count_calls(monkeypatch, module, names):
 
 
 def test_studies_build_symbol_independent_operators_once_per_grid(monkeypatch):
-    # no study assembles a Riesz operator: each commutator evaluates the
-    # kernel on its own core strips; the Besov routes and the dyadic
+    # there is no Riesz operator to assemble: each commutator evaluates
+    # the kernel on its own core strips; the Besov routes and the dyadic
     # systems are still built once per grid for the whole family
     from nrlab import discretize, harness
 
-    assert not hasattr(harness, "assemble_riesz")
-    riesz_calls = _count_calls(monkeypatch, discretize, ("assemble_riesz",))
+    assert not hasattr(harness, "assemble_riesz") and not hasattr(discretize, "assemble_riesz")
     names = ("assemble_commutator", "besov_heat_norm", "besov_neumann_norm", "build_system")
     calls = _count_calls(monkeypatch, harness, names)
     ratio_study(ExperimentConfig(**SMOKE))
@@ -343,8 +342,9 @@ def test_studies_build_symbol_independent_operators_once_per_grid(monkeypatch):
     audit = dict(audit_C_energy=1e9, audit_C_nwo=1e9, audit_C_tail=1e9, audit_C_double=1e9)
     lower_bound_audit(ExperimentConfig(p=4.0, grid_sizes=(16,), num_lattice_shifts=3, **audit), N=16)
     assert calls == {"assemble_commutator": 7, "besov_heat_norm": 0, "besov_neumann_norm": 0, "build_system": 2 * 3}
+    calls.update(dict.fromkeys(calls, 0))
     upper_bound_audit(ExperimentConfig(p=4.0, grid_sizes=(16,)), N=16)
-    assert riesz_calls == {"assemble_riesz": 0}
+    assert calls == {"assemble_commutator": 7, "besov_heat_norm": 0, "besov_neumann_norm": 0, "build_system": 0}
 
 
 @pytest.mark.parametrize(
@@ -741,7 +741,7 @@ def test_nwo_statistic_checks_every_cube_witness():
     bad = cubes[-1]
     assert cubes.index(bad) >= rows
     cubes[-1] = Cube(bad.k, bad.m, bad.shift, "minus")
-    with pytest.raises(ValueError, match="A too small for boundary-adjacent cube"):
+    with pytest.raises(ValueError, match="cube leaves its half-space"):
         _nwo_statistic(symbol_family("default", 2)[:1], cfg, systems)
 
 
@@ -858,6 +858,17 @@ def test_upper_audit_mixed_full_equals_whole_kernel_norm():
             assert row.aux["mixed_full"] == mixed_norm(op.blocks, cfg.p, w) == mixed_norm([kernel], cfg.p, w)
             assert mixed_norm([B.T for B in op.blocks], cfg.p, w) == adjoint
             assert row.aux["russo_bound"] == russo_bound(op.blocks, cfg.p, w) == russo_bound([kernel], cfg.p, w)
+
+
+def test_upper_audit_bound_is_the_full_mixed_norm_for_tangential_ell():
+    # for ell < n the commutator is symmetric, so its adjoint's column
+    # norms, each added row by row like the direct ones, are the same
+    # sums, and the bound sqrt(k * k) is k itself
+    for N in (16, 32):
+        rep = upper_bound_audit(ExperimentConfig(p=4.0, ell=1, grid_sizes=(N,), russo_slack=100.0), N=N)
+        for row in rep.rows:
+            assert row.aux["russo_bound"] == row.aux["mixed_full"]
+            assert rep.spectra[f"upper_{row.symbol}_N{N}"][1]["russo_bound"] == row.aux["mixed_full"]
 
 
 def test_upper_audit_checks_the_kernel_gate(monkeypatch):

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from nrlab.discretize import assemble_commutator, make_grid
-from nrlab.dyadic import Cube
-from nrlab.harness import symbol_family
+from nrlab.dyadic import Cube, build_system
+from nrlab.harness import ExperimentConfig, lattice_shift_sample, symbol_family
 from nrlab.kernels import (
     Ball,
     KernelParams,
@@ -390,10 +390,30 @@ def test_sign_witness_magnitude_fails_somewhere_at_A_1():
 def test_sign_witness_ball_stays_in_half():
     params = KernelParams(2, 2)
     Q = Cube(0, (0, 0), (0.0, 0.0), "minus")
-    with pytest.raises(ValueError, match="A too small"):
-        # normal-direction offset from a boundary-adjacent minus cube with
-        # tiny A would land the ball across the interface
+    with pytest.raises(ValueError, match="cube leaves its half-space"):
+        # a cube on the plus side labelled minus: no offset keeps its
+        # witness ball in the minus half
         sign_witness(Q, params, A=0.05)
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_every_admissible_witness_ball_stays_in_its_half(ell):
+    # the ball's last coordinate is the cube centre's, at least s/2 from
+    # the interface, or moves away from it, so even a tiny A keeps the
+    # radius s/12 ball of every admissible cube in the cube's half
+    cfg = ExperimentConfig()
+    params = KernelParams(2, ell)
+    checked = 0
+    for shift in lattice_shift_sample(2, cfg.num_lattice_shifts):
+        for half in ("plus", "minus"):
+            system = build_system(half, shift, cfg.box, (cfg.k_min, 4))
+            for cubes in system.cubes.values():
+                for Q in cubes:
+                    _, ball, _ = sign_witness(Q, params, A=1e-9)
+                    yn = ball.center[-1]
+                    assert (yn - ball.radius >= 0.0) if half == "plus" else (yn + ball.radius <= 0.0)
+                    checked += 1
+    assert checked > 1000
 
 
 def test_ball_contains_respects_half():

@@ -328,6 +328,22 @@ def test_operator_column_norms_match_the_dense_blocks_bit_for_bit(ell):
         operator_column_norms(op, 2.0)
 
 
+def test_column_norms_add_rows_in_order_whatever_the_layout():
+    # np.sum adds a contiguous axis pairwise: the columns of a transposed
+    # block, or a lone (m, 1) column, would be added in another order
+    # than the columns of a C-contiguous block.  The row-by-row rule
+    # gives every layout the same bits.
+    rng = np.random.default_rng(17)
+    K = rng.normal(size=(300, 40))
+    for p in (2.5, 4.0):
+        got = column_norms([K.T], p, 0.01)[0]
+        assert got.tobytes() == column_norms([np.ascontiguousarray(K.T)], p, 0.01)[0].tobytes()
+        whole = column_norms([K], p, 0.01)[0]
+        for j in (0, 7, 39):
+            for col in (K[:, j : j + 1], np.ascontiguousarray(K[:, j : j + 1])):
+                assert column_norms([col], p, 0.01)[0].tobytes() == whole[j : j + 1].tobytes()
+
+
 def test_mixed_norm_is_column_norms_then_outer_norm():
     rng = np.random.default_rng(61)
     blocks = [rng.normal(size=(7, 7)), rng.normal(size=(5, 5))]
