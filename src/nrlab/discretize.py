@@ -36,6 +36,7 @@ __all__ = [
     "Symbol",
     "check_grid",
     "make_grid",
+    "support_core",
     "assemble_commutator",
     "apply_semigroup",
     "apply_axis_matrices",
@@ -267,21 +268,31 @@ def _kernel_strip(params: KernelParams, x: np.ndarray, y: np.ndarray, bx: np.nda
     return out
 
 
+def support_core(values: np.ndarray) -> np.ndarray:
+    """Boolean mask of the nodes where `values`, a symbol's values on one
+    half, differ from their most frequent value (the lowest one on a
+    tie).  Off the mask every pair of nodes carries the same value, so
+    b(x) - b(y) is exactly zero there; a per-half constant has an empty
+    mask."""
+    levels, counts = np.unique(values, return_counts=True)
+    return values != levels[np.argmax(counts)]
+
+
 def assemble_commutator(b, ell: int, grid: QuadratureGrid) -> OperatorMatrix:
     """Core strips of (b(x_i) - b(x_j)) K_ell(x_i, x_j) w, zero diagonal.
 
     Each block's core S is where b differs from its most frequent value
-    on the half, so a symbol on a constant background has a narrow core
-    and a per-half constant an empty one.  Off the core both nodes carry
-    that value and the entry is exactly zero, so the kernel is evaluated
-    only on the core rows: the row strip is (b_S - b) K_ell(x_S, x).  For
-    ell < n the column strip is its transpose, with no copy: there
-    K_ell(y, x) = -K_ell(x, y) (the numerator x_ell - y_ell changes sign,
-    the denominators do not), bit for bit except that x_ell = y_ell gives
-    -0.0 both ways, so the block is exactly symmetric up to the sign of
-    its zeros.  For ell = n the reflected numerator x_n + y_n does not
-    change sign, and the column strip (b - b_S) K_n(x, x_S) is evaluated
-    too.
+    on the half (`support_core`), so a symbol on a constant background
+    has a narrow core and a per-half constant an empty one.  Off the
+    core both nodes carry that value and the entry is exactly zero, so
+    the kernel is evaluated only on the core rows: the row strip is
+    (b_S - b) K_ell(x_S, x).  For ell < n the column strip is its
+    transpose, with no copy: there K_ell(y, x) = -K_ell(x, y) (the
+    numerator x_ell - y_ell changes sign, the denominators do not), bit
+    for bit except that x_ell = y_ell gives -0.0 both ways, so the block
+    is exactly symmetric up to the sign of its zeros.  For ell = n the
+    reflected numerator x_n + y_n does not change sign, and the column
+    strip (b - b_S) K_n(x, x_S) is evaluated too.
 
     Exactly zero for per-half-constant b: the kernel gate kills pairs in
     distinct halves and b(x) - b(y) is identically zero within one half.
@@ -294,8 +305,7 @@ def assemble_commutator(b, ell: int, grid: QuadratureGrid) -> OperatorMatrix:
     cores, rows, cols, values = [], [], [], []
     for idx in grid.half_indices():
         xh, bh = x[idx], bv[idx]
-        levels, counts = np.unique(bh, return_counts=True)
-        core = bh != levels[np.argmax(counts)]
+        core = support_core(bh)
         row = _kernel_strip(params, xh[core], xh, bh[core], bh)
         col = row.T if ell < grid.dim else _kernel_strip(params, xh, xh[core], bh, bh[core])
         cores.append(core)
@@ -372,9 +382,9 @@ def apply_axis_matrices(values: np.ndarray, mats: list, grid: QuadratureGrid) ->
     return out.reshape(-1)
 
 
-def apply_semigroup(f: SampledField, t: float, grid: QuadratureGrid, kernel: str = "neumann") -> SampledField:
-    """Midpoint-rule heat semigroup at time t, factored axis by axis
-    (walls as in `heat_axis_matrices`).
+def apply_semigroup(f: SampledField, t: float, kernel: str = "neumann") -> SampledField:
+    """Midpoint-rule heat semigroup at time t on the field's own grid,
+    factored axis by axis (walls as in `heat_axis_matrices`).
 
     kernel="neumann" evolves the two half-spaces independently;
     kernel="full" is the free heat kernel on the whole box, which is what
@@ -383,10 +393,8 @@ def apply_semigroup(f: SampledField, t: float, grid: QuadratureGrid, kernel: str
     points at every t; the Besov heat route uses it to keep the norm of
     a constant at zero instead of at box-truncation size.
     """
-    mats = heat_axis_matrices(t, grid, kernel)
-    if f.values.shape != (len(grid.nodes),):
-        raise ValueError("field does not match grid")
-    return SampledField(grid, apply_axis_matrices(f.values, mats, grid))
+    mats = heat_axis_matrices(t, f.grid, kernel)
+    return SampledField(f.grid, apply_axis_matrices(f.values, mats, f.grid))
 
 
 def export_matrix(op: OperatorMatrix, path):

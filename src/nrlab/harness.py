@@ -26,6 +26,7 @@ from .discretize import (
     check_grid,
     make_grid,
     row_blocks,
+    support_core,
 )
 from .dyadic import (
     SampledField,
@@ -470,20 +471,25 @@ def _tail_statistic(fields: list, cfg: ExperimentConfig, pair: list) -> list:
 def _double_integral_statistic(fields: list, cfg: ExperimentConfig) -> list:
     """Per sampled field, in order: the discrete double integral of
     |b(x)-b(y)|^p / |x-y|^{2n} over each half-space separately
-    (off-diagonal pairs).  The distances do not depend on the symbol, so
-    |x-y|^{2n} is formed once per half for all the fields, which share
-    one grid."""
+    (off-diagonal pairs), summed over the half's support core S
+    (`support_core`).  Off S x off S both nodes carry the same value, so
+    those terms are exactly zero; the integrand is symmetric bit for bit
+    (negating a difference changes neither its square nor its absolute
+    value), so the off-core x core pairs give the transposed core x
+    off-core terms.  Each half therefore adds the core rows' terms
+    (s x m, +inf distance at each row's own node) once, and their
+    off-core columns once more; an empty core adds exactly 0.0."""
     grid = fields[0].grid
     totals = [0.0] * len(fields)
-    for mask in (grid.mask_plus, grid.mask_minus):
-        x = grid.nodes[mask]
-        d2 = squared_distance(x[:, None, :], x[None, :, :])
-        np.fill_diagonal(d2, np.inf)
-        den = d2**cfg.n
+    for idx in grid.half_indices():
+        x = grid.nodes[idx]
         for i, fld in enumerate(fields):
-            b = fld.values[mask]
-            num = abs_power(b[:, None] - b[None, :], cfg.p)
-            totals[i] += float(np.sum(num / den)) * grid.weight**2
+            b = fld.values[idx]
+            core = support_core(b)
+            d2 = squared_distance(x[core][:, None, :], x[None, :, :])
+            d2[np.arange(len(d2)), np.flatnonzero(core)] = np.inf
+            terms = abs_power(b[core][:, None] - b[None, :], cfg.p) / d2**cfg.n
+            totals[i] += float(terms.sum() + terms[:, ~core].sum()) * grid.weight**2
     return totals
 
 
@@ -667,18 +673,19 @@ def divergence_study(cfg: ExperimentConfig) -> Report:
     return Report("divergence", rows, summary, growth_ok and controls_ok, spectra)
 
 
-def lower_bound_audit(cfg: ExperimentConfig, N: int = None) -> Report:
+def lower_bound_audit(cfg: ExperimentConfig) -> Report:
     """Audits the lower-bound statistics against the commutator Schatten
-    norm per symbol: the shifted-lattice energy sum, the witness-ball NWO
-    sum, the generation-weighted L^p tails, and the same-half double
-    integral.  Each statistic is compared at the norm level,
-    statistic^{1/p} <= C * S^p norm, against the calibrated constant from
-    the config; for the energy and NWO statistics the per-symbol C must
-    additionally agree across the non-degenerate family to within the
-    stability band (max/min <= 1.25/0.75)."""
+    norm per symbol, on the config's first grid size: the shifted-lattice
+    energy sum, the witness-ball NWO sum, the generation-weighted L^p
+    tails, and the same-half double integral.  Each statistic is
+    compared at the norm level, statistic^{1/p} <= C * S^p norm, against
+    the calibrated constant from the config; for the energy and NWO
+    statistics the per-symbol C must additionally agree across the
+    non-degenerate family to within the stability band
+    (max/min <= 1.25/0.75)."""
     if cfg.p <= cfg.n:
         raise ValueError("lower-bound audit requires p > n")
-    N = N if N is not None else cfg.grid_sizes[0]
+    N = cfg.grid_sizes[0]
     family = symbol_family(cfg.family, cfg.n)
     rows = []
     passed = True
@@ -745,15 +752,15 @@ def _kernel_vanishes(params: KernelParams, x: np.ndarray, y: np.ndarray) -> bool
     )
 
 
-def upper_bound_audit(cfg: ExperimentConfig, N: int = None) -> Report:
-    """Checks weak-Schatten(commutator) <= kernel-factorization bound
-    times the configured slack, plus the exact half-space split of the
-    mixed weak norm: the Riesz kernel is exactly 0.0 on every cross-half
-    pair of the grid, and the full mixed norm is at most the sum of the
-    two same-half ones."""
+def upper_bound_audit(cfg: ExperimentConfig) -> Report:
+    """Checks, on the config's first grid size, weak-Schatten(commutator)
+    <= kernel-factorization bound times the configured slack, plus the
+    exact half-space split of the mixed weak norm: the Riesz kernel is
+    exactly 0.0 on every cross-half pair of the grid, and the full mixed
+    norm is at most the sum of the two same-half ones."""
     if cfg.p <= max(cfg.n, 2):
         raise ValueError("upper-bound audit requires p > max(n, 2)")
-    N = N if N is not None else cfg.grid_sizes[0]
+    N = cfg.grid_sizes[0]
     rows = []
     spectra = {}
     passed = True
@@ -884,26 +891,26 @@ def verify_suite(cfg: ExperimentConfig) -> Report:
     ones = SampledField(grid, np.ones(len(grid.nodes)))
     t, s = 0.01, 0.02
     interior = np.all(np.abs(grid.nodes) < 1.0, axis=1)
-    cons = apply_semigroup(ones, t, grid).values
+    cons = apply_semigroup(ones, t).values
     cons_err = float(np.max(np.abs(cons[interior] - 1.0)))
     checks.append(_check("semigroup_conservation_interior", cons_err, 1e-6, cons_err <= 1e-6))
 
     bump = symbol_family("default", n)[1]
     fld = SampledField(grid, bump(grid.nodes))
-    comp = apply_semigroup(apply_semigroup(fld, t, grid), s, grid).values
-    once = apply_semigroup(fld, t + s, grid).values
+    comp = apply_semigroup(apply_semigroup(fld, t), s).values
+    once = apply_semigroup(fld, t + s).values
     comp_err = float(np.max(np.abs(comp - once)))
     checks.append(_check("semigroup_composition", comp_err, 1e-6, comp_err <= 1e-6))
 
     plus_vals = np.where(grid.mask_plus, fld.values, 0.0)
     even_vals = plus_vals + plus_vals[mirror]
-    route_a = apply_semigroup(SampledField(grid, plus_vals), t, grid).values
-    route_b = apply_semigroup(SampledField(grid, even_vals), t, grid, kernel="full").values
+    route_a = apply_semigroup(SampledField(grid, plus_vals), t).values
+    route_b = apply_semigroup(SampledField(grid, even_vals), t, kernel="full").values
     ext_err = float(np.max(np.abs(route_a - route_b)[grid.mask_plus & interior]))
     checks.append(_check("semigroup_even_extension", ext_err, 1e-6, ext_err <= 1e-6))
 
     try:
-        apply_semigroup(ones, -1.0, grid)
+        apply_semigroup(ones, -1.0)
         checks.append(_check("semigroup_rejects_nonpositive_t", 0.0, 0.0, False))
     except ValueError:
         checks.append(_check("semigroup_rejects_nonpositive_t", 0.0, 0.0, True))

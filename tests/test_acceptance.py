@@ -110,13 +110,13 @@ def test_criterion_02_heat_kernel_identities():
         fld = SampledField(grid, bump(grid.nodes))
         interior = np.all(np.abs(grid.nodes) < 1.0, axis=1)
         mirror = grid.mirror_index()
-        twice = apply_semigroup(apply_semigroup(fld, t, grid), s, grid).values
-        once = apply_semigroup(fld, t + s, grid).values
+        twice = apply_semigroup(apply_semigroup(fld, t), s).values
+        once = apply_semigroup(fld, t + s).values
         comp_err = max(comp_err, float(np.max(np.abs(twice - once))))
         plus_vals = np.where(grid.mask_plus, fld.values, 0.0)
         even_vals = plus_vals + plus_vals[mirror]
-        route_n = apply_semigroup(SampledField(grid, plus_vals), t, grid).values
-        route_e = apply_semigroup(SampledField(grid, even_vals), t, grid, kernel="full").values
+        route_n = apply_semigroup(SampledField(grid, plus_vals), t).values
+        route_e = apply_semigroup(SampledField(grid, even_vals), t, kernel="full").values
         ext_err = max(
             ext_err, float(np.max(np.abs(route_n - route_e)[grid.mask_plus & interior]))
         )
@@ -219,9 +219,9 @@ def test_criterion_06_endpoint_divergence():
 
 
 def test_criterion_07_lower_bound_audit():
-    cfg = ExperimentConfig(p=4.0, box=BOX, num_lattice_shifts=9)
+    cfg = ExperimentConfig(p=4.0, box=BOX, grid_sizes=(32,), num_lattice_shifts=9)
     t0 = time.perf_counter()
-    rep = lower_bound_audit(cfg, N=32)
+    rep = lower_bound_audit(cfg)
     elapsed = time.perf_counter() - t0
     s = rep.summary
     band_ok = s["energy_C_spread"] <= s["stability_band"] and s["nwo_C_spread"] <= s["stability_band"]
@@ -236,9 +236,9 @@ def test_criterion_07_lower_bound_audit():
 
 
 def test_criterion_08_upper_bound_audit():
-    cfg = ExperimentConfig(p=4.0, box=BOX, russo_slack=1.1)
+    cfg = ExperimentConfig(p=4.0, box=BOX, grid_sizes=(32,), russo_slack=1.1)
     t0 = time.perf_counter()
-    rep = upper_bound_audit(cfg, N=32)
+    rep = upper_bound_audit(cfg)
     elapsed = time.perf_counter() - t0
     slacks = [r.ratio for r in rep.rows if not math.isnan(r.ratio)]
     ok = rep.passed and max(slacks) <= 1.1 and elapsed <= 60.0

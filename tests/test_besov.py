@@ -115,8 +115,8 @@ def _heat_norm_by_semigroup(b, params, grid, t_grid):
     fld = SampledField(grid, b(grid.nodes))
     integrand_q = np.empty(t_used.size)
     for i, t in enumerate(t_used):
-        up = apply_semigroup(fld, t * math.exp(0.05), grid, kernel="neumann-box")
-        dn = apply_semigroup(fld, t * math.exp(-0.05), grid, kernel="neumann-box")
+        up = apply_semigroup(fld, t * math.exp(0.05), kernel="neumann-box")
+        dn = apply_semigroup(fld, t * math.exp(-0.05), kernel="neumann-box")
         deriv = -(up.values - dn.values) / (2.0 * 0.05)
         lp = float(np.sum(np.abs(deriv) ** params.p) * grid.weight) ** (1.0 / params.p)
         integrand_q[i] = (t ** (-params.alpha) * lp) ** params.q

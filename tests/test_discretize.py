@@ -26,6 +26,7 @@ from nrlab.discretize import (
     heat_axis_matrices,
     make_grid,
     read_matrix,
+    support_core,
 )
 from nrlab.dyadic import SampledField
 from nrlab.harness import symbol_family
@@ -329,6 +330,21 @@ def test_core_background_is_the_most_frequent_value():
     assert np.count_nonzero(lifted.cores[0]) > 0 and np.count_nonzero(lifted.cores[1]) == 0
 
 
+def test_support_core_leaves_the_most_frequent_value():
+    grid = make_grid(2, BOX, 16)
+    plus = grid.half_indices()[0]
+    sym = next(s for s in symbol_family("default", 2) if s.name == "bump_a35")
+    lifted = sym(grid.nodes[plus]) + 0.7
+    core = support_core(lifted)
+    assert np.array_equal(core, lifted != 0.7)
+    assert 0 < np.count_nonzero(core) < plus.size
+    # a per-half constant has an empty core
+    assert not support_core(np.full(plus.size, -1.25)).any()
+    # on a tie the lowest of the most frequent values is the background,
+    # which need not be the lowest value
+    assert support_core(np.array([2.0, 3.0, 2.0, 3.0, 1.0])).tolist() == [False, True, False, True, True]
+
+
 # ---------------------------------------------------------------------------
 # the Riesz kernel on the grid
 
@@ -397,7 +413,7 @@ def test_riesz_term_symmetry_split():
 def test_semigroup_preserves_constants_interior():
     grid = make_grid(2, BOX, 48)
     f = SampledField(grid, np.ones(len(grid.nodes)))
-    out = apply_semigroup(f, 0.01, grid)
+    out = apply_semigroup(f, 0.01)
     interior = np.max(np.abs(grid.nodes), axis=1) < 1.0
     assert np.max(np.abs(out.values[interior] - 1.0)) < 1e-6
 
@@ -405,7 +421,7 @@ def test_semigroup_preserves_constants_interior():
 def test_semigroup_gating_exact():
     grid = make_grid(2, BOX, 32)
     f = SampledField(grid, np.where(grid.mask_plus, _bump(grid.nodes), 0.0))
-    out = apply_semigroup(f, 0.05, grid)
+    out = apply_semigroup(f, 0.05)
     assert not np.any(out.values[grid.mask_minus])
 
 
@@ -413,8 +429,8 @@ def test_semigroup_composition():
     grid = make_grid(2, BOX, 48)
     f = SampledField(grid, _bump(grid.nodes, (0.1, 0.4), 0.3))
     t, s = 0.015, 0.025
-    two_step = apply_semigroup(apply_semigroup(f, t, grid), s, grid)
-    one_step = apply_semigroup(f, t + s, grid)
+    two_step = apply_semigroup(apply_semigroup(f, t), s)
+    one_step = apply_semigroup(f, t + s)
     assert np.max(np.abs(two_step.values - one_step.values)) < 1e-6
 
 
@@ -422,10 +438,10 @@ def test_semigroup_matches_even_extension_route():
     grid = make_grid(2, BOX, 48)
     raw = _bump(grid.nodes, (0.0, 0.5), 0.25)
     f_plus = np.where(grid.mask_plus, raw, 0.0)
-    neumann = apply_semigroup(SampledField(grid, f_plus), 0.01, grid)
+    neumann = apply_semigroup(SampledField(grid, f_plus), 0.01)
     mirror = grid.mirror_index()
     f_even = np.where(grid.mask_plus, f_plus, f_plus[mirror])
-    full = apply_semigroup(SampledField(grid, f_even), 0.01, grid, kernel="full")
+    full = apply_semigroup(SampledField(grid, f_even), 0.01, kernel="full")
     err = np.abs(neumann.values - full.values)[grid.mask_plus]
     assert np.max(err) < 1e-6
 
@@ -433,7 +449,7 @@ def test_semigroup_matches_even_extension_route():
 def test_semigroup_box_kernel_fixes_constants_at_large_t():
     grid = make_grid(2, BOX, 24)
     f = SampledField(grid, np.where(grid.mask_plus, 2.0, -1.0))
-    out = apply_semigroup(f, 2.0, grid, kernel="neumann-box")
+    out = apply_semigroup(f, 2.0, kernel="neumann-box")
     assert np.max(np.abs(out.values - f.values)) < 1e-9
 
 
@@ -504,7 +520,7 @@ def test_box_kernel_fixes_constants_on_a_one_sided_box(box):
     times = [t for t in default_time_grid() if t >= floor]
     assert len(times) > 30
     for t in times:
-        out = apply_semigroup(ones, t, grid, kernel="neumann-box")
+        out = apply_semigroup(ones, t, kernel="neumann-box")
         assert np.max(np.abs(out.values - 1.0)) <= 4e-15
 
 
@@ -512,9 +528,9 @@ def test_semigroup_rejects_bad_t():
     grid = make_grid(2, BOX, 8)
     f = SampledField(grid, np.ones(len(grid.nodes)))
     with pytest.raises(ValueError, match="positive"):
-        apply_semigroup(f, 0.0, grid)
+        apply_semigroup(f, 0.0)
     with pytest.raises(ValueError):
-        apply_semigroup(f, -1.0, grid)
+        apply_semigroup(f, -1.0)
 
 
 # ---------------------------------------------------------------------------

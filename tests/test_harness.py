@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from nrlab.cli import main as cli_main
-from nrlab.discretize import Symbol, assemble_commutator, ball_microgrid, make_grid, read_matrix
+from nrlab.discretize import Symbol, assemble_commutator, ball_microgrid, make_grid, read_matrix, support_core
 from nrlab.dyadic import Cube, SampledField, box_midpoint_mean, build_system, finest_resolved_generation, median
 from nrlab.harness import (
     ExperimentConfig,
@@ -340,10 +340,10 @@ def test_studies_build_symbol_independent_operators_once_per_grid(monkeypatch):
 
     calls.update(dict.fromkeys(calls, 0))
     audit = dict(audit_C_energy=1e9, audit_C_nwo=1e9, audit_C_tail=1e9, audit_C_double=1e9)
-    lower_bound_audit(ExperimentConfig(p=4.0, grid_sizes=(16,), num_lattice_shifts=3, **audit), N=16)
+    lower_bound_audit(ExperimentConfig(p=4.0, grid_sizes=(16,), num_lattice_shifts=3, **audit))
     assert calls == {"assemble_commutator": 7, "besov_heat_norm": 0, "besov_neumann_norm": 0, "build_system": 2 * 3}
     calls.update(dict.fromkeys(calls, 0))
-    upper_bound_audit(ExperimentConfig(p=4.0, grid_sizes=(16,)), N=16)
+    upper_bound_audit(ExperimentConfig(p=4.0, grid_sizes=(16,)))
     assert calls == {"assemble_commutator": 7, "besov_heat_norm": 0, "besov_neumann_norm": 0, "build_system": 0}
 
 
@@ -407,14 +407,14 @@ def test_studies_free_each_grids_operators_before_the_next_assembly(monkeypatch)
 
 
 def test_study_and_audit_at_n64_allocate_less_than_one_half_block():
-    # no commutator or Riesz block is formed as an m x m array: at N = 64
-    # (m = 2048 nodes per half) the ratio study and the upper audit each
-    # peak below one m x m float64 array, 32 MiB (the lower audit's
-    # double-integral statistic still forms arrays of that shape)
+    # no study or audit forms an m x m array: at N = 64 (m = 2048 nodes
+    # per half) the ratio study and both audits each peak below one
+    # m x m float64 array, 32 MiB
     limit = 8 * 2048**2
     for run in (
         lambda: ratio_study(ExperimentConfig(grid_sizes=(32, 64))),
-        lambda: upper_bound_audit(ExperimentConfig(grid_sizes=(64,)), N=64),
+        lambda: upper_bound_audit(ExperimentConfig(grid_sizes=(64,))),
+        lambda: lower_bound_audit(ExperimentConfig(grid_sizes=(64,))),
     ):
         tracemalloc.start()
         try:
@@ -745,8 +745,32 @@ def test_nwo_statistic_checks_every_cube_witness():
         _nwo_statistic(symbol_family("default", 2)[:1], cfg, systems)
 
 
+def _core_row_distances(x, core):
+    """|x_S - x|^2 over the core rows S from a last-axis sum, +inf at each
+    row's own node."""
+    d2 = np.sum((x[core][:, None, :] - x[None, :, :]) ** 2, axis=-1)
+    d2[np.arange(len(d2)), np.flatnonzero(core)] = np.inf
+    return d2
+
+
 def _double_integral_by_reduction(fields, n, p):
-    """The double-integral statistic with |x-y|^2 from a last-axis sum."""
+    """The double-integral statistic with |x-y|^2 from a last-axis sum, in
+    the statistic's order: per half and field, the core rows' terms, then
+    their off-core columns again."""
+    grid = fields[0].grid
+    totals = [0.0] * len(fields)
+    for idx in grid.half_indices():
+        x = grid.nodes[idx]
+        for i, fld in enumerate(fields):
+            b = fld.values[idx]
+            core = support_core(b)
+            terms = np.abs(b[core][:, None] - b[None, :]) ** p / _core_row_distances(x, core) ** n
+            totals[i] += float(terms.sum() + terms[:, ~core].sum()) * grid.weight**2
+    return totals
+
+
+def _double_integral_over_every_pair(fields, n, p):
+    """The double integral summed over every same-half pair, m x m per half."""
     grid = fields[0].grid
     totals = [0.0] * len(fields)
     for mask in (grid.mask_plus, grid.mask_minus):
@@ -801,13 +825,21 @@ def test_double_integral_distances_bit_identical_to_reduction_form(monkeypatch, 
         return recorded[-1]
 
     monkeypatch.setattr(harness, "squared_distance", recording)
-    assert _double_integral_statistic(fields, cfg) == _double_integral_by_reduction(fields, n, cfg.p)
-    assert len(recorded) == 2
-    for d2, mask in zip(recorded, (grid.mask_plus, grid.mask_minus)):
-        x = grid.nodes[mask]
-        want = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
-        np.fill_diagonal(want, np.inf)
-        assert _same_bits(d2, want)
+    got = _double_integral_statistic(fields, cfg)
+    assert got == _double_integral_by_reduction(fields, n, cfg.p)
+    # summed over every pair instead, the same terms are added in another
+    # order, so only a bound holds there
+    want = _double_integral_over_every_pair(fields, n, cfg.p)
+    assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+    # one core-row strip per half and field, with +inf at each row's node
+    halves = grid.half_indices()
+    assert len(recorded) == len(halves) * len(fields) == 4
+    strips = iter(recorded)
+    for idx in halves:
+        for fld in fields:
+            core = support_core(fld.values[idx])
+            assert 0 < np.count_nonzero(core) < idx.size
+            assert _same_bits(next(strips), _core_row_distances(grid.nodes[idx], core))
 
 
 def test_lower_audit_smoke_statistics_structure():
@@ -819,7 +851,7 @@ def test_lower_audit_smoke_statistics_structure():
         audit_C_tail=1e9,
         audit_C_double=1e9,
     )
-    rep = lower_bound_audit(cfg, N=16)
+    rep = lower_bound_audit(cfg)
     assert all(row.note == "" for row in rep.rows)  # inequalities hold
     assert {"energy_C_spread", "nwo_C_spread"} <= set(rep.summary)
     names = {r.aux["statistic"] for r in rep.rows}
@@ -835,7 +867,7 @@ def test_lower_audit_smoke_statistics_structure():
 
 def test_upper_audit_smoke_split_and_rows():
     cfg = ExperimentConfig(p=4.0, grid_sizes=(16,), russo_slack=100.0)
-    rep = upper_bound_audit(cfg, N=16)
+    rep = upper_bound_audit(cfg)
     assert rep.passed
     for row in rep.rows:
         full = row.aux["mixed_full"]
@@ -849,7 +881,7 @@ def test_upper_audit_mixed_full_equals_whole_kernel_norm():
     # each must equal the whole kernel's norm, taken as one block, exactly
     for ell, N in itertools.product((1, 2), (16, 32)):
         cfg = ExperimentConfig(p=4.0, ell=ell, grid_sizes=(N,), russo_slack=100.0)
-        rep = upper_bound_audit(cfg, N=N)
+        rep = upper_bound_audit(cfg)
         grid = make_grid(2, cfg.box, N)
         for sym, row in zip(symbol_family("default", 2), rep.rows):
             op = assemble_commutator(sym, ell, grid)
@@ -865,7 +897,7 @@ def test_upper_audit_bound_is_the_full_mixed_norm_for_tangential_ell():
     # norms, each added row by row like the direct ones, are the same
     # sums, and the bound sqrt(k * k) is k itself
     for N in (16, 32):
-        rep = upper_bound_audit(ExperimentConfig(p=4.0, ell=1, grid_sizes=(N,), russo_slack=100.0), N=N)
+        rep = upper_bound_audit(ExperimentConfig(p=4.0, ell=1, grid_sizes=(N,), russo_slack=100.0))
         for row in rep.rows:
             assert row.aux["russo_bound"] == row.aux["mixed_full"]
             assert rep.spectra[f"upper_{row.symbol}_N{N}"][1]["russo_bound"] == row.aux["mixed_full"]
@@ -880,7 +912,7 @@ def test_upper_audit_checks_the_kernel_gate(monkeypatch):
         return riesz_kernel(params, x, y, singular) + 1.0
 
     monkeypatch.setattr("nrlab.harness.riesz_kernel", ungated)
-    rep = upper_bound_audit(ExperimentConfig(p=4.0, grid_sizes=(16,), russo_slack=100.0), N=16)
+    rep = upper_bound_audit(ExperimentConfig(p=4.0, grid_sizes=(16,), russo_slack=100.0))
     assert not rep.passed
     assert all(row.note == "bound violated" for row in rep.rows)
 
