@@ -11,7 +11,8 @@ zero off the rows and columns of the nodes where b leaves its
 background value on the half, so the kernel is evaluated on those rows
 and columns only, and no m x m array is formed (see `OperatorMatrix`).
 The semigroup's axis matrices do not depend on the symbol: callers build
-them once per grid and time and apply them to every symbol.
+them once per grid for a whole array of times and apply them to every
+symbol's field in one batched contraction.
 
 The semigroup is applied in factored form, one axis at a time, which is
 algebraically identical to the dense midpoint-rule matrix but costs
@@ -315,46 +316,63 @@ def assemble_commutator(b, ell: int, grid: QuadratureGrid) -> OperatorMatrix:
     return OperatorMatrix(grid, ell, getattr(b, "name", "symbol"), cores, rows, cols, values)
 
 
-def _heat_1d(t: float, d: np.ndarray) -> np.ndarray:
+def _heat_1d(t, d: np.ndarray) -> np.ndarray:
     return np.exp(-(d**2) / (4.0 * t)) / np.sqrt(4.0 * np.pi * t)
 
 
-def _cell_heat_1d(t: float, x: np.ndarray, walls: list) -> np.ndarray:
-    """Heat kernel between the nodes x of one cell, by the method of
-    images in its reflecting `walls`: none, one, or both ends a < b.
+def _cell_heat_1d(t: np.ndarray, x: np.ndarray, walls: list) -> np.ndarray:
+    """Heat kernels between the nodes x of one cell, by the method of
+    images in its reflecting `walls` (none, one, or both ends a < b), as
+    a (T, k, k) stack for the T times t.
 
     Two walls sum images until the leftover Gaussian mass is below
-    e^-25, so constants are preserved to ~1e-11 at any t.
+    e^-25, so constants are preserved to ~1e-11 at any t.  The image
+    count depends on t, and each time gets exactly its own: one pass
+    over the images, i from -reach to reach, direct image then
+    reflected, adds each image to the times that reach it, so every
+    slice is the one-time sum bit for bit.
     """
     diff = x[:, None] - x[None, :]
+    ts = t[:, None, None]
     if not walls:
-        return _heat_1d(t, diff)
+        return _heat_1d(ts, diff)
     summ = x[:, None] + x[None, :] - 2.0 * walls[0]
     if len(walls) == 1:
-        return _heat_1d(t, diff) + _REFLECTED_SIGN * _heat_1d(t, summ)
+        return _heat_1d(ts, diff) + _REFLECTED_SIGN * _heat_1d(ts, summ)
     length = walls[1] - walls[0]
-    reach = int(np.ceil(10.0 * np.sqrt(t) / (2.0 * length))) + 1
-    out = np.zeros_like(diff)
-    for i in range(-reach, reach + 1):
-        out += _heat_1d(t, diff + 2.0 * i * length)
-        out += _heat_1d(t, summ + 2.0 * i * length)
-    return out
+    reach = np.ceil(10.0 * np.sqrt(t) / (2.0 * length)).astype(int) + 1
+    # in order of reach, the times an image reaches are a suffix
+    order = np.argsort(reach)
+    reach, ts = reach[order], ts[order]
+    acc = np.zeros((t.size, *diff.shape))
+    for i in range(-reach[-1], reach[-1] + 1):
+        s = np.searchsorted(reach, abs(i))
+        acc[s:] += _heat_1d(ts[s:], diff + 2.0 * i * length)
+        acc[s:] += _heat_1d(ts[s:], summ + 2.0 * i * length)
+    return acc[np.argsort(order)]
 
 
-def heat_axis_matrices(t: float, grid: QuadratureGrid, kernel: str = "neumann") -> list:
-    """Per-axis midpoint-rule matrices of the heat semigroup at time t.
+def heat_axis_matrices(t, grid: QuadratureGrid, kernel: str = "neumann") -> list:
+    """Per-axis midpoint-rule matrices of the heat semigroup at the times
+    t, a scalar or an array: per axis a (*t.shape, N_j, N_j) stack, so a
+    scalar t gives one (N_j, N_j) matrix.  Each slice is the one-time
+    matrix bit for bit.
 
     Each axis has reflecting walls: none for "full"; x_n = 0 on the last
     axis for "neumann"; the box faces for "neumann-box", and x_n = 0 too
     where it lies strictly inside the box.  The walls cut the axis into
     cells, and each cell evolves on its own.  The matrices do not depend
     on the field, so a caller that evolves several fields builds them
-    once and hands each field to `apply_axis_matrices`.
+    once and hands all the fields to `apply_axis_matrices`.
     """
-    if t <= 0:
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"t must be finite, got {t}")
+    if np.any(t <= 0):
         raise ValueError("t must be positive")
     if kernel not in ("neumann", "full", "neumann-box"):
         raise ValueError("kernel must be 'neumann', 'full' or 'neumann-box'")
+    times = t.reshape(-1)
     mats = []
     for j, c in enumerate(grid.axes):
         lo, hi = grid.box[j]
@@ -366,20 +384,34 @@ def heat_axis_matrices(t: float, grid: QuadratureGrid, kernel: str = "neumann") 
         else:
             walls = [lo, 0.0, hi] if last and lo < 0.0 < hi else [lo, hi]
         edges = [-np.inf, *walls, np.inf]
-        mat = np.zeros((c.size, c.size))
+        mat = np.zeros((times.size, c.size, c.size))
         for a, b in zip(edges, edges[1:]):
             i0, i1 = np.searchsorted(c, (a, b))
-            mat[i0:i1, i0:i1] = _cell_heat_1d(t, c[i0:i1], [w for w in (a, b) if np.isfinite(w)])
-        mats.append(mat * grid.spacing[j])
+            mat[:, i0:i1, i0:i1] = _cell_heat_1d(times, c[i0:i1], [w for w in (a, b) if np.isfinite(w)])
+        mats.append((mat * grid.spacing[j]).reshape(*t.shape, c.size, c.size))
     return mats
 
 
 def apply_axis_matrices(values: np.ndarray, mats: list, grid: QuadratureGrid) -> np.ndarray:
-    """Contract one field with per-axis matrices, one tensordot per axis."""
-    out = values.reshape(grid.shape)
+    """Contract fields (..., m) with per-axis matrices (..., N_j, N_j),
+    one batched matmul per axis; the leading shapes broadcast.
+
+    Each axis is contracted on the strided view that puts it second to
+    last, the view `tensordot` would read, so every field's result is a
+    one-field contraction bit for bit.  A contiguous copy of the view
+    would change the operand layout BLAS sees, and with it the rounding.
+    """
+    # a 1-d field is contracted as a column
+    shape = grid.shape if grid.dim > 1 else (*grid.shape, 1)
+    k = len(shape)
+    out = values.reshape(*values.shape[:-1], *shape)
     for j, mat in enumerate(mats):
-        out = np.moveaxis(np.tensordot(mat, out, axes=(1, j)), 0, j)
-    return out.reshape(-1)
+        # the view keeps k - 2 grid axes in front of the contracted one;
+        # a unit axis for each lines the matrices' leading axes up with
+        # the fields'
+        mat = np.expand_dims(mat, tuple(range(-k, -2)))
+        out = np.moveaxis(mat @ np.moveaxis(out, j - k, -2), -2, j - k)
+    return out.reshape(*out.shape[:-k], -1)
 
 
 def apply_semigroup(f: SampledField, t: float, kernel: str = "neumann") -> SampledField:

@@ -776,10 +776,15 @@ def upper_bound_audit(cfg: ExperimentConfig) -> Report:
         # the full mixed norm is the direct half of the Russo bound, as
         # russo_bound computes it on the dense blocks; here both halves
         # come from the core strips, bit for bit.  The same-half norms
-        # reuse the full norm's per-block column norms.
+        # reuse the full norm's per-block column norms.  For ell < n the
+        # column strip is the row strip's transpose, so the adjoint's
+        # strips are the direct ones, and so is its norm.
         inner = operator_column_norms(op, cfg.p)
         k_full = weak_outer_norm(np.concatenate(inner), cfg.p, op.weight)
-        adjoint = weak_outer_norm(np.concatenate(operator_column_norms(op, cfg.p, adjoint=True)), cfg.p, op.weight)
+        if cfg.ell < cfg.n:
+            adjoint = k_full
+        else:
+            adjoint = weak_outer_norm(np.concatenate(operator_column_norms(op, cfg.p, adjoint=True)), cfg.p, op.weight)
         bound = float(np.sqrt(k_full * adjoint))
         spectra[f"upper_{sym.name}_N{N}"] = (
             spec,

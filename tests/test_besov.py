@@ -5,6 +5,7 @@ radius x direction shift sample against a per-shift reference loop, and
 the family extension route against per-symbol extensions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from nrlab.besov import (
     default_time_grid,
     even_extension,
 )
-from nrlab.discretize import apply_semigroup, make_grid
+from nrlab.discretize import apply_semigroup, make_grid, row_blocks
 from nrlab.dyadic import SampledField
 from nrlab.harness import symbol_family
 
@@ -136,6 +137,47 @@ def test_heat_norm_family_matches_per_symbol_semigroup_bit_for_bit():
         assert besov_heat_norm([b], PARAMS, grid, t_grid) == [norm]
 
 
+def test_heat_norm_family_matches_per_symbol_semigroup_on_a_3d_grid():
+    box = ((-1.1, 0.9), (-1.3, 0.7), (-0.7, 1.3))
+    grid = make_grid(3, box, 12)
+    t_grid = default_time_grid(1e-2, 10.0, 8)
+    family = [
+        lambda p: _bump(p, (0.0, 0.0, 0.4), 0.5),
+        lambda p: np.where(np.asarray(p)[..., 2] > 0, 1.25, -0.5),
+        lambda p: _bump(p, (0.2, -0.3, -0.3), 0.6),
+    ]
+    norms = besov_heat_norm(family, PARAMS, grid, t_grid)
+    for b, norm in zip(family, norms):
+        assert norm == _heat_norm_by_semigroup(b, PARAMS, grid, t_grid)
+
+
+def test_heat_norm_is_bit_identical_across_t_node_chunks():
+    # 3 fields of 256 values: chunks of 85 t-nodes, the last one short
+    grid = make_grid(2, BOX, 16)
+    t_grid = default_time_grid(0.0625, 10.0, 96)
+    family = [_bump, _halfconst, lambda p: _bump(p, (0.3, -0.4), 0.6)]
+    chunks = [i1 - i0 for i0, i1 in row_blocks(t_grid.size, len(family) * len(grid.nodes))]
+    assert len(chunks) == 3 and chunks[-1] < chunks[0]
+    norms = besov_heat_norm(family, PARAMS, grid, t_grid)
+    for b, norm in zip(family, norms):
+        assert norm == _heat_norm_by_semigroup(b, PARAMS, grid, t_grid)
+
+
+def test_heat_norm_memory_is_bounded_by_its_t_node_chunks():
+    # at N = 64 the default family evolves 7 x 4096 values per t-node; a
+    # chunk of 2^16 values holds 2 t-nodes, and the route peaks near
+    # 2.1 MiB (tracemalloc); all 55 kept t-nodes at once peak near 40 MiB
+    grid = make_grid(2, BOX, 64)
+    family = symbol_family("default", 2)
+    tracemalloc.start()
+    try:
+        besov_heat_norm(family, PARAMS, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
 def test_heat_norm_homogeneity():
     grid = make_grid(2, BOX, 24)
     base, doubled = besov_heat_norm([_bump, lambda p: 2.0 * _bump(p)], PARAMS, grid)
@@ -167,6 +209,19 @@ def test_heat_norm_error_paths():
     with pytest.raises(ValueError, match="resolution floor"):
         # every node sits below max(spacing)^2 = 1/16
         besov_heat_norm([_bump], PARAMS, grid, t_grid=np.array([1e-5, 2e-5]))
+
+
+def test_heat_norm_refuses_a_non_finite_t_node():
+    # a NaN node used to fall through the resolution-floor filter
+    grid = make_grid(2, BOX, 16)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="t grid must be finite"):
+            besov_heat_norm([_bump], PARAMS, grid, t_grid=np.array([0.3, 0.5, 1.0, bad]))
+
+
+def test_time_grid_refuses_an_infinite_t_max():
+    with pytest.raises(ValueError, match="t_max must be finite"):
+        default_time_grid(1e-3, math.inf)
 
 
 # ---------------------------------------------------------------------------

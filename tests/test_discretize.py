@@ -19,6 +19,7 @@ from nrlab.besov import default_time_grid
 from nrlab.discretize import (
     OperatorMatrix,
     QuadratureGrid,
+    apply_axis_matrices,
     apply_semigroup,
     assemble_commutator,
     ball_microgrid,
@@ -522,6 +523,67 @@ def test_box_kernel_fixes_constants_on_a_one_sided_box(box):
     for t in times:
         out = apply_semigroup(ones, t, kernel="neumann-box")
         assert np.max(np.abs(out.values - 1.0)) <= 4e-15
+
+
+@pytest.mark.parametrize(
+    "box, N",
+    [
+        (BOX, 16),
+        (((-1.0, 3.0), (-2.5, 1.5)), 40),
+        (((-3.0, 3.0),) * 3, 8),
+        (((-1.1, 0.9), (-1.3, 0.7), (-0.7, 1.3)), 12),
+    ],
+)
+def test_heat_axis_matrices_on_a_t_array_match_the_per_t_calls(box, N):
+    # unsorted, 2-d, and spread from one image per side to several, so
+    # the times of one call reach different image counts
+    grid = make_grid(len(box), box, N)
+    times = np.array([[10.0, 1e-3, 0.3], [37.0, 0.0156, 1.0]])
+    for kernel in ("full", "neumann", "neumann-box"):
+        stacks = heat_axis_matrices(times, grid, kernel)
+        assert [m.shape for m in stacks] == [(2, 3, N, N)] * grid.dim
+        for idx in np.ndindex(times.shape):
+            one = heat_axis_matrices(times[idx], grid, kernel)
+            assert [m[idx].tobytes() for m in stacks] == [m.tobytes() for m in one]
+
+
+def _tensordot_contraction(values, mats, grid):
+    """One field contracted axis by axis with `tensordot`."""
+    out = values.reshape(grid.shape)
+    for j, mat in enumerate(mats):
+        out = np.moveaxis(np.tensordot(mat, out, axes=(1, j)), 0, j)
+    return out.reshape(-1)
+
+
+@pytest.mark.parametrize(
+    "box, N",
+    [
+        (((-2.0, 2.0),), 16),
+        (BOX, 32),
+        (BOX, 40),
+        (((-3.0, 3.0),) * 3, 8),
+        (((-1.1, 0.9), (-1.3, 0.7), (-0.7, 1.3)), 12),
+    ],
+)
+def test_batched_axis_contraction_matches_one_field_at_a_time(box, N):
+    grid = make_grid(len(box), box, N)
+    values = np.random.default_rng(5).standard_normal((3, len(grid.nodes)))
+    times = np.array([0.01, 0.3, 2.0, 9.0])
+    mats = heat_axis_matrices(times, grid, "neumann-box")
+    batched = apply_axis_matrices(values, [m[:, None] for m in mats], grid)
+    assert batched.shape == (times.size, len(values), len(grid.nodes))
+    for k, s in np.ndindex(batched.shape[:2]):
+        one = [m[k] for m in mats]
+        assert np.array_equal(batched[k, s], apply_axis_matrices(values[s], one, grid))
+        assert np.array_equal(batched[k, s], _tensordot_contraction(values[s], one, grid))
+
+
+@pytest.mark.parametrize("kernel", ["full", "neumann", "neumann-box"])
+def test_heat_axis_matrices_refuse_a_non_finite_t(kernel):
+    grid = make_grid(2, BOX, 8)
+    for t in (math.nan, math.inf, np.array([0.3, math.nan])):
+        with pytest.raises(ValueError, match="t must be finite"):
+            heat_axis_matrices(t, grid, kernel)
 
 
 def test_semigroup_rejects_bad_t():

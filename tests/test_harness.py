@@ -903,6 +903,17 @@ def test_upper_audit_bound_is_the_full_mixed_norm_for_tangential_ell():
             assert rep.spectra[f"upper_{row.symbol}_N{N}"][1]["russo_bound"] == row.aux["mixed_full"]
 
 
+@pytest.mark.parametrize("ell, per_symbol", [(1, 1), (2, 2)])
+def test_upper_audit_takes_the_adjoint_column_norms_only_for_ell_n(monkeypatch, ell, per_symbol):
+    # for ell < n the adjoint's strips are the direct ones, so the audit
+    # reads one set of column norms per commutator; for ell = n, two
+    from nrlab import harness
+
+    calls = _count_calls(monkeypatch, harness, ("operator_column_norms",))
+    rep = upper_bound_audit(ExperimentConfig(p=4.0, ell=ell, grid_sizes=(16,), russo_slack=100.0))
+    assert calls["operator_column_norms"] == per_symbol * len(rep.rows) == per_symbol * 7
+
+
 def test_upper_audit_checks_the_kernel_gate(monkeypatch):
     # assembly leaves cross-half entries at zero without evaluating them,
     # so the audit's split check must read the kernel itself
