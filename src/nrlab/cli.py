@@ -29,27 +29,32 @@ from .harness import (
 from .kernels import KernelParams, heat_kernel_full, heat_kernel_neumann, riesz_kernel
 
 
+def _grid_ladder(text: str) -> tuple:
+    """The --grid value, e.g. 16,32,64, as a tuple of ints."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
 def _add_common(sub):
     sub.add_argument("--config", type=str, default=None, help="key=value config file")
     sub.add_argument("--out", type=str, default=None, help="output directory")
     sub.add_argument("--n", type=int, default=None)
     sub.add_argument("--p", type=float, default=None)
     sub.add_argument("--ell", type=int, default=None)
-    sub.add_argument("--grid", type=str, default=None, help="grid ladder, e.g. 16,32,64")
+    sub.add_argument("--grid", type=_grid_ladder, default=None, help="grid ladder, e.g. 16,32,64")
     sub.add_argument("--seed", type=int, default=None)
 
 
 def _build_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
     overrides = {}
-    for name, key in (("n", "n"), ("p", "p"), ("ell", "ell"), ("seed", "seed"), ("out", "out_dir")):
+    renamed = {"out": "out_dir", "grid": "grid_sizes"}
+    for name in ("n", "p", "ell", "seed", "out", "grid", "family"):
         val = getattr(args, name, None)
         if val is not None:
-            overrides[key] = val
-    if getattr(args, "grid", None) is not None:
-        overrides["grid_sizes"] = tuple(int(v) for v in str(args.grid).split(","))
-    if getattr(args, "family", None) is not None:
-        overrides["family"] = args.family
+            overrides[renamed.get(name, name)] = val
     return cfg.updated(**overrides)
 
 

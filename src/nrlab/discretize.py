@@ -21,6 +21,7 @@ O(n N^{n+1}) instead of O(N^{2n}).
 
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass
 from typing import Callable
@@ -115,12 +116,16 @@ def check_grid(n: int, box, N: int):
     """The box as an (n, 2) array and N as an int, or a ValueError naming
     the rule they break.
 
-    N must be at least 4; when the box crosses the interface N must also
-    keep every node off x_n = 0 (even N does, for a symmetric box).
+    N must be an integer (a bool, a float or a string is refused, not
+    truncated or parsed) and at least 4; when the box crosses the
+    interface N must also keep every node off x_n = 0 (even N does, for a
+    symmetric box).
     """
     box = np.atleast_2d(np.asarray(box, dtype=float))
     if box.shape != (n, 2) or np.any(box[:, 1] <= box[:, 0]):
         raise ValueError("box must be n pairs lo < hi")
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral):
+        raise ValueError(f"N must be an int, got {N!r}")
     N = int(N)
     if N < 4:
         raise ValueError("N must be at least 4")

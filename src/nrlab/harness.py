@@ -348,6 +348,12 @@ def lattice_shift_sample(n: int, count: int = 9) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # statistics shared by the studies
 
+# midpoints per axis of the micro-quadratures: the NWO statistic's child
+# cubes and witness balls, and the oscillation statistic's grandchildren
+_NWO_CHILD_PPA = 6
+_NWO_BALL_PPA = 8
+_OSCILLATION_PPA = 6
+
 
 def _lattice_systems(cfg: ExperimentConfig, k_max: int) -> list:
     """The plus and minus dyadic systems of every lattice shift, in the
@@ -377,7 +383,7 @@ def _energy_statistic(fields: list, cfg: ExperimentConfig, systems: list) -> lis
     return best.tolist()
 
 
-def _nwo_statistic(family: list, cfg: ExperimentConfig, systems: list, child_ppa: int = 6, ball_ppa: int = 8) -> list:
+def _nwo_statistic(family: list, cfg: ExperimentConfig, systems: list) -> list:
     """Per symbol of `family`, in family order: the sum over halves,
     generations and admissible cubes of (sum_children |<T e, f>|)^p with
     e, f the normalized indicators built from the witness-ball median
@@ -421,14 +427,14 @@ def _nwo_statistic(family: list, cfg: ExperimentConfig, systems: list, child_ppa
                     continue
                 rows = system.blocks[k][1][-1]
                 witness = [sign_witness(Q, params, cfg.witness_A) for Q in cubes]
-                y_first, wy = ball_microgrid(witness[0][1], ball_ppa)
+                y_first, wy = ball_microgrid(witness[0][1], _NWO_BALL_PPA)
                 centres = np.array([y0 for y0, _, _ in witness])
                 y_nodes = y_first + (centres - centres[0])[:, None, :]
-                x_nodes = midpoint_nodes(system.subcube_boxes(k, 1), child_ppa)
+                x_nodes = midpoint_nodes(system.subcube_boxes(k, 1), _NWO_CHILD_PPA)
                 kv = riesz_kernel(
                     params, x_nodes[:rows, :, :, None, :], y_nodes[:rows, None, None, :, :], singular="zero"
                 ).reshape(rows, -1, len(y_first))
-                wx = (2.0 ** (-(k + 1)) / child_ppa) ** cfg.n
+                wx = (2.0 ** (-(k + 1)) / _NWO_CHILD_PPA) ** cfg.n
                 for s, sym in enumerate(family):
                     by = sym(y_nodes.reshape(-1, cfg.n)).reshape(y_nodes.shape[:2])
                     alpha = median(by)[:, None]
@@ -493,7 +499,7 @@ def _double_integral_statistic(fields: list, cfg: ExperimentConfig) -> list:
     return totals
 
 
-def _oscillation_partials(family: list, cfg: ExperimentConfig, systems: list, ppa: int = 6) -> list:
+def _oscillation_partials(family: list, cfg: ExperimentConfig, systems: list) -> list:
     """Per symbol of `family`, in family order, a dict K -> the cumulative
     dyadic oscillation statistic up to top generation K: sup over lattice
     shifts of (sum_{k<=K} sum_Q osc_Q^n)^{1/n}, where osc_Q is the mean
@@ -513,7 +519,7 @@ def _oscillation_partials(family: list, cfg: ExperimentConfig, systems: list, pp
             for system in pair:
                 if not system.cubes[k]:
                     continue
-                nodes = midpoint_nodes(system.subcube_boxes(k, 2), ppa)
+                nodes = midpoint_nodes(system.subcube_boxes(k, 2), _OSCILLATION_PPA)
                 for s, sym in enumerate(family):
                     means = sym(nodes.reshape(-1, cfg.n)).reshape(nodes.shape[:3]).mean(axis=-1)
                     gaps = np.abs(means[:, :, None] - means[:, None, :])
@@ -541,7 +547,7 @@ def ratio_study(cfg: ExperimentConfig) -> Report:
     the refinement ladder; summary reports the family ratio spread at the
     largest N and the per-symbol drift over the last refinement step."""
     if cfg.p <= cfg.n:
-        raise ValueError("ratio study invalid in this range")
+        raise ValueError(f"ratio study needs p > n, got p={cfg.p}, n={cfg.n}")
     params = BesovParams(cfg.n / cfg.p, cfg.p, cfg.p)
     # clamp the t window to the coarsest ladder grid's resolution floor so
     # every N integrates the same truncated functional; otherwise the
@@ -625,7 +631,7 @@ def divergence_study(cfg: ExperimentConfig) -> Report:
     n/p = 1 falls outside the (0, 1) range of the norm definitions.
     """
     if cfg.p != cfg.n:
-        raise ValueError("divergence study requires p = n")
+        raise ValueError(f"divergence study needs p = n, got p={cfg.p}, n={cfg.n}")
     family = symbol_family(cfg.family, cfg.n)
     spectra = {}
     norms = {}
@@ -684,7 +690,7 @@ def lower_bound_audit(cfg: ExperimentConfig) -> Report:
     non-degenerate family to within the stability band
     (max/min <= 1.25/0.75)."""
     if cfg.p <= cfg.n:
-        raise ValueError("lower-bound audit requires p > n")
+        raise ValueError(f"lower-bound audit needs p > n, got p={cfg.p}, n={cfg.n}")
     N = cfg.grid_sizes[0]
     family = symbol_family(cfg.family, cfg.n)
     rows = []
@@ -759,7 +765,7 @@ def upper_bound_audit(cfg: ExperimentConfig) -> Report:
     exactly 0.0 on every cross-half pair of the grid, and the full mixed
     norm is at most the sum of the two same-half ones."""
     if cfg.p <= max(cfg.n, 2):
-        raise ValueError("upper-bound audit requires p > max(n, 2)")
+        raise ValueError(f"upper-bound audit needs p > max(n, 2), got p={cfg.p}, n={cfg.n}")
     N = cfg.grid_sizes[0]
     rows = []
     spectra = {}
@@ -773,19 +779,12 @@ def upper_bound_audit(cfg: ExperimentConfig) -> Report:
     for sym in symbol_family(cfg.family, cfg.n):
         op, spec, s_norm = _commutator_spectrum(sym, cfg.ell, grid, cfg.p)
         weak = weak_schatten_norm(spec, cfg.p)
-        # the full mixed norm is the direct half of the Russo bound, as
-        # russo_bound computes it on the dense blocks; here both halves
-        # come from the core strips, bit for bit.  The same-half norms
-        # reuse the full norm's per-block column norms.  For ell < n the
-        # column strip is the row strip's transpose, so the adjoint's
-        # strips are the direct ones, and so is its norm.
-        inner = operator_column_norms(op, cfg.p)
-        k_full = weak_outer_norm(np.concatenate(inner), cfg.p, op.weight)
-        if cfg.ell < cfg.n:
-            adjoint = k_full
-        else:
-            adjoint = weak_outer_norm(np.concatenate(operator_column_norms(op, cfg.p, adjoint=True)), cfg.p, op.weight)
-        bound = float(np.sqrt(k_full * adjoint))
+        # both halves of the Russo bound, as russo_bound computes them on
+        # the dense blocks, come from the core strips, bit for bit; the
+        # same-half norms reuse the direct per-block column norms
+        inner, inner_adjoint = operator_column_norms(op, cfg.p)
+        k_full, k_adjoint = (weak_outer_norm(np.concatenate(g), cfg.p, op.weight) for g in (inner, inner_adjoint))
+        bound = float(np.sqrt(k_full * k_adjoint))
         spectra[f"upper_{sym.name}_N{N}"] = (
             spec,
             {"p": cfg.p, "schatten": s_norm, "weak_schatten": weak, "russo_bound": bound},

@@ -17,12 +17,11 @@ Then, with B_CS = Q1 R1 and B_SC^T = Q2 R2 (QR, orthonormal columns),
 
 an orthogonal equivalence: B has the singular values of the small
 matrix H on the right, of size s + min(s, m - s), and zeros for the
-rest.  B_SS and B_SC come from the row strip and B_CS from the column
-strip, and only they are weighted, so a block costs
-O(m s^2) for the two QRs and O((2s)^3) for H's spectrum instead of
-O(m^3).  An exactly symmetric block (the commutator for ell < n, whose
-column strip is its row strip's transpose) has a symmetric H (R2 = R1), and
-its singular values are the absolute eigenvalues of H (`eigvalsh`); any
+rest.  Only the gathered pieces are weighted, so a block costs O(m s^2)
+for the QRs and O((2s)^3) for H's spectrum instead of O(m^3).  A block
+whose column strip is its row strip's transpose (the commutator for
+ell < n) is symmetric: B_SC = B_CS^T is not gathered, R2 = R1, and the
+singular values are the absolute eigenvalues of H (`eigvalsh`); any
 other H goes through a values-only SVD.  An empty core (a per-half
 constant) gives exact zeros; a plain matrix has every position in its
 core, and H is the matrix itself.
@@ -42,10 +41,9 @@ A mixed norm is `column_norms` followed by an outer norm, so a caller
 that needs several outer norms of the same columns makes one pass over
 the blocks.  A column's terms are added row by row, top to bottom,
 whatever the memory layout of its block, and exact zeros add nothing
-to such a sum.  So `operator_column_norms`, which reads an
-OperatorMatrix's column norms, or its adjoint's, from the core strips
-alone, gives the dense blocks' norms bit for bit; the upper audit takes
-its mixed norms from it, and no m x m block is formed.
+to such a sum.  So `operator_column_norms` reads an OperatorMatrix's
+column norms and its adjoint's from one pass over the core strips, bit
+for bit the dense blocks', and the upper audit forms no m x m block.
 """
 
 from __future__ import annotations
@@ -99,25 +97,22 @@ def abs_power(x, p: float) -> np.ndarray:
 def _block_singular_values(core, below, right) -> np.ndarray:
     """Singular values of the block [[core, right], [below, 0]], as many
     as the smaller side of it, from its weighted pieces B_SS, B_CS and
-    B_SC.  See the module docstring for the reduction."""
+    B_SC (None for a symmetric block).  See the module docstring."""
     r1 = np.linalg.qr(below, mode="r")
-    if np.array_equal(core, core.T) and np.array_equal(right, below.T):
-        h = np.block([[core, r1.T], [r1, np.zeros((len(r1), len(r1)))]])
-        vals = np.abs(np.linalg.eigvalsh(h))
-    else:
-        r2 = np.linalg.qr(right.T, mode="r")
-        h = np.block([[core, r2.T], [r1, np.zeros((len(r1), len(r2)))]])
-        vals = np.linalg.svd(h, compute_uv=False)
-    size = min(len(core) + len(below), core.shape[1] + right.shape[1])
+    r2 = r1 if right is None else np.linalg.qr(right.T, mode="r")
+    h = np.block([[core, r2.T], [r1, np.zeros((len(r1), len(r2)))]])
+    vals = np.abs(np.linalg.eigvalsh(h)) if right is None else np.linalg.svd(h, compute_uv=False)
+    size = min(len(core) + len(below), core.shape[1] + (len(below) if right is None else right.shape[1]))
     return np.concatenate([vals, np.zeros(size - vals.size)])
 
 
 def _core_pieces(core, R, C, weight: float) -> tuple:
     """B_SS and B_SC from the row strip R and B_CS from the column strip
-    C, each gathered once and weighted in place."""
-    pieces = R[:, core], C[~core], R[:, ~core]
+    C, each gathered once and weighted in place (B_SC: None if C == R^T)."""
+    pieces = R[:, core], C[~core], None if np.array_equal(C, R.T) else R[:, ~core]
     for piece in pieces:
-        piece *= weight
+        if piece is not None:
+            piece *= weight
     return pieces
 
 
@@ -137,7 +132,7 @@ def singular_values(M) -> SingularSpectrum:
             raise ValueError("expected a 2-d matrix")
         if not np.all(np.isfinite(A)):
             raise ValueError("non-finite entries in matrix")
-        pieces = [(A, A[:0], A[:, :0])]
+        pieces = [(A, A[:0], None if np.array_equal(A, A.T) else A[:, :0])]
     return SingularSpectrum(np.concatenate([_block_singular_values(*piece) for piece in pieces]))
 
 
@@ -175,6 +170,12 @@ def weak_schatten_norm(s, p: float) -> float:
     return float(np.max(ranks ** (1.0 / p) * vals))
 
 
+def _row_order_norms(terms, p: float) -> np.ndarray:
+    """(sum_i terms_ij)^(1/p) per column j, added row by row (see `column_norms`)."""
+    sums = np.cumsum(terms, axis=0)[-1] if len(terms) else np.zeros(terms.shape[1])
+    return sums ** (1.0 / p)
+
+
 def column_norms(blocks, p: float, weight: float) -> list:
     """Per diagonal block, the L^p(weight) norm of each column:
     (sum_i |B_ij|^p weight)^(1/p) over the rows i of the block, added
@@ -195,29 +196,35 @@ def column_norms(blocks, p: float, weight: float) -> list:
     for B in blocks:
         terms = abs_power(np.asarray(B, dtype=float), p)
         terms *= weight
-        sums = np.cumsum(terms, axis=0)[-1] if len(terms) else np.zeros(terms.shape[1])
-        inner.append(sums ** (1.0 / p))
+        inner.append(_row_order_norms(terms, p))
     return inner
 
 
-def operator_column_norms(op, p: float, adjoint: bool = False) -> list:
-    """`column_norms` of an OperatorMatrix's blocks (of their transposes
-    with `adjoint`), bit for bit, read from its core strips.
+def _strip_norms(strip, p: float, weight: float) -> tuple:
+    """Row-order norms of a strip's columns and rows, from one weighted power."""
+    terms = abs_power(strip, p)
+    terms *= weight
+    return _row_order_norms(terms, p), _row_order_norms(terms.T, p)
 
-    A core column is the column strip's.  An off-core column is zero off
-    the core rows, so its terms are the row strip's off-core columns.  A
-    transposed block's strips are the block's, swapped and transposed.
-    Exact zeros add nothing to a row-by-row sum, so leaving them out
-    keeps every sum of the dense block bit for bit.
+
+def operator_column_norms(op, p: float) -> tuple:
+    """`column_norms` of an OperatorMatrix's blocks and of their
+    transposes, as two lists (direct, adjoint), bit for bit, from one
+    weighted p-th power of each core strip.
+
+    A core column is the column strip's; an off-core column is zero off
+    the core rows, so it is the row strip's.  In a transposed block the
+    strips swap roles.  Exact zeros add nothing to a row-by-row sum.
     """
-    inner = []
+    if p <= 2:
+        raise ValueError("mixed norm requires p > 2")
+    direct, adjoint = [], []
     for core, R, C in zip(op.cores, op.row_strips, op.col_strips):
-        if adjoint:
-            R, C = C.T, R.T
-        g = np.empty(len(core))
-        g[core], g[~core] = column_norms([C, R[:, ~core]], p, op.weight)
-        inner.append(g)
-    return inner
+        (g, g_adj_core), (g_core, g_adj) = (_strip_norms(A, p, op.weight) for A in (R, C))
+        g[core], g_adj[core] = g_core, g_adj_core
+        direct.append(g)
+        adjoint.append(g_adj)
+    return direct, adjoint
 
 
 def weak_outer_norm(g, p: float, weight: float) -> float:

@@ -5,6 +5,7 @@ oracles are conservation, gating, composition and the even-extension
 route; export is checked byte-for-byte."""
 
 import math
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -69,6 +70,18 @@ def test_make_grid_rejects_bad_n():
     with pytest.raises(ValueError, match="interface"):
         # shifted box whose cell centers land on x2 = 0
         make_grid(2, ((-1.0, 1.0), (-0.75, 1.25)), 4)
+
+
+@pytest.mark.parametrize("N", [True, 16.9, 16.0, "16"])
+def test_make_grid_refuses_a_non_integer_n_naming_it(N):
+    # int() would truncate 16.9 to a 16-cell grid and parse "16"
+    with pytest.raises(ValueError, match=r"N must be an int, got " + re.escape(repr(N))):
+        make_grid(2, BOX, N)
+
+
+def test_make_grid_accepts_a_numpy_integer_n():
+    grid = make_grid(2, BOX, np.int64(8))
+    assert grid.shape == (8, 8) and type(grid.shape[0]) is int
 
 
 def test_grid_masks_and_mirror():

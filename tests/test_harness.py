@@ -4,6 +4,7 @@ at smoke scale, the verification suite, CSV determinism, and the CLI."""
 import hashlib
 import itertools
 import math
+import re
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -287,6 +288,21 @@ def test_lower_audit_requires_p_above_n():
 def test_upper_audit_requires_p_above_two():
     with pytest.raises(ValueError, match="p > max"):
         upper_bound_audit(ExperimentConfig(p=2.0))
+
+
+@pytest.mark.parametrize(
+    "run, p, message",
+    [
+        (ratio_study, 2.0, "ratio study needs p > n, got p=2.0, n=2"),
+        (divergence_study, 3.0, "divergence study needs p = n, got p=3.0, n=2"),
+        (lower_bound_audit, 2.0, "lower-bound audit needs p > n, got p=2.0, n=2"),
+        (upper_bound_audit, 2.0, "upper-bound audit needs p > max(n, 2), got p=2.0, n=2"),
+    ],
+    ids=["ratio", "divergence", "lower-audit", "upper-audit"],
+)
+def test_study_preconditions_name_the_rule_and_the_values(run, p, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run(ExperimentConfig(p=p))
 
 
 def test_ratio_study_smoke_rows_and_spectra():
@@ -903,15 +919,19 @@ def test_upper_audit_bound_is_the_full_mixed_norm_for_tangential_ell():
             assert rep.spectra[f"upper_{row.symbol}_N{N}"][1]["russo_bound"] == row.aux["mixed_full"]
 
 
-@pytest.mark.parametrize("ell, per_symbol", [(1, 1), (2, 2)])
-def test_upper_audit_takes_the_adjoint_column_norms_only_for_ell_n(monkeypatch, ell, per_symbol):
-    # for ell < n the adjoint's strips are the direct ones, so the audit
-    # reads one set of column norms per commutator; for ell = n, two
-    from nrlab import harness
+@pytest.mark.parametrize("ell", [1, 2])
+def test_upper_audit_reads_each_commutator_strip_once(monkeypatch, ell):
+    # one operator_column_norms call per commutator gives the direct and
+    # the adjoint column norms, each strip raised to the p-th power once:
+    # two strips per block, two blocks per commutator, seven symbols
+    from nrlab import harness, spectra
 
     calls = _count_calls(monkeypatch, harness, ("operator_column_norms",))
+    powers = _count_calls(monkeypatch, spectra, ("abs_power",))
     rep = upper_bound_audit(ExperimentConfig(p=4.0, ell=ell, grid_sizes=(16,), russo_slack=100.0))
-    assert calls["operator_column_norms"] == per_symbol * len(rep.rows) == per_symbol * 7
+    assert len(rep.rows) == 7
+    assert calls == {"operator_column_norms": 7}
+    assert powers == {"abs_power": 2 * 2 * 7}
 
 
 def test_upper_audit_checks_the_kernel_gate(monkeypatch):
@@ -1114,6 +1134,14 @@ def test_cli_kernel_eval(capsys):
 def test_cli_kernel_eval_rejects_bad_point():
     with pytest.raises(SystemExit, match="expected 2 coordinates"):
         cli_main(["kernel-eval", "--x", "0.3", "--y", "0.1,1.2"])
+
+
+@pytest.mark.parametrize("grid", ["32,64,", "32.5"])
+def test_cli_grid_fails_naming_the_flag(grid, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["ratio-study", "--grid", grid, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"argument --grid: expected comma-separated integers, got {grid!r}" in capsys.readouterr().err
 
 
 def test_cli_export_matrix_roundtrip(tmp_path):
