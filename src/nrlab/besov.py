@@ -44,6 +44,7 @@ __all__ = [
     "even_extension",
     "default_time_grid",
     "default_shift_grid",
+    "resolution_floor",
     "besov_heat_norm",
     "besov_diff_norm",
     "besov_neumann_norm",
@@ -101,6 +102,14 @@ def default_time_grid(t_min: float = 1e-3, t_max: float = 10.0, per_decade: int 
     return np.geomspace(t_min, t_max, count)
 
 
+def resolution_floor(grid: QuadratureGrid) -> float:
+    """The smallest t the heat route resolves on `grid`: the largest
+    spacing, squared.  Below it the factored midpoint semigroup aliases
+    (Poisson-summation error ~ exp(-4 pi^2 t / dx^2)) while the true
+    integrand vanishes like t^(1-alpha)."""
+    return float(np.max(grid.spacing)) ** 2
+
+
 def default_shift_grid(grid: QuadratureGrid, per_decade: int = 16, angles: int = 16) -> np.ndarray:
     """Log-polar shift sample from 2 grid spacings up to the box diagonal,
     as an (R, A, n) array with shifts[i, j] = radii[i] * directions[j].
@@ -134,11 +143,8 @@ def besov_heat_norm(symbols, params: BesovParams, grid: QuadratureGrid, t_grid=N
     `apply_semigroup` makes, so a symbol's norm does not depend on the
     family it comes with.  The scalar tail, the p-th root and the t
     weight, is taken once per (t-node, symbol) on scalars: numpy's
-    vector `**` moves the last bits of some norms.  t-nodes below the
-    resolution floor max(spacing)^2 are dropped: the factored midpoint
-    semigroup aliases below it (Poisson-summation error
-    ~ exp(-4 pi^2 t / dx^2)) while the true integrand vanishes like
-    t^(1-alpha) there.
+    vector `**` moves the last bits of some norms.  t-nodes below
+    `resolution_floor(grid)` are dropped.
     """
     if t_grid is None:
         t_grid = default_time_grid()
@@ -149,8 +155,7 @@ def besov_heat_norm(symbols, params: BesovParams, grid: QuadratureGrid, t_grid=N
         raise ValueError("t grid must be finite")
     if np.any(t_grid <= 0):
         raise ValueError("t grid must be positive")
-    floor = float(np.max(grid.spacing)) ** 2
-    t_used = t_grid[t_grid >= floor]
+    t_used = t_grid[t_grid >= resolution_floor(grid)]
     if t_used.size < 2:
         raise ValueError("t grid has fewer than 2 nodes above the resolution floor")
 

@@ -8,6 +8,7 @@ every asserted inequality in the invoked run passed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -35,6 +36,28 @@ def _grid_ladder(text: str) -> tuple:
         return tuple(int(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _point(text: str) -> np.ndarray:
+    """The --x or --y value, e.g. 0.3,0.7, as an array of finite numbers."""
+    try:
+        vals = [float(v) for v in text.split(",")]
+    except ValueError:
+        vals = [math.nan]
+    if not all(math.isfinite(v) for v in vals):
+        raise argparse.ArgumentTypeError(f"expected comma-separated finite numbers, got {text!r}")
+    return np.asarray(vals)
+
+
+def _heat_time(text: str) -> float:
+    """The --t value, a finite number > 0."""
+    try:
+        t = float(text)
+    except ValueError:
+        t = math.nan
+    if not (math.isfinite(t) and t > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return t
 
 
 def _add_common(sub):
@@ -74,13 +97,6 @@ def _emit(report, cfg: ExperimentConfig) -> int:
     return 0 if report.passed else 1
 
 
-def _parse_point(text: str, n: int) -> np.ndarray:
-    vals = [float(v) for v in text.split(",")]
-    if len(vals) != n:
-        raise SystemExit(f"expected {n} coordinates, got {len(vals)}")
-    return np.asarray(vals)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="nrlab", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -92,9 +108,9 @@ def main(argv=None) -> int:
 
     ker = subs.add_parser("kernel-eval", help="evaluate kernels at one point pair")
     _add_common(ker)
-    ker.add_argument("--x", type=str, required=True, help="comma-separated coordinates")
-    ker.add_argument("--y", type=str, required=True)
-    ker.add_argument("--t", type=float, default=None, help="also print heat kernels at this t")
+    ker.add_argument("--x", type=_point, required=True, help="comma-separated coordinates")
+    ker.add_argument("--y", type=_point, required=True)
+    ker.add_argument("--t", type=_heat_time, default=None, help="also print heat kernels at this t")
 
     exp = subs.add_parser("export-matrix", help="assemble a commutator matrix and export it")
     _add_common(exp)
@@ -118,13 +134,15 @@ def main(argv=None) -> int:
         return _emit(upper_bound_audit(cfg), cfg)
 
     if args.command == "kernel-eval":
-        x = _parse_point(args.x, cfg.n)
-        y = _parse_point(args.y, cfg.n)
+        x, y = args.x, args.y
+        for point in (x, y):
+            if len(point) != cfg.n:
+                raise SystemExit(f"expected {cfg.n} coordinates, got {len(point)}")
         params = KernelParams(cfg.n, cfg.ell)
-        print(f"riesz[ell={cfg.ell}](x, y) = {riesz_kernel(params, x, y, singular='zero')!r}")
+        print(f"riesz[ell={cfg.ell}](x, y) = {float(riesz_kernel(params, x, y, singular='zero'))!r}")
         if args.t is not None:
-            print(f"heat_full[t={args.t}](x, y) = {heat_kernel_full(args.t, x, y)!r}")
-            print(f"heat_neumann[t={args.t}](x, y) = {heat_kernel_neumann(args.t, x, y)!r}")
+            print(f"heat_full[t={args.t}](x, y) = {float(heat_kernel_full(args.t, x, y))!r}")
+            print(f"heat_neumann[t={args.t}](x, y) = {float(heat_kernel_neumann(args.t, x, y))!r}")
         return 0
 
     if args.command == "export-matrix":

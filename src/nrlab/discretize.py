@@ -173,20 +173,14 @@ class OperatorMatrix:
     Per block, `cores` holds a boolean mask of its support core S: the
     block is exactly zero on every pair of positions outside it.  Only
     the core's rows and columns are stored: `row_strips` holds B[S, :]
-    (s x m) and `col_strips` holds B[:, S] (m x s).  The core is where b
-    differs from its most frequent value on the half, so a per-half
-    constant holds two empty strips.
+    (s x m) and `col_strips` holds B[:, S] (m x s).  Both hold the core
+    block B[S, S], and strips that disagree there are refused.  The core
+    is where b differs from its most frequent value on the half, so a
+    per-half constant holds two empty strips.
 
-    `values` holds, per block, the symbol at the half's nodes.  `blocks`,
-    `kernel` and `matrix` are dense views for matrix export and for
-    tests; no study or audit reads them.  `blocks` evaluates each half's
-    whole block again, (b_i - b_j) K_ij from `values`, in row chunks.
-    The strips fix the value of every entry but not the sign of every
-    exact zero, and the export writes those signs: off the core the
-    entry is +0.0 * K_ij, and for ell < n, where the column strip is the
-    row strip's transpose, its zeros at x_ell = y_ell have the opposite
-    sign (see `assemble_commutator`).  `kernel` and `matrix` are the
-    whole M x M array, with +0.0 cross-half entries.
+    `blocks`, `kernel` and `matrix` are dense views for matrix export,
+    verify's S^4 trace check and tests; no study or audit reads them.
+    They scatter the strips, and every other entry is +0.0.
     """
 
     grid: QuadratureGrid
@@ -195,7 +189,6 @@ class OperatorMatrix:
     cores: list
     row_strips: list
     col_strips: list
-    values: list
 
     def __post_init__(self):
         sizes = [len(idx) for idx in self.grid.half_indices()]
@@ -209,8 +202,9 @@ class OperatorMatrix:
             raise ValueError("need one row strip (s x m) and one column strip (m x s) per core")
         if not all(np.all(np.isfinite(A)) for A in self.row_strips + self.col_strips):
             raise ValueError("non-finite entries in matrix")
-        if [np.shape(v) for v in self.values] != [(m,) for m in sizes]:
-            raise ValueError("need the symbol's values on each half")
+        for core, R, C in zip(self.cores, self.row_strips, self.col_strips):
+            if not np.array_equal(R[:, core], C[core]):
+                raise ValueError("row and column strips must agree on the core block B[S, S]")
 
     @property
     def weight(self) -> float:
@@ -218,10 +212,13 @@ class OperatorMatrix:
 
     @property
     def blocks(self) -> list:
-        params = KernelParams(self.grid.dim, self.ell)
-        nodes = self.grid.nodes
-        halves = zip(self.grid.half_indices(), self.values)
-        return [_kernel_strip(params, nodes[idx], nodes[idx], bh, bh) for idx, bh in halves]
+        out = []
+        for core, R, C in zip(self.cores, self.row_strips, self.col_strips):
+            B = np.zeros((core.size, core.size))
+            B[:, core] = C
+            B[core] = R
+            out.append(B)
+        return out
 
     @property
     def kernel(self) -> np.ndarray:
@@ -308,7 +305,7 @@ def assemble_commutator(b, ell: int, grid: QuadratureGrid) -> OperatorMatrix:
     if bv.shape != (len(x),):
         raise ValueError("symbol must evaluate to one value per node")
     params = KernelParams(grid.dim, ell)
-    cores, rows, cols, values = [], [], [], []
+    cores, rows, cols = [], [], []
     for idx in grid.half_indices():
         xh, bh = x[idx], bv[idx]
         core = support_core(bh)
@@ -317,8 +314,7 @@ def assemble_commutator(b, ell: int, grid: QuadratureGrid) -> OperatorMatrix:
         cores.append(core)
         rows.append(row)
         cols.append(col)
-        values.append(bh)
-    return OperatorMatrix(grid, ell, getattr(b, "name", "symbol"), cores, rows, cols, values)
+    return OperatorMatrix(grid, ell, getattr(b, "name", "symbol"), cores, rows, cols)
 
 
 def _heat_1d(t, d: np.ndarray) -> np.ndarray:

@@ -17,7 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .besov import BesovParams, besov_heat_norm, besov_neumann_norm, default_shift_grid, default_time_grid
+from .besov import (
+    BesovParams,
+    besov_heat_norm,
+    besov_neumann_norm,
+    default_shift_grid,
+    default_time_grid,
+    resolution_floor,
+)
 from .discretize import (
     Symbol,
     apply_semigroup,
@@ -551,9 +558,9 @@ def ratio_study(cfg: ExperimentConfig) -> Report:
     params = BesovParams(cfg.n / cfg.p, cfg.p, cfg.p)
     # clamp the t window to the coarsest ladder grid's resolution floor so
     # every N integrates the same truncated functional; otherwise the
-    # refinement drift would mostly measure the widening window
-    widths = [hi - lo for lo, hi in cfg.box]
-    floor = max(max(widths) / N for N in cfg.grid_sizes) ** 2
+    # refinement drift would mostly measure the widening window.  The
+    # ladder is strictly increasing, so the coarsest grid is the first
+    floor = resolution_floor(make_grid(cfg.n, cfg.box, cfg.grid_sizes[0]))
     t_grid = default_time_grid(max(cfg.t_min, floor), cfg.t_max, cfg.t_per_decade)
     family = symbol_family(cfg.family, cfg.n)
     rows = []

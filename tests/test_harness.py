@@ -37,7 +37,7 @@ from nrlab.harness import (
     write_rows_csv,
     write_spectrum_csv,
 )
-from nrlab.kernels import KernelParams, riesz_kernel, sign_witness
+from nrlab.kernels import KernelParams, heat_kernel_full, heat_kernel_neumann, riesz_kernel, sign_witness
 from nrlab.kvconfig import write_kv_file
 from nrlab.spectra import mixed_norm, russo_bound
 
@@ -1136,6 +1136,36 @@ def test_cli_kernel_eval_rejects_bad_point():
         cli_main(["kernel-eval", "--x", "0.3", "--y", "0.1,1.2"])
 
 
+def test_cli_kernel_eval_prints_plain_numbers(capsys):
+    x, y, t = np.array([0.3, 0.7]), np.array([0.1, 1.2]), 0.25
+    for ell in (1, 2):
+        assert cli_main(["kernel-eval", "--ell", str(ell), "--x", "0.3,0.7", "--y", "0.1,1.2", "--t", "0.25"]) == 0
+        printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        assert {name: float(text) for name, text in printed.items()} == {
+            f"riesz[ell={ell}](x, y)": riesz_kernel(KernelParams(2, ell), x, y, singular="zero"),
+            "heat_full[t=0.25](x, y)": heat_kernel_full(t, x, y),
+            "heat_neumann[t=0.25](x, y)": heat_kernel_neumann(t, x, y),
+        }
+
+
+@pytest.mark.parametrize(
+    "flag, value, rule",
+    [
+        ("--x", "a,0.5", "comma-separated finite numbers"),
+        ("--y", "0.1,nan", "comma-separated finite numbers"),
+        ("--x", "0.3,inf", "comma-separated finite numbers"),
+        ("--t", "-1", "a finite number > 0"),
+        ("--t", "nan", "a finite number > 0"),
+    ],
+)
+def test_cli_kernel_eval_fails_naming_the_flag(flag, value, rule, capsys):
+    args = {"--x": "0.3,0.7", "--y": "0.1,1.2", "--t": "0.25", flag: value}
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["kernel-eval", *itertools.chain.from_iterable(args.items())])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected {rule}, got {value!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("grid", ["32,64,", "32.5"])
 def test_cli_grid_fails_naming_the_flag(grid, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -1161,12 +1191,14 @@ def test_cli_export_matrix_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("ell", [1, 2])
 def test_cli_export_matrix_bytes_are_pinned(tmp_path, ell):
-    # SHA-256 of the export recorded when each commutator was assembled
-    # as two dense blocks; odd_bump has a core in both halves, and its
-    # exact zeros carry signs the bytes record
+    # SHA-256 of the export; odd_bump has a core in both halves.  Its
+    # values are pinned against an independent evaluation in
+    # test_discretize.py; the bytes also fix the order the strips are
+    # scattered in (the column strip first, then the row strip), which
+    # sets the sign of the zeros they hold
     digest = {
-        1: "b3ddbb2cfa45f852080376235eafd884724b4800f1690eab01ab878e8f0157a7",
-        2: "8884840bbcfde0816a2d104689f40f6b9b52b53fded79203e602e40246415307",
+        1: "6d39f37170fd5ba8a8825edbdb53d103274caf810db3e1281859ee48a9cf78a4",
+        2: "be3e000e9e9c9fa68418e643a189d0b66b4c30101c78f7bc7d431cbef02d7df4",
     }[ell]
     rc = cli_main(["export-matrix", "--grid", "8", "--ell", str(ell), "--symbol", "odd_bump", "--out", str(tmp_path)])
     assert rc == 0
