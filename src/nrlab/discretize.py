@@ -254,8 +254,7 @@ def row_blocks(rows: int, cols: int):
     """Row chunks of one kernel evaluation of rows x cols pairs, each of
     at most 2^16 pairs (at least one row).  `riesz_kernel` holds about
     nine temporaries of a chunk's shape, so a chunk holds about 4.5 MiB
-    whatever the grid; the upper audit's cross-half gate check, 512 x 512
-    pairs per half at N = 32, held 16.5 MiB in one piece."""
+    whatever the grid."""
     step = max(1, 2**16 // max(cols, 1))
     for start in range(0, rows, step):
         yield start, min(start + step, rows)
@@ -433,21 +432,32 @@ def apply_semigroup(f: SampledField, t: float, kernel: str = "neumann") -> Sampl
 def export_matrix(op: OperatorMatrix, path):
     """Binary export: 32-byte header (magic, n, N, ell), then the whole
     weighted matrix, cross-half entries +0.0, as column-major float64;
-    metadata sidecar at <path>.cfg."""
+    metadata sidecar at <path>.cfg.
+
+    The column-major matrix is its transpose in row-major order, written
+    in slabs of columns scattered from the dense `blocks`, so the M x M
+    matrix is never held: the peak is the blocks, half of it."""
     path = str(path)
-    mat = op.matrix
+    m = len(op.grid.nodes)
     n = op.grid.dim
     header = struct.pack("<8sqqq", _MAGIC, n, op.grid.shape[0], op.ell)
+    halves = op.grid.half_indices()
+    blocks = op.blocks
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(mat.astype("<f8").tobytes(order="F"))
+        for j0, j1 in row_blocks(m, m):
+            slab = np.zeros((j1 - j0, m))
+            for idx, B in zip(halves, blocks):
+                cols = np.flatnonzero((idx >= j0) & (idx < j1))
+                slab[np.ix_(idx[cols] - j0, idx)] = B[:, cols].T * op.weight
+            fh.write(slab.astype("<f8", copy=False).data)
     sidecar = {
         "magic": "NRLMAT1",
         "n": n,
         "N": op.grid.shape[0],
         "ell": op.ell,
-        "rows": mat.shape[0],
-        "cols": mat.shape[1],
+        "rows": m,
+        "cols": m,
         "weight": op.weight,
         "symbol": op.symbol,
         "grid": op.grid.id,

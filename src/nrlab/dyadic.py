@@ -12,12 +12,13 @@ Each generation's admissible cubes form one index block, recorded by
 `build_system`; node labels and sub-cube boxes are read from it.
 Averages and energy sums label the grid nodes once per generation
 (`DyadicSystem.labels`: the position of each node's admissible cube, or
--1) and reduce over the labels with `np.bincount`.  They accept a stack
-of fields on one grid, which then shares each generation's labelling.
+-1, found axis by axis) and reduce over the labels with `np.bincount`.
+They accept a stack of fields on one grid, which then shares each
+generation's labelling.
 
 Sampled data lives on a quadrature grid (see discretize.QuadratureGrid);
-this module only assumes the grid exposes `nodes`, `spacing` and node
-count, so there is no import cycle.
+this module only assumes the grid exposes `nodes`, its per-axis
+coordinates `axes` and `spacing`, so there is no import cycle.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "build_system",
     "haar_basis",
     "conditional_expectation",
+    "generation_labels",
     "labelled_expectation",
     "martingale_difference",
     "median",
@@ -96,8 +98,9 @@ class Cube:
         return self.side**self.n
 
     def in_half(self) -> bool:
-        lo, hi = self.vertex[-1], self.vertex[-1] + self.side
-        return lo >= 0.0 if self.half == "plus" else hi <= 0.0
+        # the last coordinate of `vertex`, in the same float operations
+        lo = self.shift[-1] + self.side * self.m[-1]
+        return lo >= 0.0 if self.half == "plus" else lo + self.side <= 0.0
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -140,34 +143,44 @@ class DyadicSystem:
     def parent(self, Q: Cube):
         return self.get(Q.k - 1, tuple(mi // 2 for mi in Q.m))
 
-    def labels(self, nodes: np.ndarray, k: int) -> np.ndarray:
-        """Position in `cubes[k]` of the cube holding each node, or -1.
+    def labels(self, axes, k: int) -> np.ndarray:
+        """Position in `cubes[k]` of the cube holding each node of the
+        tensor grid with per-axis coordinates `axes` (nodes in C order,
+        last axis fastest, as `QuadratureGrid.nodes`), or -1.
 
-        Floor division gives a node's lattice index per axis, correct to
-        +-1; testing those three candidates against the float vertex
-        shift + side * m, as `Cube.contains` does, settles it.  Where two
-        float boxes overlap by an ulp, the later cube takes the node, as
-        a last-write scan over `cubes[k]` would.  The position is the
-        raveled offset of the index in the generation's recorded block.
+        A node lies in a cube iff each of its coordinates lies in the
+        cube's interval on that axis, so each axis's coordinates are
+        labelled once.  Floor division gives a coordinate's lattice index,
+        correct to +-1; testing those three candidates against the float
+        vertex shift + side * m, as `Cube.contains` does, settles it.
+        Where two float intervals overlap by an ulp, the later cube takes
+        the coordinate, as a last-write scan over `cubes[k]` would.  The
+        position is the raveled offset of the node's index in the
+        generation's recorded block.
         """
-        nodes = np.asarray(nodes, dtype=float)
-        out = np.full(len(nodes), -1)
-        first, shape = (np.asarray(v) for v in self.blocks[k])
-        if not np.all(shape):
-            return out
-        shift = np.asarray(self.shift)
+        first, shape = self.blocks[k]
         side = 2.0 ** (-k)
-        last = first + shape - 1
-        floor = np.floor((nodes - shift) / side)
-        offset = np.full(nodes.shape, -1)
-        for step in (-1.0, 0.0, 1.0):
-            m = floor + step
-            vertex = shift + side * m
-            hit = (nodes >= vertex) & (nodes < vertex + side) & (m >= first) & (m <= last)
-            offset = np.where(hit, m.astype(int) - first, offset)
-        ok = np.all(offset >= 0, axis=1)
-        out[ok] = np.ravel_multi_index(tuple(offset[ok].T), tuple(shape))
-        return out
+        axes = [np.asarray(coords, dtype=float) for coords in axes]
+        sizes = [len(coords) for coords in axes]
+        # every axis's coordinates in one pass, each with its axis's shift
+        # and index window, one row per candidate
+        coords = np.concatenate(axes)
+        shift, lo, count = (np.repeat(np.asarray(v), sizes) for v in (self.shift, first, shape))
+        m = np.floor((coords - shift) / side) + np.array([[-1.0], [0.0], [1.0]])
+        vertex = shift + side * m
+        hit = (coords >= vertex) & (coords < vertex + side) & (m >= lo) & (m < lo + count)
+        # the last candidate holding a coordinate takes it
+        step = 2 - np.argmax(hit[::-1], axis=0)
+        offset = np.where(hit.any(axis=0), m[step, np.arange(len(coords))] - lo, -1).astype(np.int64)
+        out = np.zeros((), dtype=np.int64)
+        covered = np.ones((), dtype=bool)
+        end = 0
+        for length, size in zip(sizes, shape):
+            axis_offset = offset[end : end + length]
+            end += length
+            out = out[..., None] * size + axis_offset
+            covered = covered[..., None] & (axis_offset >= 0)
+        return np.where(covered, out, -1).ravel()
 
     def subcube_boxes(self, k: int, levels: int) -> np.ndarray:
         """`Cube.box` of each generation-(k + levels) sub-cube of the
@@ -334,21 +347,31 @@ def _cube_means(values: np.ndarray, labels: np.ndarray, count: int) -> np.ndarra
     return means.reshape(np.shape(values)[:-1] + (count,))
 
 
-def labelled_expectation(values: np.ndarray, grid, k: int, system: DyadicSystem) -> tuple:
-    """The generation-k labels of the grid nodes, and `values` averaged
-    over each labelled cube (unlabelled nodes keep their values).
+def generation_labels(grid, system: DyadicSystem) -> list:
+    """`DyadicSystem.labels` of the grid's nodes for each generation of
+    the system, in order; refuses a generation the grid does not
+    resolve.  Labelled once, they serve every field on the grid."""
+    return [_grid_labels(grid, system, k) for k in system.generations()]
 
-    `values` is one field (M,) or a stack of fields (S, M) on the grid's
-    nodes: one labelling serves the whole stack, and each field's
-    averages are bit for bit those of a one-field call."""
+
+def _grid_labels(grid, system: DyadicSystem, k: int) -> np.ndarray:
     _require_resolved(grid, k)
     if k not in system.cubes:
         raise ValueError(f"generation {k} outside system range")
-    labels = system.labels(grid.nodes, k)
+    return system.labels(grid.axes, k)
+
+
+def labelled_expectation(values: np.ndarray, labels: np.ndarray, count: int) -> np.ndarray:
+    """`values` averaged over each of `count` labelled cubes (unlabelled
+    nodes keep their values).
+
+    `values` is one field (M,) or a stack of fields (S, M) on the
+    labelled nodes: one labelling serves the whole stack, and each
+    field's averages are bit for bit those of a one-field call."""
     inside = labels >= 0
     out = np.array(values, dtype=float)
-    out[..., inside] = _cube_means(out, labels, len(system.cubes[k]))[..., labels[inside]]
-    return labels, out
+    out[..., inside] = _cube_means(out, labels, count)[..., labels[inside]]
+    return out
 
 
 def conditional_expectation(f: SampledField, k: int, system: DyadicSystem) -> SampledField:
@@ -358,7 +381,8 @@ def conditional_expectation(f: SampledField, k: int, system: DyadicSystem) -> Sa
     outside the box coverage) keep their original values; all downstream
     sums only ever look at nodes inside admissible cubes.
     """
-    return SampledField(f.grid, labelled_expectation(f.values, f.grid, k, system)[1])
+    labels = _grid_labels(f.grid, system, k)
+    return SampledField(f.grid, labelled_expectation(f.values, labels, len(system.cubes[k])))
 
 
 def martingale_difference(f: SampledField, k: int, system: DyadicSystem) -> SampledField:
@@ -392,26 +416,28 @@ def dyadic_energy_sum(b: SampledField, system: DyadicSystem, p: float) -> float:
     for k from k_min to k_max - 1.  Zero iff b is grid-constant on each
     admissible finest-generation cube.
     """
-    return float(dyadic_energy_sums(b.values, b.grid, system, p)[0])
+    return float(dyadic_energy_sums(b.values, generation_labels(b.grid, system), system, p)[0])
 
 
-def dyadic_energy_sums(values: np.ndarray, grid, system: DyadicSystem, p: float) -> np.ndarray:
+def dyadic_energy_sums(values: np.ndarray, labels: list, system: DyadicSystem, p: float) -> np.ndarray:
     """`dyadic_energy_sum` of each field of a stack (S, M) (or of one
-    field (M,)) on the grid's nodes, as an array of S sums.
+    field (M,)) on labelled nodes, as an array of S sums; `labels` holds
+    the nodes' labels for each generation of the system
+    (`generation_labels`).
 
-    One labelling and one average per generation serve every field and
-    the two differences that generation enters; each field's sum is bit
-    for bit that of a one-field call."""
+    One average per generation serves every field and the two
+    differences that generation enters; each field's sum is bit for bit
+    that of a one-field call."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    values = np.reshape(values, (-1, len(grid.nodes)))
+    values = np.reshape(values, (-1, len(labels[0])))
     total = np.zeros(len(values))
-    if system.k_min >= system.k_max:
+    if len(labels) < 2:
         return total  # empty sum
-    gens = system.generations()
-    levels = [labelled_expectation(values, grid, k, system) for k in gens]
-    for k, (labels, coarse), (_, fine) in zip(gens, levels, levels[1:]):
-        total += _cube_means(np.abs(fine - coarse) ** p, labels, len(system.cubes[k])).sum(axis=-1)
+    counts = [len(system.cubes[k]) for k in system.generations()]
+    levels = [labelled_expectation(values, lab, count) for lab, count in zip(labels, counts)]
+    for lab, count, coarse, fine in zip(labels, counts, levels, levels[1:]):
+        total += _cube_means(np.abs(fine - coarse) ** p, lab, count).sum(axis=-1)
     return total
 
 

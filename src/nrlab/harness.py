@@ -14,6 +14,7 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .discretize import (
     support_core,
 )
 from .dyadic import (
+    Cube,
     SampledField,
     box_midpoint_mean,  # noqa: F401  no caller here; perfbench's layer trace wraps this binding
     build_system,
@@ -43,6 +45,7 @@ from .dyadic import (
     dyadic_energy_sum,  # noqa: F401  no caller here; perfbench's layer trace wraps this binding
     dyadic_energy_sums,
     finest_resolved_generation,
+    generation_labels,
     haar_basis,
     labelled_expectation,
     martingale_difference,
@@ -51,10 +54,13 @@ from .dyadic import (
     nodes_in_cube,
 )
 from .kernels import (
+    DirectTerm,
     KernelParams,
     cz_bounds_check,
     heat_kernel_neumann,
+    riesz_direct_term,
     riesz_kernel,
+    riesz_kernel_from_direct,
     sign_witness,
     squared_distance,
 )
@@ -360,6 +366,8 @@ def lattice_shift_sample(n: int, count: int = 9) -> np.ndarray:
 _NWO_CHILD_PPA = 6
 _NWO_BALL_PPA = 8
 _OSCILLATION_PPA = 6
+# symbols stacked per array pass of the NWO statistic; bounds its peak
+_NWO_SYMBOL_CHUNK = 3
 
 
 def _lattice_systems(cfg: ExperimentConfig, k_max: int) -> list:
@@ -374,20 +382,57 @@ def _lattice_systems(cfg: ExperimentConfig, k_max: int) -> list:
     ]
 
 
-def _energy_statistic(fields: list, cfg: ExperimentConfig, systems: list) -> list:
+def _energy_statistic(fields: list, cfg: ExperimentConfig, systems: list, labels: list = None) -> list:
     """Per sampled field, in order: the dyadic energy sum of the plus and
     minus systems of a lattice shift, maximized over the shifts.  The
     fields share one grid, so each (system, generation) is labelled once
-    for all of them."""
+    for all of them: `labels` holds each system's `generation_labels`,
+    nested as `systems`, and is made here when not given."""
     values = np.stack([fld.values for fld in fields])
-    grid = fields[0].grid
+    if labels is None:
+        labels = [[generation_labels(fields[0].grid, system) for system in pair] for pair in systems]
     best = np.zeros(len(fields))
-    for pair in systems:
+    for pair, pair_labels in zip(systems, labels):
         total = np.zeros(len(fields))
-        for system in pair:
-            total += dyadic_energy_sums(values, grid, system, cfg.p)
+        for system, system_labels in zip(pair, pair_labels):
+            total += dyadic_energy_sums(values, system_labels, system, cfg.p)
         best = np.maximum(best, total)
     return best.tolist()
+
+
+class _WitnessTable(NamedTuple):
+    """One generation's witness geometry on a reference cube."""
+
+    centre: np.ndarray  # the reference cube's centre
+    y: np.ndarray  # micro-points of its witness ball, (N_y, n)
+    wy: float  # their quadrature weight
+    direct: DirectTerm  # between its children's micro-points and y
+
+
+def _witness_tables(cfg: ExperimentConfig, params: KernelParams, gens) -> dict:
+    """(half, k) -> the `_WitnessTable` of generation k in that half.
+
+    Every cube of a generation has the same witness offset, in every
+    lattice, so its witness micro-grid is the reference one translated by
+    the cube's centre, and x - y, hence the direct term of the kernel, is
+    the same for every cube.  The reference cube lies at the origin, at
+    lattice index 0 or -1 on the last axis.  For ell < n both halves share
+    one entry; for ell = n the witness offset flips with the half."""
+    tables = {}
+    for half in ("plus", "minus"):
+        for k in gens:
+            if half == "minus" and params.ell < params.n:
+                tables[half, k] = tables["plus", k]
+                continue
+            Q = Cube(k, (0,) * (cfg.n - 1) + (0 if half == "plus" else -1,), (0.0,) * cfg.n, half)
+            y, wy = ball_microgrid(sign_witness(Q, params, cfg.witness_A)[1], _NWO_BALL_PPA)
+            children = [
+                Cube(k + 1, tuple(2 * m + c for m, c in zip(Q.m, corner)), Q.shift, half).box
+                for corner in itertools.product((0, 1), repeat=cfg.n)
+            ]
+            x = midpoint_nodes(np.array(children), _NWO_CHILD_PPA).reshape(-1, cfg.n)
+            tables[half, k] = _WitnessTable(Q.center, y, wy, riesz_direct_term(params, x[:, None, :], y[None, :, :]))
+    return tables
 
 
 def _nwo_statistic(family: list, cfg: ExperimentConfig, systems: list) -> list:
@@ -399,84 +444,110 @@ def _nwo_statistic(family: list, cfg: ExperimentConfig, systems: list) -> list:
     alignment.  Regions are disjoint and separated, so plain midpoint
     micro-quadrature of the double integral is accurate.
 
-    Evaluated per (shift, half, generation), over all the cubes of the
-    generation and all the symbols at once.  The geometry does not depend
+    Evaluated per (shift, half, generation) block, over all the cubes of
+    the generation and all the symbols at once.  The geometry does not depend
     on the symbol, so it is built once per generation for the whole
-    family: every cube's witness ball is checked, one micro-grid is built
-    for the first ball and translated to every cube's witness centre,
-    giving one (cubes, N_y, n) array, and the children's `midpoint_nodes`
-    form one (cubes, 2^n, ppa^n, n) array.  Every cube of a generation has
-    the same witness offset, so x - y is the same for every cube and the
-    kernel depends on a cube only through its row, which fixes x_n + y_n:
-    the generation's recorded index block puts one cube of each row first,
-    so one kernel call covers them, shape (rows, 2^n ppa^n, N_y).
+    family: every cube is checked to lie in its half, the generation's
+    reference witness micro-grid (`_witness_tables`) is translated by the
+    cube centres to every cube's witness ball, giving one (cubes, N_y, n)
+    array, and the children's `midpoint_nodes` form one
+    (cubes, 2^n ppa^n, n) array.  x - y is the same for every cube, so the
+    direct term of the kernel is the table's, shared by all the lattices.
+    The reflected term depends on a cube only through its row, which fixes
+    x_n + y_n: the generation's recorded index block puts one cube of each
+    row first, so one `riesz_kernel_from_direct` call covers them, shape
+    (rows, 2^n ppa^n, N_y).
 
-    Per symbol there is one symbol call per side and one `median` call for
-    the splits of all the cubes.  With alpha the split, dx = b(x) - alpha
-    and dy = b(y) - alpha, each mask pair (e, f) gives
+    Each symbol is called once per shift, on the micro-points of all the
+    shift's blocks.  Per block the symbols are stacked on a leading axis,
+    in chunks of `_NWO_SYMBOL_CHUNK` (which bounds the peak), with one
+    `median` call for the splits of all the cubes.  With alpha the split,
+    dx = b(x) - alpha and dy = b(y) - alpha, each mask pair (e, f) gives
 
         <T e, f> = sum_x dx e (K f)_x - sum_x e (K (dy f))_x,
 
-    and one matmul of the row kernels against the (cubes, N_y, 4)
-    right-hand side [f_1, dy f_1, f_2, dy f_2] gives all four products.
-    The two terms cannot cancel: K keeps one sign on the witness ball, and
-    dx e and dy f have opposite fixed signs on each mask pair.  Each
-    symbol sums its own terms in cube order, so its value does not depend
-    on the family it comes with."""
+    and one matmul of the row kernels against the (symbols, cubes, N_y,
+    4) right-hand side [f_1, dy f_1, f_2, dy f_2] gives all four
+    products.  The two terms cannot cancel: K keeps one sign on the
+    witness ball, and dx e and dy f have opposite fixed signs on each
+    mask pair.  Each symbol sums its own terms in cube order, so its
+    value does not depend on the family it comes with."""
     params = KernelParams(cfg.n, cfg.ell)
+    gens = sorted({k for pair in systems for system in pair for k in system.generations()})
+    tables = _witness_tables(cfg, params, gens)
     best = [0.0] * len(family)
     for pair in systems:
-        totals = [0.0] * len(family)
+        blocks, points = [], []
         for system in pair:
             for k in system.generations():
                 cubes = system.cubes[k]
                 if not cubes:
                     continue
+                if not all(Q.in_half() for Q in cubes):
+                    raise ValueError("cube leaves its half-space")
                 rows = system.blocks[k][1][-1]
-                witness = [sign_witness(Q, params, cfg.witness_A) for Q in cubes]
-                y_first, wy = ball_microgrid(witness[0][1], _NWO_BALL_PPA)
-                centres = np.array([y0 for y0, _, _ in witness])
-                y_nodes = y_first + (centres - centres[0])[:, None, :]
-                x_nodes = midpoint_nodes(system.subcube_boxes(k, 1), _NWO_CHILD_PPA)
-                kv = riesz_kernel(
-                    params, x_nodes[:rows, :, :, None, :], y_nodes[:rows, None, None, :, :], singular="zero"
-                ).reshape(rows, -1, len(y_first))
-                wx = (2.0 ** (-(k + 1)) / _NWO_CHILD_PPA) ** cfg.n
-                for s, sym in enumerate(family):
-                    by = sym(y_nodes.reshape(-1, cfg.n)).reshape(y_nodes.shape[:2])
-                    alpha = median(by)[:, None]
-                    bx = sym(x_nodes.reshape(-1, cfg.n)).reshape(len(cubes), -1)
-                    dx, dy = bx - alpha, by - alpha
-                    f_above, f_below = by >= alpha, by <= alpha
-                    rhs = np.stack([f_above, dy * f_above, f_below, dy * f_below], axis=-1)
-                    # axes: cube, child micro-point, product
-                    kf = np.matmul(kv, rhs.reshape(-1, rows, len(y_first), 4)).reshape(len(cubes), -1, 4)
-                    inner = []
-                    for e_mask, j in ((bx <= alpha, 0), (bx > alpha, 2)):
-                        terms = e_mask * (dx * kf[..., j] - kf[..., j + 1])
-                        raw = terms.reshape(len(cubes), 2**cfg.n, -1).sum(axis=-1) * wx * wy
-                        inner.append(np.sum(np.abs(raw) / cubes[0].volume, axis=1))
-                    for a, b in zip(inner[0].tolist(), inner[1].tolist()):
+                table = tables[system.half, k]
+                boxes = system.subcube_boxes(k, 1)
+                # the first child's lower corner is the cube's vertex, bit for bit
+                centres = boxes[:, 0, :, 0] + 0.5 * cubes[0].side
+                y_nodes = table.y + (centres - table.centre)[:, None, :]
+                x_nodes = midpoint_nodes(boxes, _NWO_CHILD_PPA).reshape(len(cubes), -1, cfg.n)
+                points += [y_nodes.reshape(-1, cfg.n), x_nodes.reshape(-1, cfg.n)]
+                # the kernel reads the normal coordinates of the first cube of each row
+                normals = (y_nodes[:rows, :, -1].copy(), x_nodes[:rows, :, -1].copy())
+                blocks.append((system, k, table, y_nodes.shape[1], x_nodes.shape[1], normals))
+        # every symbol is called once per shift, on the micro-points of all
+        # the shift's (half, generation) blocks
+        points = np.concatenate(points)
+        values = np.stack([sym(points) for sym in family])
+        del points
+        totals = [0.0] * len(family)
+        end = 0
+        for system, k, table, ny, nx, (yn, xn) in blocks:
+            cubes, rows = system.cubes[k], len(yn)
+            start, split, end = end, end + len(cubes) * ny, end + len(cubes) * (ny + nx)
+            by_all = values[:, start:split].reshape(len(family), len(cubes), ny)
+            bx_all = values[:, split:end].reshape(len(family), len(cubes), nx)
+            kv = riesz_kernel_from_direct(params, table.direct, xn[:, :, None], yn[:, None, :], "zero")
+            wx = (2.0 ** (-(k + 1)) / _NWO_CHILD_PPA) ** cfg.n
+            for s0 in range(0, len(family), _NWO_SYMBOL_CHUNK):
+                by, bx = by_all[s0 : s0 + _NWO_SYMBOL_CHUNK], bx_all[s0 : s0 + _NWO_SYMBOL_CHUNK]
+                alpha = median(by)[..., None]
+                dx, dy = bx - alpha, by - alpha
+                f_above, f_below = by >= alpha, by <= alpha
+                rhs = np.stack([f_above, dy * f_above, f_below, dy * f_below], axis=-1)
+                # axes: symbol, cube, child micro-point, product
+                kf = np.matmul(kv, rhs.reshape(len(by), -1, rows, len(table.y), 4)).reshape(bx.shape + (4,))
+                inner = []
+                for e_mask, j in ((bx <= alpha, 0), (bx > alpha, 2)):
+                    terms = e_mask * (dx * kf[..., j] - kf[..., j + 1])
+                    raw = terms.reshape(len(by), len(cubes), 2**cfg.n, -1).sum(axis=-1) * wx * table.wy
+                    inner.append(np.sum(np.abs(raw) / cubes[0].volume, axis=-1))
+                for s, (above, below) in enumerate(zip(inner[0].tolist(), inner[1].tolist()), start=s0):
+                    for a, b in zip(above, below):
                         totals[s] += a**cfg.p + b**cfg.p
         best = [max(b, t) for b, t in zip(best, totals)]
     return best
 
 
-def _tail_statistic(fields: list, cfg: ExperimentConfig, pair: list) -> list:
+def _tail_statistic(fields: list, cfg: ExperimentConfig, pair: list, labels: list = None) -> list:
     """Per sampled field, in order: the sum over halves and generations
     of 2^{nk} ||b - E_k(b)||_p^p, the L^p distance to the generation-k
     averages, over covered nodes of the unshifted plus and minus systems
     `pair`.  Each (system, generation) is labelled once for all the
-    fields, which share one grid."""
+    fields, which share one grid: `labels` holds each system's
+    `generation_labels`, and is made here when not given."""
     values = np.stack([fld.values for fld in fields])
     grid = fields[0].grid
+    if labels is None:
+        labels = [generation_labels(grid, system) for system in pair]
     total = np.zeros(len(fields))
-    for system in pair:
-        for k in system.generations():
-            labels, ek = labelled_expectation(values, grid, k, system)
+    for system, system_labels in zip(pair, labels):
+        for k, lab in zip(system.generations(), system_labels):
+            ek = labelled_expectation(values, lab, len(system.cubes[k]))
             # compress keeps each field's covered nodes contiguous, so its
             # sum runs as a one-field call's does
-            diff = np.abs(np.compress(labels >= 0, values - ek, axis=-1)) ** cfg.p
+            diff = np.abs(np.compress(lab >= 0, values - ek, axis=-1)) ** cfg.p
             total += 2.0 ** (cfg.n * k) * diff.sum(axis=-1) * grid.weight
     return total.tolist()
 
@@ -714,10 +785,13 @@ def lower_bound_audit(cfg: ExperimentConfig) -> Report:
     norms = [_commutator_spectrum(sym, cfg.ell, grid, cfg.p)[2] for sym in family]
     fields = [SampledField(grid, sym(grid.nodes)) for sym in family]
     # every statistic takes the whole family and builds its
-    # symbol-independent geometry and labels once per audit
-    energy = _energy_statistic(fields, cfg, systems)
+    # symbol-independent geometry once per audit; the energy and tail
+    # statistics share one labelling of each (system, generation)
+    labels = [[generation_labels(grid, system) for system in pair] for pair in systems]
+    energy = _energy_statistic(fields, cfg, systems, labels)
+    tail = _tail_statistic(fields, cfg, systems[0], labels[0])
+    del labels  # the NWO statistic's arrays take their place
     nwo = _nwo_statistic(family, cfg, systems)
-    tail = _tail_statistic(fields, cfg, systems[0])
     double = _double_integral_statistic(fields, cfg)
     for sym, s_norm, *values in zip(family, norms, energy, nwo, tail, double):
         stats = dict(zip(limits, values))
@@ -756,13 +830,27 @@ def lower_bound_audit(cfg: ExperimentConfig) -> Report:
     return Report("lower-audit", rows, summary, passed)
 
 
-def _kernel_vanishes(params: KernelParams, x: np.ndarray, y: np.ndarray) -> bool:
-    """Whether K_ell(x_i, y_j) == 0.0 on every pair, evaluated in
-    `row_blocks` chunks and stopping at the first non-zero chunk."""
-    return all(
-        np.all(riesz_kernel(params, x[i0:i1, None, :], y[None, :, :]) == 0.0)
-        for i0, i1 in row_blocks(len(x), len(y))
-    )
+def _kernel_vanishes(params: KernelParams, grid) -> bool:
+    """Whether K_ell(x, y) == 0.0 on the cross-half pairs of the grid,
+    checked on one tangential column per box edge.
+
+    The kernel depends on x' only through x' - y'.  The x nodes whose
+    tangential coordinates each sit at the first or last grid column
+    (2^{n-1} corners, each with every normal coordinate of its half),
+    paired with every node of the other half, meet every index offset
+    x' - y' with every pair of normal coordinates: 2^{n-1} (N/2) (N^n/2)
+    pairs per direction instead of (N^n/2)^2.  A kernel whose gate fails
+    only at some x', and not through x' - y', would be missed.  Evaluated
+    in `row_blocks` chunks, stopping at the first non-zero chunk."""
+    edge = np.ones(len(grid.nodes), dtype=bool)
+    for j, axis in enumerate(grid.axes[:-1]):
+        edge &= (grid.nodes[:, j] == axis[0]) | (grid.nodes[:, j] == axis[-1])
+    for x_half, y_half in ((grid.mask_plus, grid.mask_minus), (grid.mask_minus, grid.mask_plus)):
+        x, y = grid.nodes[edge & x_half], grid.nodes[y_half]
+        for i0, i1 in row_blocks(len(x), len(y)):
+            if not np.all(riesz_kernel(params, x[i0:i1, None, :], y[None, :, :]) == 0.0):
+                return False
+    return True
 
 
 def upper_bound_audit(cfg: ExperimentConfig) -> Report:
@@ -780,9 +868,7 @@ def upper_bound_audit(cfg: ExperimentConfig) -> Report:
     # assembly never evaluates cross-half pairs, so the gate is checked
     # on the kernel itself, once for the grid all symbols share
     grid = make_grid(cfg.n, cfg.box, N)
-    params = KernelParams(cfg.n, cfg.ell)
-    xp, xm = grid.nodes[grid.mask_plus], grid.nodes[grid.mask_minus]
-    cross_zero = _kernel_vanishes(params, xp, xm) and _kernel_vanishes(params, xm, xp)
+    cross_zero = _kernel_vanishes(KernelParams(cfg.n, cfg.ell), grid)
     for sym in symbol_family(cfg.family, cfg.n):
         op, spec, s_norm = _commutator_spectrum(sym, cfg.ell, grid, cfg.p)
         weak = weak_schatten_norm(spec, cfg.p)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -34,6 +34,9 @@ __all__ = [
     "heat_kernel_full",
     "heat_kernel_neumann",
     "riesz_kernel",
+    "DirectTerm",
+    "riesz_direct_term",
+    "riesz_kernel_from_direct",
     "cz_bounds_check",
     "sign_witness",
 ]
@@ -172,6 +175,8 @@ def riesz_kernel(
     formula invariant and negates the l = n one, which is precisely the
     mirrored kernel.
 
+    Evaluated as `riesz_kernel_from_direct` of `riesz_direct_term`.
+
     Parameters
     ----------
     params : KernelParams
@@ -184,36 +189,72 @@ def riesz_kernel(
     -------
     Array of kernel values (scalar for single points).
     """
-    if singular not in ("raise", "zero"):
-        raise ValueError("singular must be 'raise' or 'zero'")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    n, ell = params.n, params.ell
-    if x.shape[-1] != n or y.shape[-1] != n:
+    direct = riesz_direct_term(params, x, y)
+    return riesz_kernel_from_direct(params, direct, x[..., -1], y[..., -1], singular)
+
+
+class DirectTerm(NamedTuple):
+    """The classical term of K_l at pairs (x, y), with the squared
+    distances the reflected term and the gate reuse.  It depends on the
+    pairs only through x - y."""
+
+    tang2: np.ndarray  # |x' - y'|^2
+    coincident: np.ndarray  # x == y, where value is not finite
+    num: np.ndarray  # x_l - y_l
+    value: np.ndarray  # (x_l - y_l) / |x - y|^(n+1)
+
+
+def riesz_direct_term(params: KernelParams, x: np.ndarray, y: np.ndarray) -> DirectTerm:
+    """The classical Calderon-Zygmund term of K_l at the pairs (x, y),
+    broadcast as in `riesz_kernel`.
+
+    The per-coordinate differences are squared and summed term by term
+    in coordinate order (the order a reduction over the last axis uses),
+    so |x' - y'|^2 and |x - y|^2 are bit-identical to np.sum(d**2,
+    axis=-1).  A coincident pair gives a non-finite value, which
+    `riesz_kernel_from_direct` replaces or refuses."""
+    n = params.n
+    if np.shape(x)[-1] != n or np.shape(y)[-1] != n:
         raise ValueError(f"points must have {n} coordinates")
-
-    # per-coordinate differences and squared distances, summed term by
-    # term in coordinate order (the order a reduction over the last axis
-    # uses), so r2 and refl2 are bit-identical to np.sum(d**2, axis=-1);
-    # refl2 holds the tangential sum until r2 is formed from it
     d = [x[..., j] - y[..., j] for j in range(n)]
-    sn = x[..., -1] + y[..., -1]
-    refl2 = d[0] * d[0]
+    tang2 = d[0] * d[0]
     for dj in d[1:-1]:
-        refl2 += dj * dj
-    r2 = refl2 + d[-1] * d[-1]
-    refl2 += sn * sn
-
-    gate = x[..., -1] * y[..., -1] >= 0.0
-    coincident = gate & (r2 == 0.0)
-    if np.any(coincident):
-        if singular == "raise":
-            raise ValueError("kernel singularity: x = y within one half-space")
-    num1 = d[ell - 1]
-    num2 = sn if ell == n else num1
-    expo = (n + 1) / 2
+        tang2 += dj * dj
+    r2 = tang2 + d[-1] * d[-1]
+    num = d[params.ell - 1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = -params.cn * (num1 / r2**expo + num2 / refl2**expo)
+        value = num / r2 ** ((n + 1) / 2)
+    return DirectTerm(tang2, r2 == 0.0, num, value)
+
+
+def riesz_kernel_from_direct(
+    params: KernelParams,
+    direct: DirectTerm,
+    xn: np.ndarray,
+    yn: np.ndarray,
+    singular: str = "raise",
+) -> np.ndarray:
+    """K_l from its direct term at pairs with normal coordinates xn and
+    yn: the reflected term, the sum, the gate and the coincidence rule of
+    `riesz_kernel`, in its operation order.
+
+    `direct` broadcasts against xn and yn, so a table of direct terms
+    shared by every pair with the same x - y serves pairs that differ in
+    x_n + y_n, and only the reflected term is evaluated at their shape.
+    `singular` is as for `riesz_kernel`."""
+    if singular not in ("raise", "zero"):
+        raise ValueError("singular must be 'raise' or 'zero'")
+    sn = xn + yn
+    refl2 = direct.tang2 + sn * sn
+    gate = xn * yn >= 0.0
+    coincident = gate & direct.coincident
+    if singular == "raise" and np.any(coincident):
+        raise ValueError("kernel singularity: x = y within one half-space")
+    num2 = sn if params.ell == params.n else direct.num
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = -params.cn * (direct.value + num2 / refl2 ** ((params.n + 1) / 2))
     out = np.where(gate & ~coincident, val, 0.0)
     return out[()]
 

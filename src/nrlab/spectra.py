@@ -200,6 +200,15 @@ def column_norms(blocks, p: float, weight: float) -> list:
     return inner
 
 
+def _is_transpose_view(C, R) -> bool:
+    """Whether C is R.T: the same memory, read transposed."""
+    return (
+        C.shape == R.shape[::-1]
+        and C.strides == R.strides[::-1]
+        and C.__array_interface__["data"][0] == R.__array_interface__["data"][0]
+    )
+
+
 def _strip_norms(strip, p: float, weight: float) -> tuple:
     """Row-order norms of a strip's columns and rows, from one weighted power."""
     terms = abs_power(strip, p)
@@ -215,12 +224,19 @@ def operator_column_norms(op, p: float) -> tuple:
     A core column is the column strip's; an off-core column is zero off
     the core rows, so it is the row strip's.  In a transposed block the
     strips swap roles.  Exact zeros add nothing to a row-by-row sum.
+    A column strip that is the row strip's transpose view (a symmetric
+    block, ell < n) is not powered again: its norms are the row strip's,
+    swapped, bit for bit.
     """
     if p <= 2:
         raise ValueError("mixed norm requires p > 2")
     direct, adjoint = [], []
     for core, R, C in zip(op.cores, op.row_strips, op.col_strips):
-        (g, g_adj_core), (g_core, g_adj) = (_strip_norms(A, p, op.weight) for A in (R, C))
+        g, g_adj_core = _strip_norms(R, p, op.weight)
+        if _is_transpose_view(C, R):
+            g_core, g_adj = g_adj_core, g.copy()
+        else:
+            g_core, g_adj = _strip_norms(C, p, op.weight)
         g[core], g_adj[core] = g_core, g_adj_core
         direct.append(g)
         adjoint.append(g_adj)

@@ -23,6 +23,7 @@ from nrlab.dyadic import (
     dyadic_energy_sum,
     dyadic_energy_sums,
     finest_resolved_generation,
+    generation_labels,
     gradient_oscillation_check,
     haar_basis,
     labelled_expectation,
@@ -228,12 +229,12 @@ def test_labels_match_the_node_scan(N):
             system = build_system(half, shift, cfg.box, (cfg.k_min, k_max))
             for k in system.generations():
                 want = _scan_labels(grid, system.cubes[k])
-                assert np.array_equal(system.labels(grid.nodes, k), want), (shift, half, k)
+                assert np.array_equal(system.labels(grid.axes, k), want), (shift, half, k)
 
 
 def test_labels_match_cube_contains_at_float_vertices():
-    # points on and one ulp either side of every float vertex, where the
-    # floor of (x - shift) / side can land one index off and where
+    # coordinates on and one ulp either side of every float vertex, where
+    # the floor of (x - shift) / side can land one index off and where
     # neighbouring float boxes can overlap; the last cube holding a point
     # takes it
     for shift in lattice_shift_sample(2, 9):
@@ -244,10 +245,54 @@ def test_labels_match_cube_contains_at_float_vertices():
                 if not cubes:
                     continue
                 corners = np.array([Q.vertex for Q in cubes] + [Q.vertex + Q.side for Q in cubes])
-                pts = np.concatenate([corners, np.nextafter(corners, -np.inf), np.nextafter(corners, np.inf)])
+                coords = np.concatenate([corners, np.nextafter(corners, -np.inf), np.nextafter(corners, np.inf)])
+                axes = [np.unique(coords[:, j]) for j in range(2)]
+                pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
                 inside = np.array([Q.contains(pts) for Q in cubes])
                 want = np.where(inside.any(axis=0), len(cubes) - 1 - inside[::-1].argmax(axis=0), -1)
-                assert np.array_equal(system.labels(pts, k), want), (shift, half, k)
+                assert np.array_equal(system.labels(axes, k), want), (shift, half, k)
+
+
+def _nodewise_labels(system, nodes, k):
+    """The labels node by node: each node's floor index per axis, +-1,
+    tested against the float vertex, the later candidate winning."""
+    out = np.full(len(nodes), -1)
+    first, shape = (np.asarray(v) for v in system.blocks[k])
+    if not np.all(shape):
+        return out
+    shift = np.asarray(system.shift)
+    side = 2.0 ** (-k)
+    last = first + shape - 1
+    floor = np.floor((nodes - shift) / side)
+    offset = np.full(nodes.shape, -1)
+    for step in (-1.0, 0.0, 1.0):
+        m = floor + step
+        vertex = shift + side * m
+        hit = (nodes >= vertex) & (nodes < vertex + side) & (m >= first) & (m <= last)
+        offset = np.where(hit, m.astype(int) - first, offset)
+    ok = np.all(offset >= 0, axis=1)
+    out[ok] = np.ravel_multi_index(tuple(offset[ok].T), tuple(shape))
+    return out
+
+
+@pytest.mark.parametrize(
+    "box, sizes",
+    [
+        pytest.param(((-2.0, 2.0), (-2.0, 2.0)), (12, 16, 32, 40), id="default"),
+        pytest.param(((-1.1, 0.9), (-1.3, 0.7)), (12, 16, 24), id="offset"),
+        pytest.param(((-1.1, 0.9), (-1.3, 0.7), (-0.7, 1.3)), (8, 12), id="3d"),
+    ],
+)
+def test_per_axis_labels_equal_the_nodewise_rule(box, sizes):
+    n = len(box)
+    for N in sizes:
+        grid = make_grid(n, box, N)
+        for shift in lattice_shift_sample(n, 9):
+            for half in ("plus", "minus"):
+                system = build_system(half, shift, box, (-1, 3))
+                for k in system.generations():
+                    want = _nodewise_labels(system, grid.nodes, k)
+                    assert np.array_equal(system.labels(grid.axes, k), want), (N, shift, half, k)
 
 
 @pytest.mark.parametrize("name", ["bump_a35", "odd_bump"])
@@ -284,16 +329,16 @@ def test_energy_sum_labels_each_generation_once(monkeypatch):
         total = 0.0
         for k in range(s.k_min, s.k_max):
             delta = martingale_difference(f, k, s).values
-            total += float(np.sum(_cube_means(np.abs(delta) ** cfg.p, s.labels(grid.nodes, k), len(s.cubes[k]))))
+            total += float(np.sum(_cube_means(np.abs(delta) ** cfg.p, s.labels(grid.axes, k), len(s.cubes[k]))))
         return total
 
     want = [by_differences(f, s) for s in systems for f in fields]
     calls = []
     labels = DyadicSystem.labels
 
-    def counted(self, nodes, k):
+    def counted(self, axes, k):
         calls.append(k)
-        return labels(self, nodes, k)
+        return labels(self, axes, k)
 
     monkeypatch.setattr(DyadicSystem, "labels", counted)
     for s in systems:
@@ -318,12 +363,13 @@ def test_stacked_reductions_equal_one_field_reductions_bit_for_bit():
             levels = [conditional_expectation(f, k, s).values for k in s.generations()]
             want.append(0.0)
             for k, coarse, fine in zip(s.generations(), levels, levels[1:]):
-                means = _cube_means(np.abs(fine - coarse) ** cfg.p, s.labels(grid.nodes, k), len(s.cubes[k]))
+                means = _cube_means(np.abs(fine - coarse) ** cfg.p, s.labels(grid.axes, k), len(s.cubes[k]))
                 want[-1] += float(np.sum(means))
-        assert dyadic_energy_sums(stack, grid, s, cfg.p).tolist() == want
-        for k in s.generations():
-            labels, averaged = labelled_expectation(stack, grid, k, s)
-            assert np.array_equal(labels, s.labels(grid.nodes, k))
+        labels = generation_labels(grid, s)
+        assert dyadic_energy_sums(stack, labels, s, cfg.p).tolist() == want
+        for k, lab in zip(s.generations(), labels):
+            assert np.array_equal(lab, s.labels(grid.axes, k))
+            averaged = labelled_expectation(stack, lab, len(s.cubes[k]))
             for f, row in zip(fields, averaged):
                 assert np.array_equal(row, conditional_expectation(f, k, s).values)
 
@@ -337,7 +383,7 @@ def test_labelled_reductions_keep_constant_blocks_and_zeros():
             for k in system.generations():
                 # one inexact constant per cube: each block must average to
                 # its constant bit for bit
-                labels = system.labels(grid.nodes, k)
+                labels = system.labels(grid.axes, k)
                 blocks = SampledField(grid, np.where(labels >= 0, 0.1 * labels + 1.0 / 3.0, 0.7))
                 got = conditional_expectation(blocks, k, system).values
                 assert np.array_equal(got, blocks.values)

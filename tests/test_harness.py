@@ -14,7 +14,15 @@ import pytest
 
 from nrlab.cli import main as cli_main
 from nrlab.discretize import Symbol, assemble_commutator, ball_microgrid, make_grid, read_matrix, support_core
-from nrlab.dyadic import Cube, SampledField, box_midpoint_mean, build_system, finest_resolved_generation, median
+from nrlab.dyadic import (
+    Cube,
+    SampledField,
+    box_midpoint_mean,
+    build_system,
+    finest_resolved_generation,
+    median,
+    midpoint_nodes,
+)
 from nrlab.harness import (
     ExperimentConfig,
     ReportRow,
@@ -586,7 +594,17 @@ def test_dyadic_statistics_exact_zero_for_controls():
             assert _nwo_statistic([sym], nwo_cfg, _lattice_systems(nwo_cfg, k_max))[0] == 0.0
 
 
+def _nwo_table_keys(cfg, systems):
+    """The (half, generation) entries of the NWO statistic's witness
+    table that it builds: for ell < n both halves share the plus one."""
+    halves = ("plus", "minus") if cfg.ell == cfg.n else ("plus",)
+    gens = sorted({k for pair in systems for system in pair for k in system.generations()})
+    return [(half, k) for half in halves for k in gens]
+
+
 def test_nwo_statistic_builds_one_witness_grid_per_generation(monkeypatch):
+    # one witness micro-grid per entry of the witness table, on its
+    # reference cube; every cube's ball is a translate of it
     from nrlab import harness
 
     calls = []
@@ -596,33 +614,46 @@ def test_nwo_statistic_builds_one_witness_grid_per_generation(monkeypatch):
         return ball_microgrid(ball, ppa)
 
     monkeypatch.setattr(harness, "ball_microgrid", counting)
-    cfg = ExperimentConfig(num_lattice_shifts=2)
-    systems = _lattice_systems(cfg, 1)
-    _nwo_statistic(symbol_family("default", 2), cfg, systems)
-    generations = [k for pair in systems for system in pair for k in system.generations() if system.cubes[k]]
-    assert calls == [2.0 ** (-k) / 12.0 for k in generations]
+    for ell in (1, 2):
+        calls.clear()
+        cfg = ExperimentConfig(ell=ell, num_lattice_shifts=2)
+        systems = _lattice_systems(cfg, 1)
+        _nwo_statistic(symbol_family("default", 2), cfg, systems)
+        assert calls == [2.0 ** (-k) / 12.0 for _, k in _nwo_table_keys(cfg, systems)]
 
 
 @pytest.mark.parametrize("size", [1, 7])
 def test_nwo_statistic_builds_its_geometry_once_for_the_family(monkeypatch, size):
-    # one kernel call and one witness micro-grid per (shift, half,
-    # generation) with cubes, whatever the number of symbols
+    # one witness micro-grid and one direct term per witness-table entry,
+    # before the lattice loop; then one kernel call per (shift, half,
+    # generation) with cubes, and one call per symbol and shift, whatever
+    # the number of symbols
     from nrlab import harness
 
-    calls = {"riesz_kernel": 0, "ball_microgrid": 0}
-    for name in calls:
+    names = ("riesz_kernel", "riesz_direct_term", "riesz_kernel_from_direct", "ball_microgrid")
+    calls = _count_calls(monkeypatch, harness, names)
+    symbol_calls = []
 
-        def counting(*args, _name=name, _original=getattr(harness, name), **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+    def counted(sym):
+        return Symbol(sym.name, lambda x: symbol_calls.append(sym.name) or sym(x), sym.kind)
 
-        monkeypatch.setattr(harness, name, counting)
-    cfg = ExperimentConfig(num_lattice_shifts=2)
-    systems = _lattice_systems(cfg, 1)
-    family = symbol_family("default", 2)[:size]
-    assert len(_nwo_statistic(family, cfg, systems)) == size
-    generations = sum(1 for pair in systems for system in pair for k in system.generations() if system.cubes[k])
-    assert calls == {"riesz_kernel": generations, "ball_microgrid": generations}
+    for ell in (1, 2):
+        calls.update(dict.fromkeys(names, 0))
+        symbol_calls.clear()
+        cfg = ExperimentConfig(ell=ell, num_lattice_shifts=2)
+        systems = _lattice_systems(cfg, 1)
+        family = symbol_family("default", 2)[:size]
+        got = _nwo_statistic([counted(sym) for sym in family], cfg, systems)
+        assert got == _nwo_statistic(family, cfg, systems)
+        generations = sum(1 for pair in systems for system in pair for k in system.generations() if system.cubes[k])
+        table = len(_nwo_table_keys(cfg, systems))
+        assert calls == {
+            "riesz_kernel": 0,
+            "riesz_direct_term": 2 * table,
+            "riesz_kernel_from_direct": 2 * generations,
+            "ball_microgrid": 2 * table,
+        }
+        assert symbol_calls == [sym.name for _ in systems for sym in family]
 
 
 def test_family_statistics_equal_one_symbol_calls_bit_for_bit():
@@ -656,25 +687,33 @@ def test_family_statistics_equal_one_symbol_calls_bit_for_bit():
 
 
 def test_energy_and_tail_label_each_generation_once_for_the_family(monkeypatch):
+    # the lower audit labels each (system, generation) once for the whole
+    # family, and the energy and tail statistics share the unshifted pair
+    from nrlab import harness
     from nrlab.dyadic import DyadicSystem
 
-    cfg = ExperimentConfig(p=4.0, num_lattice_shifts=3)
+    cfg = ExperimentConfig(p=4.0, grid_sizes=(16,), num_lattice_shifts=3)
     grid = make_grid(2, cfg.box, 16)
-    systems = _lattice_systems(cfg, min(finest_resolved_generation(grid), cfg.stat_k_max))
-    fields = [SampledField(grid, sym(grid.nodes)) for sym in symbol_family("default", 2)]
+    systems = []
+    lattice_systems = harness._lattice_systems
+
+    def recorded(*args):
+        systems.extend(lattice_systems(*args))
+        return systems
+
     calls = []
     labels = DyadicSystem.labels
 
-    def counted(self, nodes, k):
+    def counted(self, axes, k):
         calls.append((id(self), k))
-        return labels(self, nodes, k)
+        return labels(self, axes, k)
 
+    monkeypatch.setattr(harness, "_lattice_systems", recorded)
     monkeypatch.setattr(DyadicSystem, "labels", counted)
-    _energy_statistic(fields, cfg, systems)
+    lower_bound_audit(cfg)
+    assert len(systems) == cfg.num_lattice_shifts
     assert calls == [(id(s), k) for pair in systems for s in pair for k in s.generations()]
-    calls.clear()
-    _tail_statistic(fields, cfg, systems[0])
-    assert calls == [(id(s), k) for s in systems[0] for k in s.generations()]
+    assert max(s.k_max for pair in systems for s in pair) == finest_resolved_generation(grid)
 
 
 def test_lattice_generations_are_c_ordered_index_blocks():
@@ -720,30 +759,71 @@ def test_recorded_block_is_the_c_order_enumeration_of_each_generation():
 
 def test_nwo_kernel_calls_cover_one_cube_per_row(monkeypatch):
     from nrlab import harness
+    from nrlab.kernels import riesz_kernel_from_direct
 
     recorded = []
 
-    def recording(params, x, y, singular="raise"):
-        recorded.append((x, y))
-        return riesz_kernel(params, x, y, singular)
+    def recording(params, direct, xn, yn, singular="raise"):
+        recorded.append((direct, xn, yn))
+        return riesz_kernel_from_direct(params, direct, xn, yn, singular)
 
-    monkeypatch.setattr(harness, "riesz_kernel", recording)
-    cfg = ExperimentConfig(num_lattice_shifts=2)
-    systems = _lattice_systems(cfg, 1)
-    _nwo_statistic(symbol_family("default", 2)[:1], cfg, systems)
-    generations = [system.cubes[k] for pair in systems for system in pair for k in system.generations()]
-    generations = [cubes for cubes in generations if cubes]
-    assert len(recorded) == len(generations)
-    for (x, y), cubes in zip(recorded, generations):
-        rows = sorted({Q.m[-1] for Q in cubes})
-        assert x.shape[0] == y.shape[0] == len(rows)
-        # the r-th call row holds the micro-points of the first cube of row r
-        for r, Q in enumerate(cubes[: len(rows)]):
-            assert Q.m[-1] == rows[r] and Q.m[:-1] == cubes[0].m[:-1]
-            assert np.all(Q.contains(x[r].reshape(-1, cfg.n)))
-        # children by children micro-points by ball micro-points
-        assert np.broadcast_shapes(x.shape[:-1], y.shape[:-1])[1:3] == (2**cfg.n, 36)
-    assert sum(len(x) for x, _ in recorded) < sum(len(cubes) for cubes in generations)
+    monkeypatch.setattr(harness, "riesz_kernel_from_direct", recording)
+    for ell in (1, 2):
+        recorded.clear()
+        cfg = ExperimentConfig(ell=ell, num_lattice_shifts=2)
+        systems = _lattice_systems(cfg, 1)
+        _nwo_statistic(symbol_family("default", 2)[:1], cfg, systems)
+        generations = [system.cubes[k] for pair in systems for system in pair for k in system.generations()]
+        generations = [cubes for cubes in generations if cubes]
+        assert len(recorded) == len(generations)
+        tables = {}
+        for (direct, xn, yn), cubes in zip(recorded, generations):
+            rows = sorted({Q.m[-1] for Q in cubes})
+            assert xn.shape[0] == yn.shape[0] == len(rows)
+            # the r-th call row holds the normal coordinates of the micro-points
+            # of the first cube of row r
+            for r, Q in enumerate(cubes[: len(rows)]):
+                assert Q.m[-1] == rows[r] and Q.m[:-1] == cubes[0].m[:-1]
+                lo = Q.vertex[-1]
+                assert np.all((xn[r] >= lo) & (xn[r] < lo + Q.side))
+            # children by children micro-points by ball micro-points
+            shape = np.broadcast_shapes(direct.value.shape, xn.shape, yn.shape)
+            assert shape[1] == 2**cfg.n * 36 and direct.value.shape == shape[1:]
+            # one direct-term table per (half, generation), shared by the lattices
+            key = (cubes[0].half if ell == cfg.n else "plus", cubes[0].k)
+            assert tables.setdefault(key, direct) is direct
+        assert len(tables) == len(_nwo_table_keys(cfg, systems))
+        assert sum(len(xn) for _, xn, _ in recorded) < sum(len(cubes) for cubes in generations)
+
+
+def test_witness_tables_translate_to_each_cubes_witness_and_kernel():
+    # a cube's witness micro-grid is the table's translated by the cube
+    # centre, and the table's direct term, completed by the cube's
+    # reflected term, is the cube's own kernel, to rounding, in both
+    # halves and for both ell
+    from nrlab.harness import _witness_tables
+    from nrlab.kernels import riesz_kernel_from_direct
+
+    for ell in (1, 2):
+        cfg = ExperimentConfig(ell=ell, num_lattice_shifts=2)
+        params = KernelParams(2, ell)
+        systems = _lattice_systems(cfg, 1)
+        tables = _witness_tables(cfg, params, range(-1, 2))
+        for system in systems[1]:
+            for k in system.generations():
+                table = tables[system.half, k]
+                for Q in system.cubes[k]:
+                    y, wy = ball_microgrid(sign_witness(Q, params, cfg.witness_A)[1], 8)
+                    assert wy == table.wy
+                    assert np.allclose(table.y + (Q.center - table.centre), y, rtol=0.0, atol=1e-14)
+                    kids = [
+                        Cube(k + 1, tuple(2 * m + c for m, c in zip(Q.m, corner)), Q.shift, Q.half)
+                        for corner in itertools.product((0, 1), repeat=2)
+                    ]
+                    x = np.concatenate([midpoint_nodes(kid.box, 6) for kid in kids])
+                    want = riesz_kernel(params, x[:, None, :], y[None, :, :])
+                    got = riesz_kernel_from_direct(params, table.direct, x[:, None, -1], y[None, :, -1])
+                    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (ell, Q)
 
 
 def test_nwo_statistic_checks_every_cube_witness():
@@ -923,7 +1003,8 @@ def test_upper_audit_bound_is_the_full_mixed_norm_for_tangential_ell():
 def test_upper_audit_reads_each_commutator_strip_once(monkeypatch, ell):
     # one operator_column_norms call per commutator gives the direct and
     # the adjoint column norms, each strip raised to the p-th power once:
-    # two strips per block, two blocks per commutator, seven symbols
+    # two strips per block (one for ell < n, whose column strip is the row
+    # strip's transpose view), two blocks per commutator, seven symbols
     from nrlab import harness, spectra
 
     calls = _count_calls(monkeypatch, harness, ("operator_column_norms",))
@@ -931,7 +1012,7 @@ def test_upper_audit_reads_each_commutator_strip_once(monkeypatch, ell):
     rep = upper_bound_audit(ExperimentConfig(p=4.0, ell=ell, grid_sizes=(16,), russo_slack=100.0))
     assert len(rep.rows) == 7
     assert calls == {"operator_column_norms": 7}
-    assert powers == {"abs_power": 2 * 2 * 7}
+    assert powers == {"abs_power": (1 if ell == 1 else 2) * 2 * 7}
 
 
 def test_upper_audit_checks_the_kernel_gate(monkeypatch):
@@ -946,6 +1027,60 @@ def test_upper_audit_checks_the_kernel_gate(monkeypatch):
     rep = upper_bound_audit(ExperimentConfig(p=4.0, grid_sizes=(16,), russo_slack=100.0))
     assert not rep.passed
     assert all(row.note == "bound violated" for row in rep.rows)
+
+
+def test_upper_audit_gate_check_covers_every_cross_half_offset(monkeypatch):
+    # a kernel whose gate fails only where x' - y' is the largest offset
+    # of the grid, x on the last column and y on the first: the check
+    # evaluates x on the edge columns only, and must still see it
+    from nrlab.kernels import riesz_kernel
+
+    cfg = ExperimentConfig(p=4.0, grid_sizes=(16,), russo_slack=100.0)
+    axis = make_grid(2, cfg.box, 16).axes[0]
+    widest = axis[-1] - axis[0]
+
+    def leaking(params, x, y, singular="raise"):
+        x, y = np.asarray(x), np.asarray(y)
+        leak = (x[..., -1] * y[..., -1] < 0.0) & (x[..., 0] - y[..., 0] == widest)
+        return riesz_kernel(params, x, y, singular) + leak
+
+    monkeypatch.setattr("nrlab.harness.riesz_kernel", leaking)
+    rep = upper_bound_audit(cfg)
+    assert not rep.passed
+    assert all(row.note == "bound violated" for row in rep.rows)
+
+
+@pytest.mark.parametrize("N", [16, 32])
+def test_upper_audit_gate_check_evaluates_edge_columns_only(monkeypatch, N):
+    # 2^{n-1} tangential corners, N/2 normal coordinates each, against the
+    # N^n/2 nodes of the other half, in each direction: N^3 pairs at n = 2
+    # instead of the 2 (N^2/2)^2 cross-half pairs
+    from nrlab.kernels import riesz_kernel
+
+    pairs = []
+
+    def counting(params, x, y, singular="raise"):
+        pairs.append(math.prod(np.broadcast_shapes(np.shape(x)[:-1], np.shape(y)[:-1])))
+        return riesz_kernel(params, x, y, singular)
+
+    monkeypatch.setattr("nrlab.harness.riesz_kernel", counting)
+    rep = upper_bound_audit(ExperimentConfig(p=4.0, grid_sizes=(N,)))
+    assert rep.passed
+    assert sum(pairs) == N**3
+
+
+def test_audits_at_n32_peak_below_the_gate_check_of_every_pair():
+    # the upper audit's all-pairs gate check set both audits' peak at
+    # 4.16 MiB (tracemalloc, N = 32, ell = 1, default family)
+    cfg = ExperimentConfig(p=4.0, ell=1, grid_sizes=(32,))
+    for run in (lower_bound_audit, upper_bound_audit):
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.16 * 2**20, run.__name__
 
 
 def test_sign_witness_audit_smoke():
@@ -1203,6 +1338,26 @@ def test_cli_export_matrix_bytes_are_pinned(tmp_path, ell):
     rc = cli_main(["export-matrix", "--grid", "8", "--ell", str(ell), "--symbol", "odd_bump", "--out", str(tmp_path)])
     assert rc == 0
     assert hashlib.sha256((tmp_path / "matrix_odd_bump_N8.bin").read_bytes()).hexdigest() == digest
+
+
+def test_export_matrix_holds_no_copy_of_the_matrix(tmp_path):
+    # the payload is written in column slabs: the peak stays below one
+    # M x M float64 array (it was three: the matrix, its little-endian
+    # copy and the column-major bytes)
+    from nrlab.discretize import export_matrix
+
+    grid = make_grid(2, ((-2.0, 2.0), (-2.0, 2.0)), 32)
+    op = assemble_commutator(next(s for s in symbol_family("default", 2) if s.name == "odd_bump"), 2, grid)
+    payload = 8 * len(grid.nodes) ** 2
+    tracemalloc.start()
+    try:
+        export_matrix(op, tmp_path / "m.bin")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < payload
+    matrix, _, _ = read_matrix(tmp_path / "m.bin")
+    assert matrix.tobytes() == op.matrix.tobytes()
 
 
 def test_cli_export_matrix_unknown_symbol(tmp_path):
