@@ -382,15 +382,13 @@ def _lattice_systems(cfg: ExperimentConfig, k_max: int) -> list:
     ]
 
 
-def _energy_statistic(fields: list, cfg: ExperimentConfig, systems: list, labels: list = None) -> list:
+def _energy_statistic(fields: list, cfg: ExperimentConfig, systems: list, labels: list) -> list:
     """Per sampled field, in order: the dyadic energy sum of the plus and
     minus systems of a lattice shift, maximized over the shifts.  The
     fields share one grid, so each (system, generation) is labelled once
     for all of them: `labels` holds each system's `generation_labels`,
-    nested as `systems`, and is made here when not given."""
+    nested as `systems`."""
     values = np.stack([fld.values for fld in fields])
-    if labels is None:
-        labels = [[generation_labels(fields[0].grid, system) for system in pair] for pair in systems]
     best = np.zeros(len(fields))
     for pair, pair_labels in zip(systems, labels):
         total = np.zeros(len(fields))
@@ -445,8 +443,8 @@ def _nwo_statistic(family: list, cfg: ExperimentConfig, systems: list) -> list:
     micro-quadrature of the double integral is accurate.
 
     Evaluated per (shift, half, generation) block, over all the cubes of
-    the generation and all the symbols at once.  The geometry does not depend
-    on the symbol, so it is built once per generation for the whole
+    the generation and all the symbols at once.  The geometry does not
+    depend on the symbol, so it is built once per generation for the whole
     family: every cube is checked to lie in its half, the generation's
     reference witness micro-grid (`_witness_tables`) is translated by the
     cube centres to every cube's witness ball, giving one (cubes, N_y, n)
@@ -458,10 +456,9 @@ def _nwo_statistic(family: list, cfg: ExperimentConfig, systems: list) -> list:
     row first, so one `riesz_kernel_from_direct` call covers them, shape
     (rows, 2^n ppa^n, N_y).
 
-    Each symbol is called once per shift, on the micro-points of all the
-    shift's blocks.  Per block the symbols are stacked on a leading axis,
-    in chunks of `_NWO_SYMBOL_CHUNK` (which bounds the peak), with one
-    `median` call for the splits of all the cubes.  With alpha the split,
+    Per block the symbols are stacked on a leading axis, in chunks of
+    `_NWO_SYMBOL_CHUNK` (which bounds the peak): one call per symbol and
+    side, one `median` call for the splits of all the cubes.  With alpha the split,
     dx = b(x) - alpha and dy = b(y) - alpha, each mask pair (e, f) gives
 
         <T e, f> = sum_x dx e (K f)_x - sum_x e (K (dy f))_x,
@@ -477,7 +474,7 @@ def _nwo_statistic(family: list, cfg: ExperimentConfig, systems: list) -> list:
     tables = _witness_tables(cfg, params, gens)
     best = [0.0] * len(family)
     for pair in systems:
-        blocks, points = [], []
+        totals = [0.0] * len(family)
         for system in pair:
             for k in system.generations():
                 cubes = system.cubes[k]
@@ -492,55 +489,41 @@ def _nwo_statistic(family: list, cfg: ExperimentConfig, systems: list) -> list:
                 centres = boxes[:, 0, :, 0] + 0.5 * cubes[0].side
                 y_nodes = table.y + (centres - table.centre)[:, None, :]
                 x_nodes = midpoint_nodes(boxes, _NWO_CHILD_PPA).reshape(len(cubes), -1, cfg.n)
-                points += [y_nodes.reshape(-1, cfg.n), x_nodes.reshape(-1, cfg.n)]
                 # the kernel reads the normal coordinates of the first cube of each row
-                normals = (y_nodes[:rows, :, -1].copy(), x_nodes[:rows, :, -1].copy())
-                blocks.append((system, k, table, y_nodes.shape[1], x_nodes.shape[1], normals))
-        # every symbol is called once per shift, on the micro-points of all
-        # the shift's (half, generation) blocks
-        points = np.concatenate(points)
-        values = np.stack([sym(points) for sym in family])
-        del points
-        totals = [0.0] * len(family)
-        end = 0
-        for system, k, table, ny, nx, (yn, xn) in blocks:
-            cubes, rows = system.cubes[k], len(yn)
-            start, split, end = end, end + len(cubes) * ny, end + len(cubes) * (ny + nx)
-            by_all = values[:, start:split].reshape(len(family), len(cubes), ny)
-            bx_all = values[:, split:end].reshape(len(family), len(cubes), nx)
-            kv = riesz_kernel_from_direct(params, table.direct, xn[:, :, None], yn[:, None, :], "zero")
-            wx = (2.0 ** (-(k + 1)) / _NWO_CHILD_PPA) ** cfg.n
-            for s0 in range(0, len(family), _NWO_SYMBOL_CHUNK):
-                by, bx = by_all[s0 : s0 + _NWO_SYMBOL_CHUNK], bx_all[s0 : s0 + _NWO_SYMBOL_CHUNK]
-                alpha = median(by)[..., None]
-                dx, dy = bx - alpha, by - alpha
-                f_above, f_below = by >= alpha, by <= alpha
-                rhs = np.stack([f_above, dy * f_above, f_below, dy * f_below], axis=-1)
-                # axes: symbol, cube, child micro-point, product
-                kf = np.matmul(kv, rhs.reshape(len(by), -1, rows, len(table.y), 4)).reshape(bx.shape + (4,))
-                inner = []
-                for e_mask, j in ((bx <= alpha, 0), (bx > alpha, 2)):
-                    terms = e_mask * (dx * kf[..., j] - kf[..., j + 1])
-                    raw = terms.reshape(len(by), len(cubes), 2**cfg.n, -1).sum(axis=-1) * wx * table.wy
-                    inner.append(np.sum(np.abs(raw) / cubes[0].volume, axis=-1))
-                for s, (above, below) in enumerate(zip(inner[0].tolist(), inner[1].tolist()), start=s0):
-                    for a, b in zip(above, below):
-                        totals[s] += a**cfg.p + b**cfg.p
+                xn, yn = x_nodes[:rows, :, -1].copy(), y_nodes[:rows, :, -1].copy()
+                kv = riesz_kernel_from_direct(params, table.direct, xn[:, :, None], yn[:, None, :], "zero")
+                wx = (2.0 ** (-(k + 1)) / _NWO_CHILD_PPA) ** cfg.n
+                for s0 in range(0, len(family), _NWO_SYMBOL_CHUNK):
+                    chunk = family[s0 : s0 + _NWO_SYMBOL_CHUNK]
+                    by = np.stack([sym(y_nodes.reshape(-1, cfg.n)) for sym in chunk]).reshape(-1, *y_nodes.shape[:2])
+                    bx = np.stack([sym(x_nodes.reshape(-1, cfg.n)) for sym in chunk]).reshape(-1, *x_nodes.shape[:2])
+                    alpha = median(by)[..., None]
+                    dx, dy = bx - alpha, by - alpha
+                    f_above, f_below = by >= alpha, by <= alpha
+                    rhs = np.stack([f_above, dy * f_above, f_below, dy * f_below], axis=-1)
+                    # axes: symbol, cube, child micro-point, product
+                    kf = np.matmul(kv, rhs.reshape(len(chunk), -1, rows, len(table.y), 4)).reshape(bx.shape + (4,))
+                    inner = []
+                    for e_mask, j in ((bx <= alpha, 0), (bx > alpha, 2)):
+                        terms = e_mask * (dx * kf[..., j] - kf[..., j + 1])
+                        raw = terms.reshape(len(chunk), len(cubes), 2**cfg.n, -1).sum(axis=-1) * wx * table.wy
+                        inner.append(np.sum(np.abs(raw) / cubes[0].volume, axis=-1))
+                    for s, (above, below) in enumerate(zip(inner[0].tolist(), inner[1].tolist()), start=s0):
+                        for a, b in zip(above, below):
+                            totals[s] += a**cfg.p + b**cfg.p
         best = [max(b, t) for b, t in zip(best, totals)]
     return best
 
 
-def _tail_statistic(fields: list, cfg: ExperimentConfig, pair: list, labels: list = None) -> list:
+def _tail_statistic(fields: list, cfg: ExperimentConfig, pair: list, labels: list) -> list:
     """Per sampled field, in order: the sum over halves and generations
     of 2^{nk} ||b - E_k(b)||_p^p, the L^p distance to the generation-k
     averages, over covered nodes of the unshifted plus and minus systems
     `pair`.  Each (system, generation) is labelled once for all the
     fields, which share one grid: `labels` holds each system's
-    `generation_labels`, and is made here when not given."""
+    `generation_labels`."""
     values = np.stack([fld.values for fld in fields])
     grid = fields[0].grid
-    if labels is None:
-        labels = [generation_labels(grid, system) for system in pair]
     total = np.zeros(len(fields))
     for system, system_labels in zip(pair, labels):
         for k, lab in zip(system.generations(), system_labels):

@@ -106,10 +106,21 @@ def _block_singular_values(core, below, right) -> np.ndarray:
     return np.concatenate([vals, np.zeros(size - vals.size)])
 
 
+def _is_symmetric_block(R, C) -> bool:
+    """Whether the column strip C is the row strip R's transpose, so the
+    block is symmetric: the same memory read transposed, or equal values."""
+    transposed_view = (
+        C.shape == R.shape[::-1]
+        and C.strides == R.strides[::-1]
+        and C.__array_interface__["data"][0] == R.__array_interface__["data"][0]
+    )
+    return transposed_view or np.array_equal(C, R.T)
+
+
 def _core_pieces(core, R, C, weight: float) -> tuple:
     """B_SS and B_SC from the row strip R and B_CS from the column strip
     C, each gathered once and weighted in place (B_SC: None if C == R^T)."""
-    pieces = R[:, core], C[~core], None if np.array_equal(C, R.T) else R[:, ~core]
+    pieces = R[:, core], C[~core], None if _is_symmetric_block(R, C) else R[:, ~core]
     for piece in pieces:
         if piece is not None:
             piece *= weight
@@ -132,7 +143,7 @@ def singular_values(M) -> SingularSpectrum:
             raise ValueError("expected a 2-d matrix")
         if not np.all(np.isfinite(A)):
             raise ValueError("non-finite entries in matrix")
-        pieces = [(A, A[:0], None if np.array_equal(A, A.T) else A[:, :0])]
+        pieces = [(A, A[:0], None if _is_symmetric_block(A, A) else A[:, :0])]
     return SingularSpectrum(np.concatenate([_block_singular_values(*piece) for piece in pieces]))
 
 
@@ -200,15 +211,6 @@ def column_norms(blocks, p: float, weight: float) -> list:
     return inner
 
 
-def _is_transpose_view(C, R) -> bool:
-    """Whether C is R.T: the same memory, read transposed."""
-    return (
-        C.shape == R.shape[::-1]
-        and C.strides == R.strides[::-1]
-        and C.__array_interface__["data"][0] == R.__array_interface__["data"][0]
-    )
-
-
 def _strip_norms(strip, p: float, weight: float) -> tuple:
     """Row-order norms of a strip's columns and rows, from one weighted power."""
     terms = abs_power(strip, p)
@@ -224,16 +226,16 @@ def operator_column_norms(op, p: float) -> tuple:
     A core column is the column strip's; an off-core column is zero off
     the core rows, so it is the row strip's.  In a transposed block the
     strips swap roles.  Exact zeros add nothing to a row-by-row sum.
-    A column strip that is the row strip's transpose view (a symmetric
-    block, ell < n) is not powered again: its norms are the row strip's,
-    swapped, bit for bit.
+    The column strip of a symmetric block (`_is_symmetric_block`: the row
+    strip's transpose, a view of it for ell < n) is not powered again: its
+    norms are the row strip's, swapped, bit for bit.
     """
     if p <= 2:
         raise ValueError("mixed norm requires p > 2")
     direct, adjoint = [], []
     for core, R, C in zip(op.cores, op.row_strips, op.col_strips):
         g, g_adj_core = _strip_norms(R, p, op.weight)
-        if _is_transpose_view(C, R):
+        if _is_symmetric_block(R, C):
             g_core, g_adj = g_adj_core, g.copy()
         else:
             g_core, g_adj = _strip_norms(C, p, op.weight)

@@ -309,7 +309,8 @@ def test_labelled_reductions_match_the_node_scan(name):
                 got = conditional_expectation(fld, k, system).values
                 assert _close(got, _scan_conditional_expectation(fld, k, system))
             energies.append((dyadic_energy_sum(fld, system, cfg.p), _scan_energy_sum(fld, system, cfg.p)))
-        tails.append((_tail_statistic([fld], cfg, pair)[0], _scan_tail(fld, cfg.p, pair)))
+        labels = [generation_labels(grid, system) for system in pair]
+        tails.append((_tail_statistic([fld], cfg, pair, labels)[0], _scan_tail(fld, cfg.p, pair)))
     for got, want in energies + tails:
         assert _close(got, want)
     assert min(max(want for _, want in energies), min(want for _, want in tails)) > 0.0
@@ -392,7 +393,8 @@ def test_labelled_reductions_keep_constant_blocks_and_zeros():
             if sym.kind == "perhalf-constant":
                 fld = SampledField(grid, sym(grid.nodes))
                 assert all(dyadic_energy_sum(fld, system, cfg.p) == 0.0 for system in pair)
-                assert _tail_statistic([fld], cfg, pair) == [0.0]
+                labels = [generation_labels(grid, system) for system in pair]
+                assert _tail_statistic([fld], cfg, pair, labels) == [0.0]
 
 
 def test_labelled_reductions_reject_an_empty_cube():

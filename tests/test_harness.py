@@ -20,6 +20,7 @@ from nrlab.dyadic import (
     box_midpoint_mean,
     build_system,
     finest_resolved_generation,
+    generation_labels,
     median,
     midpoint_nodes,
 )
@@ -626,8 +627,8 @@ def test_nwo_statistic_builds_one_witness_grid_per_generation(monkeypatch):
 def test_nwo_statistic_builds_its_geometry_once_for_the_family(monkeypatch, size):
     # one witness micro-grid and one direct term per witness-table entry,
     # before the lattice loop; then one kernel call per (shift, half,
-    # generation) with cubes, and one call per symbol and shift, whatever
-    # the number of symbols
+    # generation) with cubes, and one call per symbol, block and side
+    # (witness ball, children), whatever the number of symbols
     from nrlab import harness
 
     names = ("riesz_kernel", "riesz_direct_term", "riesz_kernel_from_direct", "ball_microgrid")
@@ -653,7 +654,7 @@ def test_nwo_statistic_builds_its_geometry_once_for_the_family(monkeypatch, size
             "riesz_kernel_from_direct": 2 * generations,
             "ball_microgrid": 2 * table,
         }
-        assert symbol_calls == [sym.name for _ in systems for sym in family]
+        assert sorted(symbol_calls) == sorted(sym.name for sym in family for _ in range(2 * generations))
 
 
 def test_family_statistics_equal_one_symbol_calls_bit_for_bit():
@@ -662,13 +663,14 @@ def test_family_statistics_equal_one_symbol_calls_bit_for_bit():
     systems = _lattice_systems(cfg, min(finest_resolved_generation(grid), cfg.stat_k_max))
     # the oscillation statistic runs over generations k_min..stat_k_max
     osc_systems = _lattice_systems(cfg, cfg.stat_k_max)
+    labels = [[generation_labels(grid, system) for system in pair] for pair in systems]
     family = symbol_family("default", 2)
     fields = [SampledField(grid, sym(grid.nodes)) for sym in family]
     single = [
         (
-            _energy_statistic([fld], cfg, systems)[0],
+            _energy_statistic([fld], cfg, systems, labels)[0],
             _nwo_statistic([sym], cfg, systems)[0],
-            _tail_statistic([fld], cfg, systems[0])[0],
+            _tail_statistic([fld], cfg, systems[0], labels[0])[0],
             _double_integral_statistic([fld], cfg)[0],
             _oscillation_partials([sym], cfg, osc_systems)[0],
         )
@@ -676,9 +678,9 @@ def test_family_statistics_equal_one_symbol_calls_bit_for_bit():
     ]
     for order in (slice(None), slice(None, None, -1)):
         stats = zip(
-            _energy_statistic(fields[order], cfg, systems),
+            _energy_statistic(fields[order], cfg, systems, labels),
             _nwo_statistic(family[order], cfg, systems),
-            _tail_statistic(fields[order], cfg, systems[0]),
+            _tail_statistic(fields[order], cfg, systems[0], labels[0]),
             _double_integral_statistic(fields[order], cfg),
             _oscillation_partials(family[order], cfg, osc_systems),
         )
@@ -1003,16 +1005,23 @@ def test_upper_audit_bound_is_the_full_mixed_norm_for_tangential_ell():
 def test_upper_audit_reads_each_commutator_strip_once(monkeypatch, ell):
     # one operator_column_norms call per commutator gives the direct and
     # the adjoint column norms, each strip raised to the p-th power once:
-    # two strips per block (one for ell < n, whose column strip is the row
-    # strip's transpose view), two blocks per commutator, seven symbols
+    # two strips per block, one for a symmetric block (for ell < n the
+    # column strip is the row strip's transpose view; for ell = n only an
+    # empty core's empty strips are), two blocks per commutator, seven
+    # symbols
     from nrlab import harness, spectra
 
+    cfg = ExperimentConfig(p=4.0, ell=ell, grid_sizes=(16,), russo_slack=100.0)
+    grid = make_grid(2, cfg.box, 16)
+    cores = [core for sym in symbol_family("default", 2) for core in assemble_commutator(sym, ell, grid).cores]
+    symmetric = len(cores) if ell == 1 else sum(not core.any() for core in cores)
     calls = _count_calls(monkeypatch, harness, ("operator_column_norms",))
     powers = _count_calls(monkeypatch, spectra, ("abs_power",))
-    rep = upper_bound_audit(ExperimentConfig(p=4.0, ell=ell, grid_sizes=(16,), russo_slack=100.0))
+    rep = upper_bound_audit(cfg)
     assert len(rep.rows) == 7
     assert calls == {"operator_column_norms": 7}
-    assert powers == {"abs_power": (1 if ell == 1 else 2) * 2 * 7}
+    assert (len(cores), symmetric) == (14, 14 if ell == 1 else 8)
+    assert powers == {"abs_power": 2 * len(cores) - symmetric}
 
 
 def test_upper_audit_checks_the_kernel_gate(monkeypatch):
