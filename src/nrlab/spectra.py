@@ -108,13 +108,15 @@ def _block_singular_values(core, below, right) -> np.ndarray:
 
 def _is_symmetric_block(R, C) -> bool:
     """Whether the column strip C is the row strip R's transpose, so the
-    block is symmetric: the same memory read transposed, or equal values."""
+    block is symmetric: the same memory read transposed, or equal values.
+    The first rows are compared before the whole strips, which settles
+    an unequal pair without a pass over them."""
     transposed_view = (
         C.shape == R.shape[::-1]
         and C.strides == R.strides[::-1]
         and C.__array_interface__["data"][0] == R.__array_interface__["data"][0]
     )
-    return transposed_view or np.array_equal(C, R.T)
+    return transposed_view or (np.array_equal(C[:1], R.T[:1]) and np.array_equal(C, R.T))
 
 
 def _core_pieces(core, R, C, weight: float) -> tuple:
