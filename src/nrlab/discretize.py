@@ -8,8 +8,8 @@ use a zero diagonal (principal-value convention; for the commutator the
 factor b(x)-b(y) vanishes there anyway).  A commutator is stored as the
 support-core strips of its two same-half blocks: a block is exactly
 zero off the rows and columns of the nodes where b leaves its
-background value on the half, so the kernel is evaluated on those rows
-and columns only, and no m x m array is formed (see `OperatorMatrix`).
+background value on the half, so the kernel is evaluated once on those
+rows and columns only, and no m x m array is formed (see `OperatorMatrix`).
 The semigroup's axis matrices do not depend on the symbol: callers build
 them once per grid for a whole array of times and apply them to every
 symbol's field in one batched contraction.
@@ -171,12 +171,12 @@ class OperatorMatrix:
     `symbol` the name of the commutator's symbol.
 
     Per block, `cores` holds a boolean mask of its support core S: the
-    block is exactly zero on every pair of positions outside it.  Only
-    the core's rows and columns are stored: `row_strips` holds B[S, :]
-    (s x m) and `col_strips` holds B[:, S] (m x s).  Both hold the core
-    block B[S, S], and strips that disagree there are refused.  The core
-    is where b differs from its most frequent value on the half, so a
-    per-half constant holds two empty strips.
+    block is exactly zero on every pair of positions outside it.  Each
+    entry is stored once: `row_strips` holds B[S, :] (s x m), and
+    `col_strips` B[~S, S] ((m - s) x s), or None where the block is
+    symmetric by construction, B[~S, S] = B[S, ~S]^T.  The core is where
+    b differs from its most frequent value on the half, so a per-half
+    constant holds an empty row strip.
 
     `blocks`, `kernel` and `matrix` are dense views for matrix export,
     verify's S^4 trace check and tests; no study or audit reads them.
@@ -196,15 +196,13 @@ class OperatorMatrix:
         if [(core.dtype, core.shape) for core in self.cores] != [(np.dtype(bool), (m,)) for m in sizes]:
             raise ValueError("need one core per block: a boolean mask of the block's length")
         self.row_strips = [np.asarray(R, dtype=float) for R in self.row_strips]
-        self.col_strips = [np.asarray(C, dtype=float) for C in self.col_strips]
-        shapes = [((np.count_nonzero(core), m), (m, np.count_nonzero(core))) for core, m in zip(self.cores, sizes)]
-        if [(R.shape, C.shape) for R, C in zip(self.row_strips, self.col_strips)] != shapes:
-            raise ValueError("need one row strip (s x m) and one column strip (m x s) per core")
-        if not all(np.all(np.isfinite(A)) for A in self.row_strips + self.col_strips):
+        self.col_strips = [None if C is None else np.asarray(C, dtype=float) for C in self.col_strips]
+        shapes = [(R.shape, C if C is None else C.shape) for R, C in zip(self.row_strips, self.col_strips)]
+        wanted = [((s, m), (m - s, s)) for s, m in ((np.count_nonzero(core), core.size) for core in self.cores)]
+        if len(shapes) != len(wanted) or any(r != w or c not in (None, v) for (r, c), (w, v) in zip(shapes, wanted)):
+            raise ValueError("need one row strip (s x m) and one column block ((m - s) x s) or None per core")
+        if not all(np.all(np.isfinite(A)) for A in self.row_strips + self.col_strips if A is not None):
             raise ValueError("non-finite entries in matrix")
-        for core, R, C in zip(self.cores, self.row_strips, self.col_strips):
-            if not np.array_equal(R[:, core], C[core]):
-                raise ValueError("row and column strips must agree on the core block B[S, S]")
 
     @property
     def weight(self) -> float:
@@ -215,8 +213,8 @@ class OperatorMatrix:
         out = []
         for core, R, C in zip(self.cores, self.row_strips, self.col_strips):
             B = np.zeros((core.size, core.size))
-            B[:, core] = C
             B[core] = R
+            B[np.ix_(~core, core)] = R[:, ~core].T if C is None else C
             out.append(B)
         return out
 
@@ -288,13 +286,13 @@ def assemble_commutator(b, ell: int, grid: QuadratureGrid) -> OperatorMatrix:
     has a narrow core and a per-half constant an empty one.  Off the
     core both nodes carry that value and the entry is exactly zero, so
     the kernel is evaluated only on the core rows: the row strip is
-    (b_S - b) K_ell(x_S, x).  For ell < n the column strip is its
-    transpose, with no copy: there K_ell(y, x) = -K_ell(x, y) (the
-    numerator x_ell - y_ell changes sign, the denominators do not), bit
-    for bit except that x_ell = y_ell gives -0.0 both ways, so the block
-    is exactly symmetric up to the sign of its zeros.  For ell = n the
-    reflected numerator x_n + y_n does not change sign, and the column
-    strip (b - b_S) K_n(x, x_S) is evaluated too.
+    (b_S - b) K_ell(x_S, x).  For ell < n no column block is stored:
+    there K_ell(y, x) = -K_ell(x, y) (the numerator x_ell - y_ell changes
+    sign, the denominators do not), bit for bit except that x_ell = y_ell
+    gives -0.0 both ways, so the block is exactly symmetric up to the
+    sign of its zeros, as is the zero block of an empty core.  For ell = n
+    the reflected numerator x_n + y_n does not change sign, and the
+    column block (b_C - b_S) K_n(x_C, x_S) is evaluated too.
 
     Exactly zero for per-half-constant b: the kernel gate kills pairs in
     distinct halves and b(x) - b(y) is identically zero within one half.
@@ -308,11 +306,10 @@ def assemble_commutator(b, ell: int, grid: QuadratureGrid) -> OperatorMatrix:
     for idx in grid.half_indices():
         xh, bh = x[idx], bv[idx]
         core = support_core(bh)
-        row = _kernel_strip(params, xh[core], xh, bh[core], bh)
-        col = row.T if ell < grid.dim else _kernel_strip(params, xh, xh[core], bh, bh[core])
         cores.append(core)
-        rows.append(row)
-        cols.append(col)
+        rows.append(_kernel_strip(params, xh[core], xh, bh[core], bh))
+        symmetric = ell < grid.dim or not core.any()
+        cols.append(None if symmetric else _kernel_strip(params, xh[~core], xh[core], bh[~core], bh[core]))
     return OperatorMatrix(grid, ell, getattr(b, "name", "symbol"), cores, rows, cols)
 
 

@@ -496,6 +496,9 @@ def _nwo_statistic(family: list, cfg: ExperimentConfig, systems: list) -> list:
                 points += [y_nodes.reshape(-1, cfg.n), x_nodes.reshape(-1, cfg.n)]
                 # the kernel reads the normal coordinates of the first cube of each row
                 blocks.append((system, k, y_nodes[:rows, :, -1].copy(), x_nodes[:rows, :, -1].copy()))
+        if not blocks:
+            # no admissible cube: the shift's sum is 0 and cannot raise the max
+            continue
         # each symbol is called once per shift, on the micro-points of all
         # the shift's blocks; its values split back into the blocks' sides
         bounds = np.cumsum([len(side) for side in points])[:-1]
@@ -707,6 +710,8 @@ def divergence_study(cfg: ExperimentConfig) -> Report:
     """
     if cfg.p != cfg.n:
         raise ValueError(f"divergence study needs p = n, got p={cfg.p}, n={cfg.n}")
+    if len(cfg.grid_sizes) < 2:
+        raise ValueError(f"divergence study needs at least two grid_sizes to measure growth, got {cfg.grid_sizes}")
     family = symbol_family(cfg.family, cfg.n)
     spectra = {}
     norms = {}
@@ -767,6 +772,11 @@ def lower_bound_audit(cfg: ExperimentConfig) -> Report:
     if cfg.p <= cfg.n:
         raise ValueError(f"lower-bound audit needs p > n, got p={cfg.p}, n={cfg.n}")
     N = cfg.grid_sizes[0]
+    grid = make_grid(cfg.n, cfg.box, N)
+    k_max = min(finest_resolved_generation(grid), cfg.stat_k_max)
+    if k_max <= cfg.k_min:
+        window = f"k_min..min(finest_resolved_generation, stat_k_max) = {cfg.k_min}..{k_max}"
+        raise ValueError(f"lower-bound audit needs at least two generations, got {window} at N={N}")
     family = symbol_family(cfg.family, cfg.n)
     rows = []
     passed = True
@@ -777,8 +787,7 @@ def lower_bound_audit(cfg: ExperimentConfig) -> Report:
         "double": cfg.audit_C_double,
     }
     constants = {name: [] for name in limits}
-    grid = make_grid(cfg.n, cfg.box, N)
-    systems = _lattice_systems(cfg, min(finest_resolved_generation(grid), cfg.stat_k_max))
+    systems = _lattice_systems(cfg, k_max)
     norms = [_commutator_spectrum(sym, cfg.ell, grid, cfg.p)[2] for sym in family]
     fields = [SampledField(grid, sym(grid.nodes)) for sym in family]
     # every statistic takes the whole family and builds its

@@ -10,7 +10,7 @@ Each block is read from its support core.  A commutator block
 value at both nodes: off the core S (the nodes where b differs from its
 most frequent value on the half), the factor b_i - b_j is exactly 0.0,
 so with C the rest of the block B_CC = 0 K_CC = +-0.0.  An OperatorMatrix
-stores only the core's row strip B[S, :] and column strip B[:, S].
+stores only the row strip B[S, :] and the column block B_CS (if any).
 Then, with B_CS = Q1 R1 and B_SC^T = Q2 R2 (QR, orthonormal columns),
 
     [[B_SS, B_SC], [B_CS, 0]] = diag(I, Q1) [[B_SS, R2^T], [R1, 0]] diag(I, Q2^T),
@@ -19,12 +19,12 @@ an orthogonal equivalence: B has the singular values of the small
 matrix H on the right, of size s + min(s, m - s), and zeros for the
 rest.  Only the gathered pieces are weighted, so a block costs O(m s^2)
 for the QRs and O((2s)^3) for H's spectrum instead of O(m^3).  A block
-whose column strip is its row strip's transpose (the commutator for
-ell < n) is symmetric: B_SC = B_CS^T is not gathered, R2 = R1, and the
-singular values are the absolute eigenvalues of H (`eigvalsh`); any
-other H goes through a values-only SVD.  An empty core (a per-half
-constant) gives exact zeros; a plain matrix has every position in its
-core, and H is the matrix itself.
+stored without a column block (ell < n, or an empty core) is symmetric:
+B_CS = B_SC^T is gathered from the row strip, R2 = R1, and the singular
+values are the absolute eigenvalues of H (`eigvalsh`); any other H goes
+through a values-only SVD.  An empty core (a per-half constant) gives
+exact zeros; a plain matrix has every position in its core, H is the
+matrix itself, and it is symmetric if it equals its transpose.
 
 The weak-norm upper bound implemented by `russo_bound` is the kernel
 factorization
@@ -42,8 +42,8 @@ that needs several outer norms of the same columns makes one pass over
 the blocks.  A column's terms are added row by row, top to bottom,
 whatever the memory layout of its block, and exact zeros add nothing
 to such a sum.  So `operator_column_norms` reads an OperatorMatrix's
-column norms and its adjoint's from one pass over the core strips, bit
-for bit the dense blocks', and the upper audit forms no m x m block.
+column norms and its adjoint's from one pass over its strips, bit for
+bit the dense blocks', and the upper audit forms no m x m block.
 """
 
 from __future__ import annotations
@@ -106,23 +106,12 @@ def _block_singular_values(core, below, right) -> np.ndarray:
     return np.concatenate([vals, np.zeros(size - vals.size)])
 
 
-def _is_symmetric_block(R, C) -> bool:
-    """Whether the column strip C is the row strip R's transpose, so the
-    block is symmetric: the same memory read transposed, or equal values.
-    The first rows are compared before the whole strips, which settles
-    an unequal pair without a pass over them."""
-    transposed_view = (
-        C.shape == R.shape[::-1]
-        and C.strides == R.strides[::-1]
-        and C.__array_interface__["data"][0] == R.__array_interface__["data"][0]
-    )
-    return transposed_view or (np.array_equal(C[:1], R.T[:1]) and np.array_equal(C, R.T))
-
-
 def _core_pieces(core, R, C, weight: float) -> tuple:
-    """B_SS and B_SC from the row strip R and B_CS from the column strip
-    C, each gathered once and weighted in place (B_SC: None if C == R^T)."""
-    pieces = R[:, core], C[~core], None if _is_symmetric_block(R, C) else R[:, ~core]
+    """B_SS and B_SC from the row strip R and B_CS from the column block
+    C, each gathered once and weighted in place; a symmetric block (C is
+    None) gathers B_CS from R's transpose and has no B_SC (None)."""
+    below, right = (R.T[~core], None) if C is None else (C.copy(), R[:, ~core])
+    pieces = R[:, core], below, right
     for piece in pieces:
         if piece is not None:
             piece *= weight
@@ -133,7 +122,7 @@ def singular_values(M) -> SingularSpectrum:
     """Descending singular values of a dense matrix or an OperatorMatrix.
 
     An OperatorMatrix is read block by block from its core strips: B_SS
-    and B_SC from the row strip, B_CS from the column strip.  A plain
+    and B_SC from the row strip, B_CS from the column block.  A plain
     matrix is one block whose core is every position.  See the module
     docstring for how each block is handled.
     """
@@ -145,7 +134,7 @@ def singular_values(M) -> SingularSpectrum:
             raise ValueError("expected a 2-d matrix")
         if not np.all(np.isfinite(A)):
             raise ValueError("non-finite entries in matrix")
-        pieces = [(A, A[:0], None if _is_symmetric_block(A, A) else A[:, :0])]
+        pieces = [(A, A[:0], None if np.array_equal(A, A.T) else A[:, :0])]
     return SingularSpectrum(np.concatenate([_block_singular_values(*piece) for piece in pieces]))
 
 
@@ -225,22 +214,24 @@ def operator_column_norms(op, p: float) -> tuple:
     transposes, as two lists (direct, adjoint), bit for bit, from one
     weighted p-th power of each core strip.
 
-    A core column is the column strip's; an off-core column is zero off
-    the core rows, so it is the row strip's.  In a transposed block the
+    A core column is the column strip B[:, S], assembled in row order
+    from B_SS and the column block; an off-core column is zero off the
+    core rows, so it is the row strip's.  In a transposed block the
     strips swap roles.  Exact zeros add nothing to a row-by-row sum.
-    The column strip of a symmetric block (`_is_symmetric_block`: the row
-    strip's transpose, a view of it for ell < n) is not powered again: its
-    norms are the row strip's, swapped, bit for bit.
+    A symmetric block's column strip (no column block) is not powered:
+    its norms are the row strip's, swapped, bit for bit.
     """
     if p <= 2:
         raise ValueError("mixed norm requires p > 2")
     direct, adjoint = [], []
     for core, R, C in zip(op.cores, op.row_strips, op.col_strips):
         g, g_adj_core = _strip_norms(R, p, op.weight)
-        if _is_symmetric_block(R, C):
+        if C is None:
             g_core, g_adj = g_adj_core, g.copy()
         else:
-            g_core, g_adj = _strip_norms(C, p, op.weight)
+            strip = np.empty((core.size, len(R)))
+            strip[core], strip[~core] = R[:, core], C
+            g_core, g_adj = _strip_norms(strip, p, op.weight)
         g[core], g_adj[core] = g_core, g_adj_core
         direct.append(g)
         adjoint.append(g_adj)

@@ -196,20 +196,57 @@ def _per_symbol_matrix(b, ell, grid):
 @pytest.mark.parametrize("family", ["default", "divergence"])
 def test_strips_are_the_core_rows_and_columns_of_the_whole_blocks(family, ell):
     # the row strip is B[S, :] bit for bit, signed zeros included; for
-    # ell = n so is the column strip B[:, S].  For ell < n the column
-    # strip is the row strip's transpose, with no copy: the same values,
-    # with the opposite zero where x_1 = y_1 (see test_kernels.py)
+    # ell = n so is the column block B[~S, S] of a non-empty core.  For
+    # ell < n no column block is stored: the row strip's transpose has
+    # the same values, with the opposite zero where x_1 = y_1 (see
+    # test_kernels.py)
     grid = make_grid(2, BOX, 32)
     for sym in symbol_family(family, 2):
         op = assemble_commutator(sym, ell, grid)
         assert op.ell == ell and op.symbol == sym.name
         for block, core, R, C in zip(_whole_blocks(sym, ell, grid), op.cores, op.row_strips, op.col_strips):
             assert R.tobytes() == block[core].tobytes()
-            if ell == 2:
-                assert C.tobytes() == block[:, core].tobytes()
+            if ell == 2 and core.any():
+                assert C.tobytes() == block[np.ix_(~core, core)].tobytes()
             else:
-                assert C.base is R
-                assert np.array_equal(C, block[:, core])
+                assert C is None
+                assert np.array_equal(R[:, ~core].T, block[np.ix_(~core, core)])
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+@pytest.mark.parametrize("N", [16, 32])
+def test_blocks_are_the_whole_blocks_and_only_symmetric_blocks_drop_their_columns(N, ell):
+    # the dense blocks scatter each stored entry once and are the whole
+    # blocks evaluated directly; a block keeps no column block exactly
+    # when it is symmetric by construction: every block for ell < n, and
+    # a block whose empty core makes it zero
+    grid = make_grid(2, BOX, N)
+    for sym in symbol_family("default", 2):
+        op = assemble_commutator(sym, ell, grid)
+        for B, block, core, C in zip(op.blocks, _whole_blocks(sym, ell, grid), op.cores, op.col_strips):
+            assert np.array_equal(B, block)
+            assert (C is None) == (ell == 1 or not core.any())
+
+
+def test_assembly_evaluates_each_stored_entry_once(monkeypatch):
+    # s m row-strip pairs per block, plus (m - s) s column-block pairs
+    # for a non-empty core at ell = n: the core block is not evaluated
+    # twice, and a symmetric block's column block not at all
+    grid = make_grid(2, BOX, 16)
+    pairs = []
+
+    def counted(params, x, y, *args, _original=discretize.riesz_kernel, **kwargs):
+        pairs.append(x.shape[0] * y.shape[1])
+        return _original(params, x, y, *args, **kwargs)
+
+    monkeypatch.setattr(discretize, "riesz_kernel", counted)
+    for ell in (1, 2):
+        for sym in symbol_family("default", 2):
+            pairs.clear()
+            op = assemble_commutator(sym, ell, grid)
+            sizes = [(np.count_nonzero(core), core.size) for core in op.cores]
+            column = [(m - s) * s if ell == 2 else 0 for s, m in sizes]
+            assert sum(pairs) == sum(s * m for s, m in sizes) + sum(column), (sym.name, ell)
 
 
 @pytest.mark.parametrize("ell", [1, 2])
@@ -265,20 +302,24 @@ def test_operator_matrix_validation():
     full, empty = np.ones(8, dtype=bool), np.zeros(8, dtype=bool)
     narrow = np.arange(8) < 3
     strips = [np.zeros((8, 8)), np.zeros((8, 8))]
+    narrow_rows = [np.zeros((3, 8)), np.zeros((8, 8))]
     for rows, cols, cores in (
-        ([np.ones((8, 8))], [np.ones((8, 8))], [full, full]),
-        (strips, [np.zeros((8, 8)), np.zeros((8, 7))], [full, full]),
-        (strips, strips, [narrow, full]),
-        ([np.zeros((3, 8)), np.zeros((8, 8))], [np.zeros((3, 8)), np.zeros((8, 8))], [narrow, full]),
+        ([np.ones((8, 8))], [None], [full, full]),
+        (strips, [None], [full, full]),
+        (strips, [np.zeros((0, 8)), np.zeros((1, 8))], [full, full]),
+        (strips, [None, None], [narrow, full]),
+        # a column block holds the off-core rows only, in their own order
+        (narrow_rows, [np.zeros((8, 3)), None], [narrow, full]),
+        (narrow_rows, [np.zeros((3, 5)), None], [narrow, full]),
     ):
         with pytest.raises(ValueError, match="one row strip"):
             OperatorMatrix(grid, 1, "", cores, rows, cols)
     bad = np.zeros((8, 8))
     bad[0, 0] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
-        OperatorMatrix(grid, 1, "", [full, full], [np.zeros((8, 8)), bad], strips)
+        OperatorMatrix(grid, 1, "", [full, full], [np.zeros((8, 8)), bad], [None, None])
     with pytest.raises(ValueError, match="non-finite"):
-        OperatorMatrix(grid, 1, "", [full, full], strips, [bad, np.zeros((8, 8))])
+        OperatorMatrix(grid, 2, "", [narrow, full], narrow_rows, [np.full((5, 3), np.nan), None])
     for cores, match in (
         ([full], "one core per block"),
         ([np.arange(8), full], "boolean mask"),
@@ -289,22 +330,22 @@ def test_operator_matrix_validation():
         ([np.ones(7, dtype=bool), full], "boolean mask"),
     ):
         with pytest.raises(ValueError, match=match):
-            OperatorMatrix(grid, 1, "", cores, strips, strips)
-    # both strips hold the core block B[S, S]: a disagreement there is
-    # refused; B[S, ~S] and B[~S, S] are independent entries
+            OperatorMatrix(grid, 1, "", cores, strips, [None, None])
+    # each entry is stored once: B[S, :] in the row strip, B[~S, S] in
+    # the column block, or B[S, ~S]^T for a symmetric block (None)
     row = np.zeros((3, 8))
-    row[1, 2] = 1.0
-    with pytest.raises(ValueError, match=r"agree on the core block B\[S, S\]"):
-        OperatorMatrix(grid, 1, "", [narrow, empty], [row, np.zeros((0, 8))], [np.zeros((8, 3)), np.zeros((8, 0))])
-    row[1, 2] = 0.0
     row[1, 5] = 1.0
-    op = OperatorMatrix(grid, 1, "", [narrow, empty], [row, np.zeros((0, 8))], [np.zeros((8, 3)), np.zeros((8, 0))])
-    assert op.blocks[0][1, 5] == 1.0 and op.blocks[0][5, 1] == 0.0
-    op = OperatorMatrix(grid, 2, "b", [full, full], strips, strips)
+    col = np.zeros((5, 3))
+    col[0, 2] = 2.0
+    op = OperatorMatrix(grid, 2, "", [narrow, empty], [row, np.zeros((0, 8))], [col, None])
+    assert (op.blocks[0][1, 5], op.blocks[0][5, 1], op.blocks[0][3, 2]) == (1.0, 0.0, 2.0)
+    op = OperatorMatrix(grid, 1, "", [narrow, empty], [row, np.zeros((0, 8))], [None, None])
+    assert op.blocks[0][1, 5] == op.blocks[0][5, 1] == 1.0
+    op = OperatorMatrix(grid, 2, "b", [full, full], strips, [np.zeros((0, 8))] * 2)
     assert op.weight == grid.weight and (op.ell, op.symbol) == (2, "b")
     assert all(np.array_equal(core, full) for core in op.cores)
-    # an empty core holds two empty strips
-    op = OperatorMatrix(grid, 1, "c", [empty, empty], [np.zeros((0, 8))] * 2, [np.zeros((8, 0))] * 2)
+    # an empty core holds an empty row strip and no column block
+    op = OperatorMatrix(grid, 1, "c", [empty, empty], [np.zeros((0, 8))] * 2, [None] * 2)
     assert [R.shape for R in op.row_strips] == [(0, 8), (0, 8)]
     assert all(np.all(B == 0.0) for B in op.blocks)
 
@@ -339,7 +380,7 @@ def test_per_half_constant_holds_no_strip():
         for sym in (s for s in symbol_family("default", 2) if s.kind == "perhalf-constant"):
             op = assemble_commutator(sym, ell, grid)
             assert [R.shape for R in op.row_strips] == [(0, 128), (0, 128)]
-            assert [C.shape for C in op.col_strips] == [(128, 0), (128, 0)]
+            assert op.col_strips == [None, None]
             s = singular_values(op).values
             assert s.size == 256 and np.all(s == 0.0)
 

@@ -294,6 +294,50 @@ def test_lower_audit_requires_p_above_n():
         lower_bound_audit(ExperimentConfig(p=2.0))
 
 
+def _no_spectrum(*args):
+    raise AssertionError("a spectrum was taken before the precondition")
+
+
+def test_divergence_study_refuses_a_single_grid_size(monkeypatch):
+    # growth compares the last norm with the first, which one size cannot
+    # show, so the study would FAIL every non-control symbol
+    from nrlab import harness
+
+    monkeypatch.setattr(harness, "_commutator_spectrum", _no_spectrum)
+    message = "divergence study needs at least two grid_sizes to measure growth, got (32,)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        divergence_study(ExperimentConfig(p=2.0, grid_sizes=(32,)))
+
+
+@pytest.mark.parametrize("N", [8, 12])
+def test_lower_audit_refuses_a_window_of_one_generation(monkeypatch, N):
+    # on the default box N = 8 and 12 resolve only k = -1: the energy sums
+    # are empty, every constant is 0 and the spread infinite
+    from nrlab import harness
+
+    monkeypatch.setattr(harness, "_commutator_spectrum", _no_spectrum)
+    message = (
+        "lower-bound audit needs at least two generations, got "
+        f"k_min..min(finest_resolved_generation, stat_k_max) = -1..-1 at N={N}"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        lower_bound_audit(ExperimentConfig(grid_sizes=(N,)))
+
+
+def test_lower_audit_skips_a_lattice_shift_with_no_admissible_cube():
+    # on this narrow box the window is k = -1..1, and 6 of the 9 shifts
+    # hold no admissible cube: such a shift's NWO sum is 0 and cannot
+    # raise the max, so the audit reaches its verdict
+    cfg = ExperimentConfig(p=4.0, box=((-1.0, 1.0), (-0.6, 0.6)), grid_sizes=(16,))
+    systems = _lattice_systems(cfg, finest_resolved_generation(make_grid(2, cfg.box, 16)))
+    empty = [not any(system.cubes[k] for system in pair for k in system.generations()) for pair in systems]
+    assert sum(empty) == 6
+    rep = lower_bound_audit(cfg)
+    nwo = [row.aux["value"] for row in rep.rows if row.aux["statistic"] == "nwo"]
+    assert len(nwo) == 7 and all(math.isfinite(v) for v in nwo)
+    assert "nwo_C_spread" in rep.summary
+
+
 def test_upper_audit_requires_p_above_two():
     with pytest.raises(ValueError, match="p > max"):
         upper_bound_audit(ExperimentConfig(p=2.0))
