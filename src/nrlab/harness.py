@@ -277,66 +277,60 @@ def _mollifier(center, radius, amplitude=1.0):
     return func
 
 
-def _bump_symbol(name, center, radius, amplitude=1.0):
-    return Symbol(name=name, func=_mollifier(center, radius, amplitude))
-
-
-def _odd_bump_symbol(name, center, radius, amplitude=1.0):
-    """x_n times a bump centered on the interface: smooth, odd in x_n."""
-    func = _mollifier(center, radius, amplitude)
-
-    def oddf(x):
-        x = np.asarray(x, dtype=float)
-        return x[..., -1] * func(x)
-
-    return Symbol(name=name, func=oddf)
-
-
-def _halfconst_symbol(name, c_plus, c_minus):
-    def func(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x[..., -1] >= 0.0, float(c_plus), float(c_minus))
-
-    return Symbol(name=name, func=func, kind="perhalf-constant")
-
-
-def _default_family(n: int) -> list:
-    if n != 2:
-        raise ValueError("built-in symbol families are two-dimensional")
-    return [
-        _bump_symbol("bump_a35", (0.0, 0.5), 0.35),
-        _bump_symbol("bump_a45", (0.0, 0.5), 0.45),
-        _bump_symbol("bump_b35", (-0.5, 0.45), 0.35),
-        _odd_bump_symbol("odd_bump", (0.3, 0.0), 0.7),
-        _bump_symbol("bump_minus", (0.2, -0.55), 0.35),
-        _halfconst_symbol("halfconst", 1.0, -0.5),
-        _halfconst_symbol("uniform", 0.7, 0.7),
-    ]
-
-
-def _divergence_family(n: int) -> list:
-    if n != 2:
-        raise ValueError("built-in symbol families are two-dimensional")
-    parts = [_mollifier((-0.4, 0.45), 0.5), _mollifier((0.35, 0.35), 0.22), _mollifier((0.1, 0.8), 0.1)]
-    multi = Symbol(name="multiscale", func=lambda x: sum(part(x) for part in parts))
-    return [
-        multi,
+# A family is a tuple of rows (name, kind, *args): "bump" and "odd_bump"
+# (x_n times a bump) take a centre and a radius, "halfconst" the values on
+# the plus and the minus half, "sum" a tuple of (centre, radius) bumps.
+# Rows hold no callables, so a comprehension can dilate or mirror a family.
+_FAMILIES = {
+    "default": (
+        ("bump_a35", "bump", (0.0, 0.5), 0.35),
+        ("bump_a45", "bump", (0.0, 0.5), 0.45),
+        ("bump_b35", "bump", (-0.5, 0.45), 0.35),
+        ("odd_bump", "odd_bump", (0.3, 0.0), 0.7),
+        ("bump_minus", "bump", (0.2, -0.55), 0.35),
+        ("halfconst", "halfconst", 1.0, -0.5),
+        ("uniform", "halfconst", 0.7, 0.7),
+    ),
+    "divergence": (
+        ("multiscale", "sum", (((-0.4, 0.45), 0.5), ((0.35, 0.35), 0.22), ((0.1, 0.8), 0.1))),
         # finer feature scales than the ratio-study family on purpose: the
         # endpoint growth window is [grid spacing, feature radius]
-        _bump_symbol("bump_sharp", (0.0, 0.4), 0.3),
-        _odd_bump_symbol("odd_bump", (0.3, 0.0), 0.45),
-        _halfconst_symbol("halfconst", 1.0, -0.5),
-        _halfconst_symbol("uniform", 0.7, 0.7),
-    ]
+        ("bump_sharp", "bump", (0.0, 0.4), 0.3),
+        ("odd_bump", "odd_bump", (0.3, 0.0), 0.45),
+        ("halfconst", "halfconst", 1.0, -0.5),
+        ("uniform", "halfconst", 0.7, 0.7),
+    ),
+}
 
 
-_FAMILIES = {"default": _default_family, "divergence": _divergence_family}
+def _bumps(row) -> tuple:
+    """The (centre, radius) pairs of a family row's bumps."""
+    _, kind, *args = row
+    return {"bump": (args,), "odd_bump": (args,), "halfconst": (), "sum": args[0]}[kind]
+
+
+def _symbol(row) -> Symbol:
+    """The `Symbol` of one family row."""
+    name, kind, *args = row
+    if kind == "halfconst":
+        c_plus, c_minus = map(float, args)
+        return Symbol(name, lambda x: np.where(x[..., -1] >= 0.0, c_plus, c_minus), "perhalf-constant")
+    parts = [_mollifier(centre, radius) for centre, radius in _bumps(row)]
+    if kind == "sum":
+        return Symbol(name, lambda x: sum(part(x) for part in parts))
+    if kind == "odd_bump":
+        return Symbol(name, lambda x: x[..., -1] * parts[0](x))
+    return Symbol(name, parts[0])
 
 
 def symbol_family(name: str, n: int) -> list:
     if name not in _FAMILIES:
         raise ValueError(f"unknown symbol family {name!r}; have {sorted(_FAMILIES)}")
-    return _FAMILIES[name](n)
+    rows = _FAMILIES[name]
+    dims = {len(centre) for row in rows for centre, _ in _bumps(row)}
+    if dims - {n}:
+        raise ValueError(f"symbol family {name!r} is {('one', 'two', 'three')[max(dims) - 1]}-dimensional, got n={n}")
+    return [_symbol(row) for row in rows]
 
 
 def lattice_shift_sample(n: int, count: int = 9) -> np.ndarray:

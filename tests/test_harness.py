@@ -497,7 +497,7 @@ def test_study_and_audit_at_n64_allocate_less_than_one_half_block():
 def test_ratio_study_without_resolved_symbol_names_cause(monkeypatch):
     from nrlab import harness
 
-    controls = lambda n: [s for s in symbol_family("default", n) if s.kind == "perhalf-constant"]
+    controls = tuple(row for row in harness._FAMILIES["default"] if row[1] == "halfconst")
     monkeypatch.setitem(harness._FAMILIES, "controls", controls)
     with pytest.raises(ValueError, match="no non-control symbol .* resolved at the top grid size N=16"):
         ratio_study(ExperimentConfig(**SMOKE, family="controls"))

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrlab.discretize import OperatorMatrix, assemble_commutator, make_grid
-from nrlab.harness import _bump_symbol, _odd_bump_symbol, symbol_family
+from nrlab.discretize import OperatorMatrix, Symbol, assemble_commutator, make_grid
+from nrlab.harness import _symbol, symbol_family
 from nrlab.spectra import (
     SingularSpectrum,
     abs_power,
@@ -143,7 +143,7 @@ def test_block_spectrum_matches_full_svd(name, ell):
 def _core_cases():
     bump = next(s for s in symbol_family("default", 2) if s.name == "bump_a35")
     odd = next(s for s in symbol_family("default", 2) if s.name == "odd_bump")
-    wide = _bump_symbol("wide", (0.25, 0.75), 1.2)
+    wide = _symbol(("wide", "bump", (0.25, 0.75), 1.2))
     return [
         ("lifted", lambda x: bump(x) + 0.7, 16),
         ("wide", wide, 8),
@@ -293,7 +293,7 @@ def test_symmetric_matrix_spectrum_is_absolute_eigenvalues():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    make=st.sampled_from([_bump_symbol, _odd_bump_symbol]),
+    kind=st.sampled_from(["bump", "odd_bump"]),
     cx=st.floats(-1.5, 1.5),
     cy=st.floats(-1.5, 1.5),
     radius=st.floats(0.3, 1.2),
@@ -301,8 +301,9 @@ def test_symmetric_matrix_spectrum_is_absolute_eigenvalues():
     N=st.sampled_from([8, 10, 12, 14, 16]),
     ell=st.sampled_from([1, 2]),
 )
-def test_block_spectrum_identities_property(make, cx, cy, radius, amplitude, N, ell):
-    sym = make("random", (cx, cy), radius, amplitude)
+def test_block_spectrum_identities_property(kind, cx, cy, radius, amplitude, N, ell):
+    base = _symbol(("random", kind, (cx, cy), radius))
+    sym = Symbol("random", lambda x: amplitude * base(x))
     op = assemble_commutator(sym, ell, make_grid(2, ((-2.0, 2.0), (-2.0, 2.0)), N))
     s = singular_values(op).values
     # the union of the two blocks' spectra is the whole matrix's spectrum
