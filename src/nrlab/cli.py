@@ -2,7 +2,8 @@
 
 Subcommands map one-to-one onto the harness studies plus two utilities
 (single-point kernel evaluation, matrix export).  Exit code is 0 iff
-every asserted inequality in the invoked run passed.
+every asserted inequality in the invoked run passed, 1 on a FAIL verdict
+and 2 on refused input: a bad flag or config, on one stderr line.
 """
 
 from __future__ import annotations
@@ -81,6 +82,13 @@ def _build_config(args) -> ExperimentConfig:
     return cfg.updated(**overrides)
 
 
+def _refuse(command: str, message) -> int:
+    """Report refused input on one stderr line and exit 2, as argparse
+    does; exit 1 is left to a FAIL verdict."""
+    print(f"nrlab {command}: error: {message}", file=sys.stderr)
+    return 2
+
+
 def _emit(report, cfg: ExperimentConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -118,7 +126,10 @@ def main(argv=None) -> int:
     exp.add_argument("--family", type=str, default=None)
 
     args = parser.parse_args(argv)
-    cfg = _build_config(args)
+    try:
+        cfg = _build_config(args)
+    except (ValueError, OSError) as exc:
+        return _refuse(args.command, exc)
 
     if args.command == "verify":
         return _emit(verify_suite(cfg), cfg)
@@ -135,9 +146,9 @@ def main(argv=None) -> int:
 
     if args.command == "kernel-eval":
         x, y = args.x, args.y
-        for point in (x, y):
+        for flag, point in (("--x", x), ("--y", y)):
             if len(point) != cfg.n:
-                raise SystemExit(f"expected {cfg.n} coordinates, got {len(point)}")
+                return _refuse(args.command, f"argument {flag}: expected {cfg.n} coordinates, got {len(point)}")
         params = KernelParams(cfg.n, cfg.ell)
         print(f"riesz[ell={cfg.ell}](x, y) = {float(riesz_kernel(params, x, y, singular='zero'))!r}")
         if args.t is not None:
@@ -149,7 +160,7 @@ def main(argv=None) -> int:
         family = symbol_family(cfg.family, cfg.n)
         match = [s for s in family if s.name == args.symbol]
         if not match:
-            raise SystemExit(f"symbol {args.symbol!r} not in family {cfg.family!r}")
+            return _refuse(args.command, f"--symbol {args.symbol!r} not in family {cfg.family!r}")
         grid = make_grid(cfg.n, cfg.box, cfg.grid_sizes[0])
         op = assemble_commutator(match[0], cfg.ell, grid)
         out = Path(cfg.out_dir)

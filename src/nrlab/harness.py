@@ -782,6 +782,14 @@ def lower_bound_audit(cfg: ExperimentConfig) -> Report:
     }
     constants = {name: [] for name in limits}
     systems = _lattice_systems(cfg, k_max)
+    # a generation whose cubes are all taller than a half holds none, and
+    # the energy spread of a one-generation window is infinite for any C
+    held = [k for k in range(cfg.k_min, k_max + 1) if any(system.cubes[k] for pair in systems for system in pair)]
+    if len(held) < 2:
+        raise ValueError(
+            f"lower-bound audit needs at least two generations with an admissible cube, got {held} "
+            f"in the window {cfg.k_min}..{k_max} at N={N} on the box {cfg.box}"
+        )
     norms = [_commutator_spectrum(sym, cfg.ell, grid, cfg.p)[2] for sym in family]
     fields = [SampledField(grid, sym(grid.nodes)) for sym in family]
     # every statistic takes the whole family and builds its

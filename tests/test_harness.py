@@ -327,15 +327,31 @@ def test_lower_audit_refuses_a_window_of_one_generation(monkeypatch, N):
 def test_lower_audit_skips_a_lattice_shift_with_no_admissible_cube():
     # on this narrow box the window is k = -1..1, and 6 of the 9 shifts
     # hold no admissible cube: such a shift's NWO sum is 0 and cannot
-    # raise the max, so the audit reaches its verdict
+    # raise the max.  The audit itself refuses this box (only k = 1 holds
+    # a cube), so the statistic is called directly
     cfg = ExperimentConfig(p=4.0, box=((-1.0, 1.0), (-0.6, 0.6)), grid_sizes=(16,))
     systems = _lattice_systems(cfg, finest_resolved_generation(make_grid(2, cfg.box, 16)))
     empty = [not any(system.cubes[k] for system in pair for k in system.generations()) for pair in systems]
     assert sum(empty) == 6
-    rep = lower_bound_audit(cfg)
-    nwo = [row.aux["value"] for row in rep.rows if row.aux["statistic"] == "nwo"]
-    assert len(nwo) == 7 and all(math.isfinite(v) for v in nwo)
-    assert "nwo_C_spread" in rep.summary
+    family = symbol_family("default", 2)
+    nwo = _nwo_statistic(family, cfg, systems)
+    assert len(nwo) == 7 and all(math.isfinite(v) for v in nwo) and max(nwo) > 0.0
+    assert nwo == _nwo_statistic(family, cfg, [pair for pair, e in zip(systems, empty) if not e])
+
+
+def test_lower_audit_refuses_a_window_with_one_generation_of_cubes(monkeypatch):
+    # the window k = -1..1 passes the resolution check, but the cubes of
+    # k = -1 and 0 are taller than either half: with one generation every
+    # energy statistic is 0 and the audit would FAIL whatever its constants
+    from nrlab import harness
+
+    monkeypatch.setattr(harness, "_commutator_spectrum", _no_spectrum)
+    message = (
+        "lower-bound audit needs at least two generations with an admissible cube, got [1] "
+        "in the window -1..1 at N=16 on the box ((-1.0, 1.0), (-0.6, 0.6))"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        lower_bound_audit(ExperimentConfig(p=4.0, box=((-1.0, 1.0), (-0.6, 0.6)), grid_sizes=(16,)))
 
 
 def test_upper_audit_requires_p_above_two():
@@ -1319,9 +1335,9 @@ def test_cli_kernel_eval(capsys):
     assert "riesz[ell=1]" in out and "heat_neumann" in out
 
 
-def test_cli_kernel_eval_rejects_bad_point():
-    with pytest.raises(SystemExit, match="expected 2 coordinates"):
-        cli_main(["kernel-eval", "--x", "0.3", "--y", "0.1,1.2"])
+def test_cli_kernel_eval_rejects_bad_point(capsys):
+    assert cli_main(["kernel-eval", "--x", "0.3", "--y", "0.1,1.2"]) == 2
+    assert capsys.readouterr().err == "nrlab kernel-eval: error: argument --x: expected 2 coordinates, got 1\n"
 
 
 def test_cli_kernel_eval_prints_plain_numbers(capsys):
@@ -1413,6 +1429,27 @@ def test_export_matrix_holds_no_copy_of_the_matrix(tmp_path):
     assert matrix.tobytes() == op.matrix.tobytes()
 
 
-def test_cli_export_matrix_unknown_symbol(tmp_path):
-    with pytest.raises(SystemExit, match="not in family"):
-        cli_main(["export-matrix", "--symbol", "ghost", "--out", str(tmp_path)])
+def test_cli_export_matrix_unknown_symbol(tmp_path, capsys):
+    assert cli_main(["export-matrix", "--symbol", "ghost", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "nrlab export-matrix: error: --symbol 'ghost' not in family 'default'\n"
+
+
+@pytest.mark.parametrize(
+    "entries, named",
+    [
+        ({"bogus": 1}, "unknown config keys: ['bogus']"),
+        ({"p": -1}, "p must be finite and > 0"),
+        ({"grid_sizes": 0}, "grid_sizes entry 0 is rejected"),
+        (None, "missing.cfg"),
+    ],
+)
+def test_cli_refuses_config_input_on_one_line_with_exit_2(entries, named, tmp_path, capsys):
+    # exit 1 is a FAIL verdict; refused input exits 2 and names the field
+    # or the file, with no traceback
+    path = tmp_path / "missing.cfg"
+    if entries is not None:
+        write_kv_file(path, entries)
+    assert cli_main(["ratio-study", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nrlab ratio-study: error: ") and named in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
