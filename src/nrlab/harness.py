@@ -139,7 +139,7 @@ class ExperimentConfig:
         sizes = np.atleast_1d(np.asarray(self.grid_sizes, dtype=object)).tolist()
         self.grid_sizes = tuple(_as_int("grid_sizes entry", v) for v in sizes)
         if len(self.box) != self.n:
-            raise ValueError("box must have one (lo, hi) pair per dimension")
+            raise ValueError(f"box must have one (lo, hi) pair per dimension, got {len(self.box)} for n={self.n}")
         if any(lo >= hi for lo, hi in self.box):
             raise ValueError("box pairs must satisfy lo < hi")
         # every study compares the two halves
@@ -164,13 +164,17 @@ class ExperimentConfig:
                 raise ValueError(f"{f.name} must be finite and > 0, got {value}")
         if not self.t_min < self.t_max:
             raise ValueError(f"t_min must be < t_max, got {self.t_min} >= {self.t_max}")
-        for name in ("t_per_decade", "shift_per_decade", "shift_angles", "num_lattice_shifts"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        lows = {"t_per_decade": 1, "shift_per_decade": 1, "shift_angles": 1, "num_lattice_shifts": 1, "seed": 0}
+        for name, low in lows.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.k_min > self.stat_k_max:
             raise ValueError(f"k_min must be <= stat_k_max, got {self.k_min} > {self.stat_k_max}")
-        if self.family not in _FAMILIES:
+        if not isinstance(self.family, str) or self.family not in _FAMILIES:
             raise ValueError(f"family must be one of {sorted(_FAMILIES)}, got {self.family!r}")
+        symbol_family(self.family, self.n)  # refuses a family of another dimension
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a path, got {self.out_dir!r}")
 
     def to_dict(self) -> dict:
         out = {}
@@ -243,7 +247,7 @@ class ReportRow:
 
     def __post_init__(self):
         for label, value in (("schatten", self.schatten), ("besov", self.besov)):
-            if value is not None and math.isinf(float(value)):
+            if math.isinf(value):
                 raise ValueError(f"{label} must be finite")
 
 
@@ -261,7 +265,7 @@ class Report:
 # symbol families
 
 
-def _mollifier(center, radius, amplitude=1.0):
+def _mollifier(center, radius):
     """Smooth compactly supported bump exp(1 - 1/(1 - s^2)), s = |x-c|/R."""
     c = np.asarray(center, dtype=float)
     r = float(radius)
@@ -271,7 +275,7 @@ def _mollifier(center, radius, amplitude=1.0):
         s2 = squared_distance(x, c) / r**2
         out = np.zeros(s2.shape)
         inside = s2 < 1.0
-        out[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
+        out[inside] = np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
         return out
 
     return func
@@ -436,11 +440,16 @@ def _nwo_statistic(family: list, cfg: ExperimentConfig, systems: list) -> list:
     alignment.  Regions are disjoint and separated, so plain midpoint
     micro-quadrature of the double integral is accurate.
 
+    Every lattice shift of `systems` must hold an admissible cube.  The
+    windows `lower_bound_audit` accepts do: they hold cubes in two
+    generations, and a generation with a cube in one shift leaves the
+    next one a cube in every shift.
+
     Evaluated per (shift, half, generation) block, over all the cubes of
     the generation and all the symbols at once.  The geometry does not
     depend on the symbol, so it is built once per generation for the whole
-    family: every cube is checked to lie in its half, the generation's
-    reference witness micro-grid (`_witness_tables`) is translated by the
+    family (`build_system` admits only cubes inside their half): the
+    generation's reference witness micro-grid (`_witness_tables`) is translated by the
     cube centres to every cube's witness ball, giving one (cubes, N_y, n)
     array, and the children's `midpoint_nodes` form one
     (cubes, 2^n ppa^n, n) array.  x - y is the same for every cube, so the
@@ -478,8 +487,6 @@ def _nwo_statistic(family: list, cfg: ExperimentConfig, systems: list) -> list:
                 cubes = system.cubes[k]
                 if not cubes:
                     continue
-                if not all(Q.in_half() for Q in cubes):
-                    raise ValueError("cube leaves its half-space")
                 rows = system.blocks[k][1][-1]
                 table = tables[system.half, k]
                 boxes = system.subcube_boxes(k, 1)
@@ -490,9 +497,6 @@ def _nwo_statistic(family: list, cfg: ExperimentConfig, systems: list) -> list:
                 points += [y_nodes.reshape(-1, cfg.n), x_nodes.reshape(-1, cfg.n)]
                 # the kernel reads the normal coordinates of the first cube of each row
                 blocks.append((system, k, y_nodes[:rows, :, -1].copy(), x_nodes[:rows, :, -1].copy()))
-        if not blocks:
-            # no admissible cube: the shift's sum is 0 and cannot raise the max
-            continue
         # each symbol is called once per shift, on the micro-points of all
         # the shift's blocks; its values split back into the blocks' sides
         bounds = np.cumsum([len(side) for side in points])[:-1]
@@ -1135,8 +1139,6 @@ def verify_suite(cfg: ExperimentConfig) -> Report:
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
     xf = float(x)
     if math.isnan(xf):
         return "nan"

@@ -80,9 +80,6 @@ class SingularSpectrum:
             raise ValueError("singular values must be finite and non-negative")
         self.values = np.sort(vals)[::-1]
 
-    def __len__(self):
-        return self.values.size
-
 
 def abs_power(x, p: float) -> np.ndarray:
     """|x|**p, bit for bit, with the power taken only on the non-zero

@@ -4,7 +4,9 @@ its counters read some arguments by parameter name
 (`_param(orig, "grid")`), and some attributes of the wrapped call's
 result (`out.kernel`).  A change that drops or renames one of those
 bindings, parameters or attributes leaves its per-layer metrics
-missing; these tests fail on it first."""
+missing; these tests fail on it first.  The `harness.study` wrap points
+rebind the studies in `nrlab.cli`, so the CLI must look them up there
+when a command runs."""
 
 import ast
 import dataclasses
@@ -14,7 +16,10 @@ import runpy
 import typing
 from pathlib import Path
 
-import nrlab.cli  # noqa: F401  loads every module the wrap points name
+import pytest
+
+import nrlab.cli  # loads every module the wrap points name
+from nrlab.harness import Report
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 
@@ -138,3 +143,27 @@ def test_every_unused_import_is_a_wrap_point():
     # once no wrap point names it, it is dead and must go with it
     wrapped = {(p.module, p.attr) for p in _nrlab_points()}
     assert [f"{m}.{a}" for m, a in _unused_imports() if (m, a) not in wrapped] == []
+
+
+@pytest.mark.parametrize(
+    "command, study",
+    [
+        ("verify", "verify_suite"),
+        ("ratio-study", "ratio_study"),
+        ("divergence-study", "divergence_study"),
+        ("lower-audit", "lower_bound_audit"),
+        ("upper-audit", "upper_bound_audit"),
+    ],
+)
+def test_cli_calls_the_study_bound_in_its_namespace_when_the_command_runs(monkeypatch, tmp_path, command, study):
+    # a dispatch that captured the functions at import would bypass a
+    # rebinding, and a traced pass would read harness.study.self_s = 0
+    calls = []
+
+    def recorder(cfg):
+        calls.append(cfg)
+        return Report(command, [], {}, True)
+
+    monkeypatch.setattr(nrlab.cli, study, recorder)
+    assert nrlab.cli.main([command, "--grid", "8,16", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1 and calls[0].grid_sizes == (8, 16)

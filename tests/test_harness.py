@@ -1,6 +1,7 @@
 """Experiment harness: config round-trips, symbol families, study drivers
 at smoke scale, the verification suite, CSV determinism, and the CLI."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -51,6 +52,18 @@ from nrlab.kvconfig import write_kv_file
 from nrlab.spectra import mixed_norm, russo_bound
 
 SMOKE = dict(p=4.0, grid_sizes=(8, 16), t_per_decade=6, shift_per_decade=6, shift_angles=8)
+
+
+@pytest.fixture
+def controls(monkeypatch):
+    """The name of a family of the default family's two per-half
+    constants.  They have no centre, so they fit a box of any dimension:
+    a 3-D config names this family, since no built-in one is 3-D."""
+    from nrlab import harness
+
+    rows = tuple(row for row in harness._FAMILIES["default"] if row[1] == "halfconst")
+    monkeypatch.setitem(harness._FAMILIES, "controls", rows)
+    return "controls"
 
 
 # ---------------------------------------------------------------------------
@@ -324,19 +337,54 @@ def test_lower_audit_refuses_a_window_of_one_generation(monkeypatch, N):
         lower_bound_audit(ExperimentConfig(grid_sizes=(N,)))
 
 
-def test_lower_audit_skips_a_lattice_shift_with_no_admissible_cube():
-    # on this narrow box the window is k = -1..1, and 6 of the 9 shifts
-    # hold no admissible cube: such a shift's NWO sum is 0 and cannot
-    # raise the max.  The audit itself refuses this box (only k = 1 holds
-    # a cube), so the statistic is called directly
-    cfg = ExperimentConfig(p=4.0, box=((-1.0, 1.0), (-0.6, 0.6)), grid_sizes=(16,))
-    systems = _lattice_systems(cfg, finest_resolved_generation(make_grid(2, cfg.box, 16)))
-    empty = [not any(system.cubes[k] for system in pair for k in system.generations()) for pair in systems]
-    assert sum(empty) == 6
-    family = symbol_family("default", 2)
-    nwo = _nwo_statistic(family, cfg, systems)
-    assert len(nwo) == 7 and all(math.isfinite(v) for v in nwo) and max(nwo) > 0.0
-    assert nwo == _nwo_statistic(family, cfg, [pair for pair, e in zip(systems, empty) if not e])
+def test_every_window_the_lower_audit_accepts_has_a_cube_in_every_shift(monkeypatch):
+    # the NWO statistic's precondition: a generation with a cube in one
+    # lattice shift leaves the next generation a cube in every shift, so a
+    # window that holds cubes in two generations leaves no shift empty.
+    # Scanned on the systems the audit itself builds, up to its first
+    # spectrum
+    from nrlab import harness
+
+    class Accepted(Exception):
+        pass
+
+    def accepted(*args):
+        raise Accepted
+
+    built = []
+
+    def recording(*args, _original=harness._lattice_systems):
+        built.append(_original(*args))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "_lattice_systems", recording)
+    monkeypatch.setattr(harness, "_commutator_spectrum", accepted)
+    boxes = [
+        ((-2.0, 2.0), (-2.0, 2.0)),
+        ((-1.0, 1.0), (-0.6, 0.6)),
+        ((-1.0, 1.0), (-1.0, 1.0)),
+        ((-1.5, 1.3), (-1.1, 1.7)),
+        ((-0.7, 1.3), (-0.9, 0.5)),
+    ]
+    counts = {"accepted": 0, "refused": 0}
+    for box, N, k_min, stat_k_max in itertools.product(boxes, (8, 16, 32, 64), range(-1, 3), range(1, 4)):
+        try:
+            cfg = ExperimentConfig(box=box, grid_sizes=(N,), k_min=k_min, stat_k_max=stat_k_max)
+        except ValueError:
+            continue
+        built.clear()
+        try:
+            lower_bound_audit(cfg)
+        except ValueError:
+            counts["refused"] += 1
+            continue
+        except Accepted:
+            counts["accepted"] += 1
+        (systems,) = built
+        assert len(systems) == cfg.num_lattice_shifts
+        for pair in systems:
+            assert any(system.cubes[k] for system in pair for k in system.generations()), (box, N, k_min, stat_k_max)
+    assert counts["accepted"] >= 40 and counts["refused"] >= 40, counts
 
 
 def test_lower_audit_refuses_a_window_with_one_generation_of_cubes(monkeypatch):
@@ -510,13 +558,9 @@ def test_study_and_audit_at_n64_allocate_less_than_one_half_block():
         assert peak < limit
 
 
-def test_ratio_study_without_resolved_symbol_names_cause(monkeypatch):
-    from nrlab import harness
-
-    controls = tuple(row for row in harness._FAMILIES["default"] if row[1] == "halfconst")
-    monkeypatch.setitem(harness._FAMILIES, "controls", controls)
+def test_ratio_study_without_resolved_symbol_names_cause(controls):
     with pytest.raises(ValueError, match="no non-control symbol .* resolved at the top grid size N=16"):
-        ratio_study(ExperimentConfig(**SMOKE, family="controls"))
+        ratio_study(ExperimentConfig(**SMOKE, family=controls))
 
 
 def test_divergence_study_smoke_controls_exact_zero():
@@ -778,11 +822,11 @@ def test_energy_and_tail_label_each_generation_once_for_the_family(monkeypatch):
     assert max(s.k_max for pair in systems for s in pair) == finest_resolved_generation(grid)
 
 
-def test_lattice_generations_are_c_ordered_index_blocks():
+def test_lattice_generations_are_c_ordered_index_blocks(controls):
     # the NWO statistic's row kernels and the labels rely on this layout
     for box, k_max in ((((-2.0, 2.0), (-2.0, 2.0)), 3), (((-1.1, 0.9), (-1.3, 0.7), (-0.7, 1.3)), 2)):
         n = len(box)
-        cfg = ExperimentConfig(n=n, box=box, grid_sizes=(8,))
+        cfg = ExperimentConfig(n=n, box=box, grid_sizes=(8,), family=controls)
         checked = 0
         for pair in _lattice_systems(cfg, k_max):
             for system in pair:
@@ -798,12 +842,12 @@ def test_lattice_generations_are_c_ordered_index_blocks():
         assert checked >= 2 * cfg.num_lattice_shifts
 
 
-def test_recorded_block_is_the_c_order_enumeration_of_each_generation():
+def test_recorded_block_is_the_c_order_enumeration_of_each_generation(controls):
     # the labels, the sub-cube boxes and the NWO statistic's rows read the
     # record, so it must list exactly cubes[k], in the same order
     for box, k_max in ((((-2.0, 2.0), (-2.0, 2.0)), 3), (((-1.1, 0.9), (-1.3, 0.7), (-0.7, 1.3)), 2)):
         n = len(box)
-        cfg = ExperimentConfig(n=n, box=box, grid_sizes=(8,))
+        cfg = ExperimentConfig(n=n, box=box, grid_sizes=(8,), family=controls)
         seen = set()
         for pair in _lattice_systems(cfg, k_max):
             for system in pair:
@@ -888,21 +932,6 @@ def test_witness_tables_translate_to_each_cubes_witness_and_kernel():
                     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (ell, Q)
 
 
-def test_nwo_statistic_checks_every_cube_witness():
-    # A > 0 keeps the witness ball of every admissible cube inside its
-    # half, so a cube whose half is wrong stands in for a failing one; it
-    # is placed outside the first column, whose cubes carry the kernel
-    cfg = ExperimentConfig(num_lattice_shifts=1)
-    systems = _lattice_systems(cfg, 1)
-    cubes = systems[0][0].cubes[1]
-    rows = len({Q.m[-1] for Q in cubes})
-    bad = cubes[-1]
-    assert cubes.index(bad) >= rows
-    cubes[-1] = Cube(bad.k, bad.m, bad.shift, "minus")
-    with pytest.raises(ValueError, match="cube leaves its half-space"):
-        _nwo_statistic(symbol_family("default", 2)[:1], cfg, systems)
-
-
 def _core_row_distances(x, core):
     """|x_S - x|^2 over the core rows S from a last-axis sum, +inf at each
     row's own node."""
@@ -958,19 +987,19 @@ def test_bump_bit_identical_to_reduction_form(n):
     s2 = np.sum((pts - c) ** 2, axis=-1) / r**2
     want = np.zeros(s2.shape)
     inside = s2 < 1.0
-    want[inside] = 1.5 * np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
-    got = _mollifier(c, r, 1.5)(pts)
+    want[inside] = np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
+    got = _mollifier(c, r)(pts)
     assert _same_bits(got, want)
-    assert got[0] == 1.5 and np.all(got[1 : 2 * n + 1] == 0.0) and np.count_nonzero(got) > 100
+    assert got[0] == 1.0 and np.all(got[1 : 2 * n + 1] == 0.0) and np.count_nonzero(got) > 100
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_double_integral_distances_bit_identical_to_reduction_form(monkeypatch, n):
+def test_double_integral_distances_bit_identical_to_reduction_form(monkeypatch, controls, n):
     from nrlab import harness
 
     # an off-centre box, so the node differences are not short dyadic fractions
     box = ((-1.1, 0.9), (-1.3, 0.7), (-0.7, 1.3))[3 - n :]
-    cfg = ExperimentConfig(n=n, ell=1, box=box, grid_sizes=(8,), p=4.0)
+    cfg = ExperimentConfig(n=n, ell=1, box=box, grid_sizes=(8,), p=4.0, family=controls)
     grid = make_grid(n, box, 12 if n == 2 else 6)
     bump = _mollifier(np.array([0.25, 0.5, -0.75])[:n], 0.9)
     fields = [SampledField(grid, bump(grid.nodes)), SampledField(grid, np.prod(grid.nodes, axis=-1))]
@@ -1179,7 +1208,7 @@ def test_verify_suite_all_checks_pass():
         assert expected in notes
 
 
-def test_verify_refuses_an_asymmetric_box_before_its_first_check(monkeypatch, tmp_path):
+def test_verify_refuses_an_asymmetric_box_before_its_first_check(monkeypatch, tmp_path, capsys):
     # the even-extension check mirrors the grid across x_n = 0; a box that
     # straddles the interface without being symmetric there is refused
     # by name before any check runs, and the ratio study still runs on it
@@ -1192,9 +1221,10 @@ def test_verify_refuses_an_asymmetric_box_before_its_first_check(monkeypatch, tm
         verify_suite(ExperimentConfig(box=box))
     config = tmp_path / "asym.cfg"
     write_kv_file(config, {"box": [-1.0, 3.0, -2.5, 1.5]})
-    with pytest.raises(ValueError, match="verify needs box"):
-        cli_main(["verify", "--config", str(config), "--out", str(tmp_path / "verify")])
-    assert ran == []
+    assert cli_main(["verify", "--config", str(config), "--out", str(tmp_path / "verify")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nrlab verify: error: verify needs box symmetric") and err.count("\n") == 1
+    assert ran == [] and not (tmp_path / "verify").exists()
     rep = ratio_study(ExperimentConfig(**SMOKE, box=box))
     assert rep.rows and all(math.isfinite(r.schatten) for r in rep.rows)
 
@@ -1434,22 +1464,85 @@ def test_cli_export_matrix_unknown_symbol(tmp_path, capsys):
     assert capsys.readouterr().err == "nrlab export-matrix: error: --symbol 'ghost' not in family 'default'\n"
 
 
-@pytest.mark.parametrize(
-    "entries, named",
-    [
-        ({"bogus": 1}, "unknown config keys: ['bogus']"),
-        ({"p": -1}, "p must be finite and > 0"),
-        ({"grid_sizes": 0}, "grid_sizes entry 0 is rejected"),
-        (None, "missing.cfg"),
-    ],
-)
+# one invalid value per ExperimentConfig field, after the first cases;
+# an out_dir string is a path below tmp_path, under a file, where no
+# directory can be made
+_SMOKE_KV = {"grid_sizes": [8, 16], "t_per_decade": 6, "shift_per_decade": 6, "shift_angles": 8}
+_REFUSED_CONFIGS = [
+    ({"bogus": 1}, "unknown config keys: ['bogus']"),
+    ({"p": -1}, "p must be finite and > 0"),
+    ({"grid_sizes": 0}, "grid_sizes entry 0 is rejected"),
+    (None, "missing.cfg"),
+    ({"n": 3}, "box must have one (lo, hi) pair per dimension, got 2 for n=3"),
+    ({"n": 3, "box": [-2, 2, -2, 2, -2, 2]}, "symbol family 'default' is two-dimensional, got n=3"),
+    ({"ell": 3}, "ell must lie in 1..n"),
+    ({"box": [1, -1, -2, 2]}, "box pairs must satisfy lo < hi"),
+    ({"family": "nosuch"}, "family must be one of"),
+    ({"t_min": 0.0}, "t_min must be finite and > 0"),
+    ({"t_max": -1.0}, "t_max must be finite and > 0"),
+    ({"t_per_decade": 0}, "t_per_decade must be >= 1"),
+    ({"shift_per_decade": 0}, "shift_per_decade must be >= 1"),
+    ({"shift_angles": 0}, "shift_angles must be >= 1"),
+    ({"witness_A": 0.0}, "witness_A must be finite and > 0"),
+    ({"num_lattice_shifts": 0}, "num_lattice_shifts must be >= 1"),
+    ({"k_min": 3}, "k_min must be <= stat_k_max"),
+    ({"stat_k_max": 1.5}, "stat_k_max must be an int"),
+    ({"ratio_spread_max": -1.0}, "ratio_spread_max must be finite and > 0"),
+    ({"ratio_drift_max": 0.0}, "ratio_drift_max must be finite and > 0"),
+    ({"divergence_growth_min": -2.0}, "divergence_growth_min must be finite and > 0"),
+    ({"audit_C_energy": 0.0}, "audit_C_energy must be finite and > 0"),
+    ({"audit_C_nwo": -1.0}, "audit_C_nwo must be finite and > 0"),
+    ({"audit_C_tail": 0.0}, "audit_C_tail must be finite and > 0"),
+    ({"audit_C_double": 0.0}, "audit_C_double must be finite and > 0"),
+    ({"russo_slack": 0.0}, "russo_slack must be finite and > 0"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"out_dir": 5}, "out_dir must be a path, got 5"),
+    ({"out_dir": "file/o", **_SMOKE_KV}, "file/o"),
+]
+
+
+def test_refused_configs_walk_every_field():
+    walked = {name for entries, _ in _REFUSED_CONFIGS for name in entries or ()}
+    assert {f.name for f in dataclasses.fields(ExperimentConfig)} <= walked
+
+
+@pytest.mark.parametrize("entries, named", _REFUSED_CONFIGS)
 def test_cli_refuses_config_input_on_one_line_with_exit_2(entries, named, tmp_path, capsys):
-    # exit 1 is a FAIL verdict; refused input exits 2 and names the field
-    # or the file, with no traceback
+    # exit 1 is a FAIL verdict; refused input exits 2 and names the field,
+    # the file or the path, with no traceback and no output directory
     path = tmp_path / "missing.cfg"
+    (tmp_path / "file").write_text("")
+    argv = ["ratio-study", "--config", str(path)]
     if entries is not None:
+        if isinstance(entries.get("out_dir"), str):
+            entries = {**entries, "out_dir": str(tmp_path / entries["out_dir"])}
         write_kv_file(path, entries)
-    assert cli_main(["ratio-study", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    if "out_dir" not in (entries or {}):
+        argv += ["--out", str(tmp_path / "o")]
+    assert cli_main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("nrlab ratio-study: error: ") and named in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["divergence-study", "--grid", "32"], "divergence study needs at least two grid_sizes"),
+        (["lower-audit", "--p", "4", "--grid", "8"], "lower-bound audit needs at least two generations"),
+        (["upper-audit", "--p", "2", "--grid", "16"], "upper-bound audit needs p > max(n, 2)"),
+        (["ratio-study", "--p", "2", "--grid", "16"], "ratio study needs p > n"),
+        (["verify", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["ratio-study", "--n", "3"], "got 2 for n=3"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_cli_refuses_study_preconditions_on_one_line_with_exit_2(argv, named, tmp_path, capsys):
+    # a study precondition is refused input too: exit 2, not the exit 1
+    # of a FAIL verdict, on one line and before anything is written
+    assert cli_main(argv + ["--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"nrlab {argv[0]}: error: ")
+    assert named in captured.err and captured.err.count("\n") == 1
     assert not (tmp_path / "o").exists()
