@@ -92,7 +92,7 @@ def even_extension(f, half: str) -> Symbol:
     return Symbol(name=name, func=extended, kind=getattr(f, "kind", "generic"))
 
 
-def default_time_grid(t_min: float = 1e-3, t_max: float = 10.0, per_decade: int = 16) -> np.ndarray:
+def default_time_grid(t_min: float, t_max: float, per_decade: int) -> np.ndarray:
     if not 0 < t_min < t_max:
         raise ValueError("need 0 < t_min < t_max")
     if not math.isfinite(t_max):
@@ -110,7 +110,7 @@ def resolution_floor(grid: QuadratureGrid) -> float:
     return float(np.max(grid.spacing)) ** 2
 
 
-def default_shift_grid(grid: QuadratureGrid, per_decade: int = 16, angles: int = 16) -> np.ndarray:
+def default_shift_grid(grid: QuadratureGrid, per_decade: int, angles: int) -> np.ndarray:
     """Log-polar shift sample from 2 grid spacings up to the box diagonal,
     as an (R, A, n) array with shifts[i, j] = radii[i] * directions[j].
 
@@ -130,7 +130,7 @@ def default_shift_grid(grid: QuadratureGrid, per_decade: int = 16, angles: int =
     return radii[:, None, None] * dirs[None, :, :]
 
 
-def besov_heat_norm(symbols, params: BesovParams, grid: QuadratureGrid, t_grid=None) -> list:
+def besov_heat_norm(symbols, params: BesovParams, grid: QuadratureGrid, t_grid) -> list:
     """Heat-route Besov norms of a family of symbols on one grid, one per
     symbol, in family order.
 
@@ -146,8 +146,6 @@ def besov_heat_norm(symbols, params: BesovParams, grid: QuadratureGrid, t_grid=N
     vector `**` moves the last bits of some norms.  t-nodes below
     `resolution_floor(grid)` are dropped.
     """
-    if t_grid is None:
-        t_grid = default_time_grid()
     t_grid = np.sort(np.asarray(t_grid, dtype=float).ravel())
     if t_grid.size == 0:
         raise ValueError("empty t grid")
@@ -186,7 +184,7 @@ def _difference_norms(symbols, params: BesovParams, grid: QuadratureGrid, shift_
     half, are built once for all the symbols; per half, each symbol is
     called on the nodes, then once per radius, and its terms are summed
     in radius order."""
-    shifts = np.asarray(default_shift_grid(grid) if shift_grid is None else shift_grid, dtype=float)
+    shifts = np.asarray(shift_grid, dtype=float)
     n = grid.dim
     if shifts.ndim != 3 or shifts.shape[-1] != n:
         raise ValueError(f"shift grid must be a (radii, directions, n={n}) array, got shape {shifts.shape}")
@@ -223,7 +221,7 @@ def _difference_norms(symbols, params: BesovParams, grid: QuadratureGrid, shift_
     return [[total ** (1.0 / params.q) for total in row] for row in totals]
 
 
-def besov_diff_norm(f, params: BesovParams, grid: QuadratureGrid, shift_grid=None) -> float:
+def besov_diff_norm(f, params: BesovParams, grid: QuadratureGrid, shift_grid) -> float:
     """Difference-quotient Besov norm, truncated to the grid box.
 
     shift_grid is an (R, A, n) array shifts[i, j] = radii[i] * directions[j]
@@ -239,7 +237,7 @@ def besov_diff_norm(f, params: BesovParams, grid: QuadratureGrid, shift_grid=Non
     return norm
 
 
-def besov_neumann_norm(symbols, params: BesovParams, grid: QuadratureGrid, shift_grid=None) -> list:
+def besov_neumann_norm(symbols, params: BesovParams, grid: QuadratureGrid, shift_grid) -> list:
     """Extension-route Besov norms of a family of symbols on one grid, one
     per symbol, in family order: the sum of the difference norms of the
     two even extensions.

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +81,7 @@ def _build_config(args) -> ExperimentConfig:
         val = getattr(args, name, None)
         if val is not None:
             overrides[renamed.get(name, name)] = val
-    return cfg.updated(**overrides)
+    return replace(cfg, **overrides)
 
 
 def _emit(report, cfg: ExperimentConfig) -> int:
@@ -148,7 +149,7 @@ def main(argv=None) -> int:
             print(f"wrote {path} and {path}.cfg")
             return 0
         if args.command == "divergence-study" and args.p is None and cfg.p != cfg.n:
-            cfg = cfg.updated(p=float(cfg.n))
+            cfg = replace(cfg, p=float(cfg.n))
         # the studies are looked up when the command runs, so a rebinding
         # of these module names (the benchmark's layer trace) is called
         study = {

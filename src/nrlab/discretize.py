@@ -49,11 +49,6 @@ __all__ = [
     "row_blocks",
 ]
 
-# Sign of the mirror-image term of a cell with one reflecting wall.
-# Correct value is +1; test_verify_suite_catches_broken_reflection flips
-# it to prove verify's even-extension check catches a corrupted kernel.
-_REFLECTED_SIGN = 1.0
-
 _MAGIC = b"NRLMAT1\x00"
 
 
@@ -335,7 +330,7 @@ def _cell_heat_1d(t: np.ndarray, x: np.ndarray, walls: list) -> np.ndarray:
         return _heat_1d(ts, diff)
     summ = x[:, None] + x[None, :] - 2.0 * walls[0]
     if len(walls) == 1:
-        return _heat_1d(ts, diff) + _REFLECTED_SIGN * _heat_1d(ts, summ)
+        return _heat_1d(ts, diff) + _heat_1d(ts, summ)
     length = walls[1] - walls[0]
     reach = np.ceil(10.0 * np.sqrt(t) / (2.0 * length)).astype(int) + 1
     # in order of reach, the times an image reaches are a suffix
@@ -478,7 +473,7 @@ def read_matrix(path):
     return matrix, {"n": int(n), "N": int(N), "ell": int(ell)}, sidecar
 
 
-def ball_microgrid(ball: Ball, points_per_axis: int = 8):
+def ball_microgrid(ball: Ball, points_per_axis: int):
     """Midpoint nodes of the bounding cube kept inside the half-space ball.
 
     Returns (nodes, weight-per-node).  Used by statistics whose regions

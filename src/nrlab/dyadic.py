@@ -117,18 +117,24 @@ class DyadicSystem:
 
     half: str
     shift: tuple
-    box: np.ndarray
     k_min: int
     k_max: int
     cubes: dict = field(default_factory=dict)
     blocks: dict = field(default_factory=dict)
-    _index: dict = field(default_factory=dict, repr=False)
 
     def generations(self) -> range:
         return range(self.k_min, self.k_max + 1)
 
     def get(self, k: int, m: tuple):
-        return self._index.get((k, tuple(m)))
+        """The admissible cube with index m in generation k, or None: its
+        position in `cubes[k]` is m's raveled offset in `blocks[k]`."""
+        if k not in self.blocks:
+            return None
+        first, shape = self.blocks[k]
+        offset = tuple(mi - lo for mi, lo in zip(m, first))
+        if not all(0 <= o < size for o, size in zip(offset, shape)):
+            return None
+        return self.cubes[k][np.ravel_multi_index(offset, shape)]
 
     def children(self, Q: Cube) -> list:
         """Admissible children present in the system (all 2^n for an
@@ -218,7 +224,7 @@ def build_system(half: str, shift, box, k_range) -> DyadicSystem:
     if half == "minus" and box[-1, 0] >= 0.0:
         raise ValueError("degenerate domain: box misses the minus half-space")
 
-    system = DyadicSystem(half=half, shift=shift, box=box, k_min=k_min, k_max=k_max)
+    system = DyadicSystem(half=half, shift=shift, k_min=k_min, k_max=k_max)
     for k in range(k_min, k_max + 1):
         side = 2.0 ** (-k)
         # integer index windows per axis, with fuzz so exact box edges count
@@ -231,8 +237,6 @@ def build_system(half: str, shift, box, k_range) -> DyadicSystem:
         ranges[-1] = range(run[0], run[-1] + 1) if run else range(0)
         system.blocks[k] = (tuple(r.start for r in ranges), tuple(len(r) for r in ranges))
         system.cubes[k] = [Cube(k, m, shift, half) for m in itertools.product(*ranges)]
-        for Q in system.cubes[k]:
-            system._index[(k, Q.m)] = Q
     return system
 
 
@@ -261,7 +265,6 @@ class HaarFunction:
     """
 
     parent: Cube
-    eps: tuple
     child_signs: tuple  # one sign per child, children in lexicographic s order
 
     @property
@@ -300,7 +303,7 @@ def haar_basis(Q: Cube) -> list:
             float(np.prod([(-1.0) ** (s[j] * eps[j]) for j in range(n)]))
             for s in children
         )
-        basis.append(HaarFunction(parent=Q, eps=eps, child_signs=signs))
+        basis.append(HaarFunction(parent=Q, child_signs=signs))
     return basis
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -214,9 +214,6 @@ class ExperimentConfig:
     def to_file(self, path):
         write_kv_file(path, self.to_dict())
 
-    def updated(self, **overrides) -> "ExperimentConfig":
-        return replace(self, **overrides)
-
 
 def _as_int(name: str, value) -> int:
     """`value` as an int, or a ValueError naming the field: a float or a
@@ -337,7 +334,7 @@ def symbol_family(name: str, n: int) -> list:
     return [_symbol(row) for row in rows]
 
 
-def lattice_shift_sample(n: int, count: int = 9) -> np.ndarray:
+def lattice_shift_sample(n: int, count: int) -> np.ndarray:
     """Deterministic shift sample in the unit ball, 0 and the one-third
     corner shifts first, then low-discrepancy fill."""
     pts = [np.zeros(n)]

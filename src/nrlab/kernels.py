@@ -29,7 +29,6 @@ __all__ = [
     "KernelParams",
     "Ball",
     "riesz_constant",
-    "reflect",
     "squared_distance",
     "heat_kernel_full",
     "heat_kernel_neumann",
@@ -47,14 +46,6 @@ def riesz_constant(n: int) -> float:
     if n < 1:
         raise ValueError("dimension must be >= 1")
     return math.gamma((n + 1) / 2) / math.pi ** ((n + 1) / 2)
-
-
-def reflect(x: np.ndarray) -> np.ndarray:
-    """Mirror across the interface: (x', x_n) -> (x', -x_n)."""
-    x = np.asarray(x, dtype=float)
-    out = x.copy()
-    out[..., -1] = -out[..., -1]
-    return out
 
 
 def squared_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -296,9 +287,7 @@ def cz_bounds_check(
     return size_ok, diff * dxy ** (params.n + 1) / dxxp
 
 
-def sign_witness(
-    Q: "Cube", params: KernelParams, A: float = 16.0
-) -> tuple[np.ndarray, Ball, float]:
+def sign_witness(Q: "Cube", params: KernelParams, A: float) -> tuple[np.ndarray, Ball, float]:
     """Companion ball on which K_l keeps one sign and stays large.
 
     For an admissible cube Q of side s the witness point is

@@ -27,6 +27,8 @@ from nrlab.harness import symbol_family
 
 BOX = ((-2.0, 2.0), (-2.0, 2.0))
 PARAMS = BesovParams(alpha=0.5, p=4.0, q=4.0)
+# the config defaults: t in [1e-3, 10] at 16 per decade
+T_GRID = default_time_grid(1e-3, 10.0, 16)
 
 
 def _bump(points, center=(0.0, 0.5), radius=0.35):
@@ -105,7 +107,7 @@ def test_even_extension_minus_half_source():
 
 def test_heat_norm_vanishes_on_per_half_constants():
     grid = make_grid(2, BOX, 32)
-    (val,) = besov_heat_norm([_halfconst], PARAMS, grid)
+    (val,) = besov_heat_norm([_halfconst], PARAMS, grid, T_GRID)
     assert val <= 1e-6
 
 
@@ -171,7 +173,7 @@ def test_heat_norm_memory_is_bounded_by_its_t_node_chunks():
     family = symbol_family("default", 2)
     tracemalloc.start()
     try:
-        besov_heat_norm(family, PARAMS, grid)
+        besov_heat_norm(family, PARAMS, grid, T_GRID)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -180,7 +182,7 @@ def test_heat_norm_memory_is_bounded_by_its_t_node_chunks():
 
 def test_heat_norm_homogeneity():
     grid = make_grid(2, BOX, 24)
-    base, doubled = besov_heat_norm([_bump, lambda p: 2.0 * _bump(p)], PARAMS, grid)
+    base, doubled = besov_heat_norm([_bump, lambda p: 2.0 * _bump(p)], PARAMS, grid, T_GRID)
     assert base > 0
     assert doubled == pytest.approx(2.0 * base, rel=1e-10)
 
@@ -221,7 +223,7 @@ def test_heat_norm_refuses_a_non_finite_t_node():
 
 def test_time_grid_refuses_an_infinite_t_max():
     with pytest.raises(ValueError, match="t_max must be finite"):
-        default_time_grid(1e-3, math.inf)
+        default_time_grid(1e-3, math.inf, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +233,7 @@ def test_time_grid_refuses_an_infinite_t_max():
 def test_diff_norm_vanishes_on_constants():
     grid = make_grid(2, BOX, 16)
     val = besov_diff_norm(
-        lambda p: np.full(np.asarray(p).shape[:-1], 4.2), PARAMS, grid
+        lambda p: np.full(np.asarray(p).shape[:-1], 4.2), PARAMS, grid, default_shift_grid(grid, 16, 16)
     )
     assert val == 0.0
 
@@ -348,7 +350,7 @@ def _neumann_norm_by_shift(b, params, grid, shifts):
 @pytest.mark.parametrize("N", [16, 24])
 def test_diff_and_neumann_norms_match_the_per_shift_loop(N):
     grid = make_grid(2, BOX, N)
-    shifts = default_shift_grid(grid)
+    shifts = default_shift_grid(grid, 16, 16)
     got = besov_diff_norm(_bump, PARAMS, grid, shifts)
     assert got == pytest.approx(_diff_norm_by_shift(_bump, PARAMS, grid, shifts), rel=1e-12, abs=0.0)
     for family in ("default", "divergence"):
@@ -404,7 +406,7 @@ def test_diff_norm_weights_carry_the_sphere_area(n, sphere):
 
 def test_neumann_norm_vanishes_on_per_half_constants():
     grid = make_grid(2, BOX, 16)
-    assert besov_neumann_norm([_halfconst], PARAMS, grid) == [0.0]
+    assert besov_neumann_norm([_halfconst], PARAMS, grid, default_shift_grid(grid, 16, 16)) == [0.0]
 
 
 def test_neumann_norm_single_term_reduction():
@@ -426,8 +428,8 @@ def test_neumann_norm_single_term_reduction():
 
 def test_heat_and_extension_routes_comparable():
     grid = make_grid(2, BOX, 32)
-    (heat,) = besov_heat_norm([_bump], PARAMS, grid)
-    (ext,) = besov_neumann_norm([_bump], PARAMS, grid)
+    (heat,) = besov_heat_norm([_bump], PARAMS, grid, T_GRID)
+    (ext,) = besov_neumann_norm([_bump], PARAMS, grid, default_shift_grid(grid, 16, 16))
     assert heat > 0 and ext > 0
     assert 0.1 <= heat / ext <= 10.0
 
@@ -435,7 +437,7 @@ def test_heat_and_extension_routes_comparable():
 @pytest.mark.parametrize("N", [16, 24, 40])
 def test_neumann_norm_family_matches_per_symbol_extensions_bit_for_bit(N):
     grid = make_grid(2, BOX, N)
-    shifts = default_shift_grid(grid)
+    shifts = default_shift_grid(grid, 16, 16)
     for family in ("default", "divergence"):
         syms = symbol_family(family, 2)
         norms = besov_neumann_norm(syms, PARAMS, grid, shifts)

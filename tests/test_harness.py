@@ -185,10 +185,14 @@ def test_config_single_grid_size_roundtrips(tmp_path):
     assert ExperimentConfig.from_file(tmp_path / "run.cfg") == cfg
 
 
-def test_config_updated_returns_modified_copy():
+def test_config_replace_returns_a_checked_copy():
+    # the CLI applies its flags with dataclasses.replace, which runs the
+    # config's checks again on the copy
     cfg = ExperimentConfig()
-    other = cfg.updated(p=6.0)
+    other = dataclasses.replace(cfg, p=6.0)
     assert other.p == 6.0 and cfg.p == 4.0 and other.box == cfg.box
+    with pytest.raises(ValueError, match="seed"):
+        dataclasses.replace(cfg, seed=-1)
 
 
 @pytest.mark.parametrize(
@@ -1230,9 +1234,19 @@ def test_verify_refuses_an_asymmetric_box_before_its_first_check(monkeypatch, tm
 
 
 def test_verify_suite_catches_broken_reflection(monkeypatch):
-    # flipping the image-charge sign turns Neumann into Dirichlet walls;
-    # the suite must notice through the conservation/extension checks
-    monkeypatch.setattr("nrlab.discretize._REFLECTED_SIGN", -1.0)
+    # a one-wall cell that subtracts its mirror image, direct term minus
+    # image, has a Dirichlet wall where the Neumann one should be; the
+    # suite must notice through the conservation/extension checks
+    from nrlab import discretize
+
+    cell = discretize._cell_heat_1d
+
+    def dirichlet_wall(t, x, walls):
+        if len(walls) == 1:
+            return 2.0 * cell(t, x, []) - cell(t, x, walls)
+        return cell(t, x, walls)
+
+    monkeypatch.setattr(discretize, "_cell_heat_1d", dirichlet_wall)
     rep = verify_suite(ExperimentConfig())
     assert not rep.passed
     failed = {row.symbol for row in rep.rows if row.note == "fail"}

@@ -17,7 +17,6 @@ from nrlab.kernels import (
     cz_bounds_check,
     heat_kernel_full,
     heat_kernel_neumann,
-    reflect,
     riesz_constant,
     riesz_kernel,
     sign_witness,
@@ -25,6 +24,13 @@ from nrlab.kernels import (
 )
 
 C2 = 1.0 / (2.0 * math.pi)
+
+
+def reflect(x):
+    """Mirror across the interface: (x', x_n) -> (x', -x_n)."""
+    out = np.array(x, dtype=float)
+    out[..., -1] = -out[..., -1]
+    return out
 
 
 def test_riesz_constant_small_dimensions():

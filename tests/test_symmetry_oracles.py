@@ -4,9 +4,10 @@ fixes, checked on every row of the built-in symbol families.
 The S^p norm of [b, R_ell] is unchanged by the dilation x -> lam x (it
 is unitary and commutes with the Neumann Laplacian and R_ell), by the
 mirror x_n -> -x_n (it swaps the two halves) and by the tangential
-mirror x_1 -> -x_1 (it maps each half to itself).  A family is a tuple
-of plain rows, so a dilated or mirrored family is a comprehension over
-them.  The sum of the squared singular values is the squared Frobenius
+mirror x_1 -> -x_1 (it maps each half to itself).  The Besov norm at
+alpha = n/p is dilation invariant too.  A family is a tuple of plain
+rows, so a dilated or mirrored family is a comprehension over them.
+The sum of the squared singular values is the squared Frobenius
 norm, which the stored strips give without a spectrum."""
 
 import itertools
@@ -14,6 +15,7 @@ import itertools
 import numpy as np
 import pytest
 
+from nrlab.besov import BesovParams, besov_neumann_norm, default_shift_grid
 from nrlab.discretize import assemble_commutator, make_grid
 from nrlab.harness import _FAMILIES, ExperimentConfig, _symbol, upper_bound_audit
 from nrlab.spectra import singular_values
@@ -73,6 +75,28 @@ def test_spectra_are_exactly_dilation_invariant(ell, lam):
     for row in ROWS:
         want = _spectrum(row, ell, BOX) * (lam if row[1] == "odd_bump" else 1.0)
         assert np.array_equal(_spectrum(_dilate(row, lam), ell, box), want), row[0]
+
+
+@pytest.mark.parametrize("N", [16, 32])
+@pytest.mark.parametrize("lam", [0.5, 2.0])
+def test_extension_route_is_dilation_invariant(lam, N):
+    # at alpha = n/p the weight |h|^-(n + p alpha) cancels the Jacobian
+    # lam^(2n) of (x, h) -> (lam x, lam h); the shift grid's log radii are
+    # rounded to 9 decimals, which moves the weights by ~1e-10 relative
+    params = BesovParams(alpha=0.5, p=4.0, q=4.0)
+
+    def norms(rows, box):
+        grid = make_grid(2, box, N)
+        return besov_neumann_norm([_symbol(row) for row in rows], params, grid, default_shift_grid(grid, 16, 16))
+
+    box = tuple((lam * lo, lam * hi) for lo, hi in BOX)
+    base, dilated = norms(ROWS, BOX), norms([_dilate(row, lam) for row in ROWS], box)
+    for row, want, got in zip(ROWS, base, dilated, strict=True):
+        if row[1] == "halfconst":
+            assert want == 0.0 and got == 0.0, row[0]
+        else:
+            want *= lam if row[1] == "odd_bump" else 1.0
+            assert want > 0.0 and abs(got - want) <= 1e-9 * want, (row[0], abs(got - want) / want)
 
 
 @pytest.mark.parametrize("ell", [1, 2])
