@@ -10,9 +10,9 @@ shifts[i, j] = radii[i] * directions[j]; one symbol call per radius.
 
 Extension route: difference norms of the two even extensions, summed.
 The shifted, folded nodes do not depend on the symbol, so they are built
-once per (radius, half) for the whole family; each symbol is called on
-the same array and keeps its own radius-ordered sum, so its norm does
-not depend on the family it comes with.
+once per (radius, half) for the whole family, stored coordinate-major;
+each symbol is called on the same array and keeps its own radius-ordered
+sum, so its norm does not depend on the family it comes with.
 
 All integrals are truncated to a box and to [t_min, t_max]; symbols are
 compactly supported with margin, which keeps the dropped tails small
@@ -69,13 +69,18 @@ class BesovParams:
             raise ValueError("q must lie in [1, oo)")
 
 
+def _fold_normal(normal: np.ndarray, half: str) -> None:
+    """Reflect the normal coordinates `normal` into the chosen half, in
+    place: +|x_n| for 'plus', -|x_n| for 'minus'."""
+    np.abs(normal, out=normal)
+    if half == "minus":
+        np.negative(normal, out=normal)
+
+
 def _fold(x, half: str) -> np.ndarray:
-    """A copy of the points x with x_n reflected into the chosen half:
-    +|x_n| for 'plus', -|x_n| for 'minus'."""
-    sign = 1.0 if half == "plus" else -1.0
-    x = np.asarray(x, dtype=float)
-    folded = x.copy()
-    folded[..., -1] = sign * np.abs(x[..., -1])
+    """A copy of the points x with x_n reflected into the chosen half."""
+    folded = np.array(x, dtype=float)
+    _fold_normal(folded[..., -1], half)
     return folded
 
 
@@ -136,15 +141,17 @@ def besov_heat_norm(symbols, params: BesovParams, grid: QuadratureGrid, t_grid) 
 
     The semigroup does not depend on the symbol, so the family's fields
     are stacked once and evolved together: the kept t-nodes are walked
-    in `row_blocks` chunks of at most 2^16 field values, and per chunk
-    and side step the axis matrices of all its t-nodes are built at once
-    and applied to all the fields in one batched contraction.  Each
-    field still gets its own per-axis contraction, bit for bit the one
-    `apply_semigroup` makes, so a symbol's norm does not depend on the
-    family it comes with.  The scalar tail, the p-th root and the t
-    weight, is taken once per (t-node, symbol) on scalars: numpy's
-    vector `**` moves the last bits of some norms.  t-nodes below
-    `resolution_floor(grid)` are dropped.
+    in `row_blocks` chunks of at most 2^16 field values.  Per chunk one
+    `heat_axis_matrices` call builds the matrices of both side steps,
+    t e^h and t e^-h, of all its t-nodes, and each side is applied to
+    all the fields in its own batched contraction; one contraction of
+    both sides, or the matrices of every t-node at once, would hold
+    more memory.  Each field still gets its own per-axis contraction,
+    bit for bit the one `apply_semigroup` makes, so a symbol's norm does
+    not depend on the family it comes with.  The scalar tail, the p-th
+    root and the t weight, is taken once per (t-node, symbol) on
+    scalars: numpy's vector `**` moves the last bits of some norms.
+    t-nodes below `resolution_floor(grid)` are dropped.
     """
     t_grid = np.sort(np.asarray(t_grid, dtype=float).ravel())
     if t_grid.size == 0:
@@ -159,15 +166,16 @@ def besov_heat_norm(symbols, params: BesovParams, grid: QuadratureGrid, t_grid) 
 
     values = np.stack([SampledField(grid, b(grid.nodes)).values for b in symbols])
 
-    def evolve(times):
-        """Every field at every time, as a (times, symbols, m) array."""
-        mats = heat_axis_matrices(times, grid, kernel="neumann-box")
+    def evolve(mats):
+        """Every field at every time of `mats`, as a (times, symbols, m) array."""
         return apply_axis_matrices(values, [mat[:, None] for mat in mats], grid)
 
     sums = np.empty((t_used.size, len(values)))
     for i0, i1 in row_blocks(t_used.size, values.size):
         t = t_used[i0:i1]
-        deriv = -(evolve(t * math.exp(_H_LOG)) - evolve(t * math.exp(-_H_LOG))) / (2.0 * _H_LOG)
+        sides = np.stack([t * math.exp(_H_LOG), t * math.exp(-_H_LOG)])
+        ahead, behind = zip(*heat_axis_matrices(sides, grid, kernel="neumann-box"))
+        deriv = -(evolve(ahead) - evolve(behind)) / (2.0 * _H_LOG)
         sums[i0:i1] = np.sum(np.abs(deriv) ** params.p, axis=-1)
     integrand_q = np.empty((len(values), t_used.size))
     for (i, s), total in np.ndenumerate(sums):
@@ -180,10 +188,15 @@ def besov_heat_norm(symbols, params: BesovParams, grid: QuadratureGrid, t_grid) 
 def _difference_norms(symbols, params: BesovParams, grid: QuadratureGrid, shift_grid, halves) -> list:
     """Difference norms of each symbol on the nodes folded into each of
     `halves` (None leaves them unfolded): out[h][s] for halves[h] and
-    symbols[s].  The shifted nodes of a radius, and their fold into each
-    half, are built once for all the symbols; per half, each symbol is
-    called on the nodes, then once per radius, and its terms are summed
-    in radius order."""
+    symbols[s].  The shifted nodes of a radius, folded into a half, are
+    built once for all the symbols, as a fresh coordinate-major (n, A, m)
+    array filled one coordinate at a time, its normal coordinate folded
+    in place; the symbols are called on its (A, m, n) transpose view, so
+    each x[..., j] they read is contiguous.  The values are those of the
+    point-major `nodes + shift` array, and a symbol that works per
+    coordinate returns the same bits on either layout.  Per half, each
+    symbol is called on the nodes, then once per radius, and its terms
+    are summed in radius order."""
     shifts = np.asarray(shift_grid, dtype=float)
     n = grid.dim
     if shifts.ndim != 3 or shifts.shape[-1] != n:
@@ -202,18 +215,19 @@ def _difference_norms(symbols, params: BesovParams, grid: QuadratureGrid, shift_
     sphere = 2.0 if n == 1 else 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)
     weights = radii**n * dlog[:, None] * (sphere / shifts.shape[1])
 
-    def place(x, half):
-        return x if half is None else _fold(x, half)
-
     bases = []
     for half in halves:
-        nodes = place(grid.nodes, half)
+        nodes = grid.nodes if half is None else _fold(grid.nodes, half)
         bases.append([np.asarray(f(nodes), dtype=float) for f in symbols])
     totals = [[0.0] * len(symbols) for _ in halves]
     for row, r, w in zip(shifts, radii, weights):
-        shifted = grid.nodes + row[:, None, :]
         for h, half in enumerate(halves):
-            points = place(shifted, half)
+            coords = np.empty((n, len(row), len(grid.nodes)))
+            for j in range(n):
+                np.add(grid.nodes[:, j], row[:, None, j], out=coords[j])
+            if half is not None:
+                _fold_normal(coords[-1], half)
+            points = coords.transpose(1, 2, 0)
             for s, f in enumerate(symbols):
                 diff = np.asarray(f(points), dtype=float) - bases[h][s]
                 lp = (np.sum(abs_power(diff, params.p), axis=-1) * grid.weight) ** (1.0 / params.p)

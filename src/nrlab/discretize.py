@@ -318,11 +318,18 @@ def _cell_heat_1d(t: np.ndarray, x: np.ndarray, walls: list) -> np.ndarray:
     a (T, k, k) stack for the T times t.
 
     Two walls sum images until the leftover Gaussian mass is below
-    e^-25, so constants are preserved to ~1e-11 at any t.  The image
-    count depends on t, and each time gets exactly its own: one pass
-    over the images, i from -reach to reach, direct image then
-    reflected, adds each image to the times that reach it, so every
-    slice is the one-time sum bit for bit.
+    e^-25, so constants are preserved to ~1e-11 at any t.  An image
+    depends on a pair of nodes only through their difference (direct)
+    or their sum (reflected), and a cell of k nodes has 2k - 1 distinct
+    ones of each in exact arithmetic, a few more once rounded: every
+    image's Gaussian is evaluated once per distinct rounded gap and
+    time, in one (T, images, gaps) array, and gathered onto the k x k
+    pairs.  The image count depends on t, and each time
+    gets exactly its own: an image beyond a time's reach is exactly 0.0
+    there, which adds nothing.  The gathered images are added one at a
+    time, i from -reach to reach, direct image then reflected, so every
+    slice is the one-time sum bit for bit; a reduction over the image
+    axis would sum pairwise and change the last bits.
     """
     diff = x[:, None] - x[None, :]
     ts = t[:, None, None]
@@ -333,15 +340,19 @@ def _cell_heat_1d(t: np.ndarray, x: np.ndarray, walls: list) -> np.ndarray:
         return _heat_1d(ts, diff) + _heat_1d(ts, summ)
     length = walls[1] - walls[0]
     reach = np.ceil(10.0 * np.sqrt(t) / (2.0 * length)).astype(int) + 1
-    # in order of reach, the times an image reaches are a suffix
-    order = np.argsort(reach)
-    reach, ts = reach[order], ts[order]
+    images = np.arange(-reach.max(), reach.max() + 1)
+    beyond = np.abs(images) > reach[:, None]
+    terms = []
+    for gaps in (diff, summ):
+        distinct, inverse = np.unique(gaps, return_inverse=True)
+        values = _heat_1d(ts, distinct + 2.0 * images[:, None] * length)
+        values[beyond] = 0.0
+        terms.append((values, inverse.reshape(gaps.shape)))
     acc = np.zeros((t.size, *diff.shape))
-    for i in range(-reach[-1], reach[-1] + 1):
-        s = np.searchsorted(reach, abs(i))
-        acc[s:] += _heat_1d(ts[s:], diff + 2.0 * i * length)
-        acc[s:] += _heat_1d(ts[s:], summ + 2.0 * i * length)
-    return acc[np.argsort(order)]
+    for i in range(images.size):
+        for values, inverse in terms:
+            acc += values[:, i, inverse]
+    return acc
 
 
 def heat_axis_matrices(t, grid: QuadratureGrid, kernel: str = "neumann") -> list:

@@ -1136,10 +1136,7 @@ def verify_suite(cfg: ExperimentConfig) -> Report:
 
 
 def _fmt(x) -> str:
-    xf = float(x)
-    if math.isnan(xf):
-        return "nan"
-    return format(xf, ".17g")
+    return format(float(x), ".17g")
 
 
 def write_rows_csv(path, rows):
@@ -1156,7 +1153,7 @@ def write_rows_csv(path, rows):
 
 def write_spectrum_csv(path, spectrum, summary: dict = None):
     lines = ["k,s_k"]
-    for i, s in enumerate(spectrum.values, start=1):
+    for i, s in enumerate(spectrum.values.tolist(), start=1):
         lines.append(f"{i},{_fmt(s)}")
     if summary:
         lines.append("p,schatten,weak_schatten,russo_bound")

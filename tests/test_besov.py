@@ -24,6 +24,7 @@ from nrlab.besov import (
 from nrlab.discretize import apply_semigroup, make_grid, row_blocks
 from nrlab.dyadic import SampledField
 from nrlab.harness import symbol_family
+from nrlab.spectra import abs_power
 
 BOX = ((-2.0, 2.0), (-2.0, 2.0))
 PARAMS = BesovParams(alpha=0.5, p=4.0, q=4.0)
@@ -168,7 +169,7 @@ def test_heat_norm_is_bit_identical_across_t_node_chunks():
 def test_heat_norm_memory_is_bounded_by_its_t_node_chunks():
     # at N = 64 the default family evolves 7 x 4096 values per t-node; a
     # chunk of 2^16 values holds 2 t-nodes, and the route peaks near
-    # 2.1 MiB (tracemalloc); all 55 kept t-nodes at once peak near 40 MiB
+    # 2.2 MiB (tracemalloc); all 55 kept t-nodes at once peak near 40 MiB
     grid = make_grid(2, BOX, 64)
     family = symbol_family("default", 2)
     tracemalloc.start()
@@ -449,6 +450,77 @@ def test_neumann_norm_family_matches_per_symbol_extensions_bit_for_bit(N):
             assert besov_neumann_norm([sym], PARAMS, grid, shifts) == [norm], sym.name
             if sym.kind == "perhalf-constant":
                 assert norm == 0.0, sym.name
+
+
+def _folded_copy(x, half):
+    folded = np.asarray(x, dtype=float).copy()
+    folded[..., -1] = (1.0 if half == "plus" else -1.0) * np.abs(folded[..., -1])
+    return folded
+
+
+def _difference_norms_point_major(symbols, params, grid, shifts, halves):
+    """out[h][s], the difference norm of symbols[s] on the nodes folded
+    into halves[h] (None leaves them unfolded), with each radius's
+    shifted nodes broadcast into one point-major (A, m, n) array and
+    folded into each half by a copy."""
+    n = grid.dim
+    radii = np.linalg.norm(shifts, axis=-1)
+    edged = np.pad(np.round(np.log(radii[:, 0]), 9), 1, mode="edge")
+    dlog = (edged[2:] - edged[:-2]) / 2.0
+    sphere = 2.0 if n == 1 else 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)
+    weights = radii**n * dlog[:, None] * (sphere / shifts.shape[1])
+
+    def place(x, half):
+        return x if half is None else _folded_copy(x, half)
+
+    bases = [[np.asarray(f(place(grid.nodes, half)), dtype=float) for f in symbols] for half in halves]
+    totals = [[0.0] * len(symbols) for _ in halves]
+    for row, r, w in zip(shifts, radii, weights):
+        shifted = grid.nodes + row[:, None, :]
+        for h, half in enumerate(halves):
+            points = place(shifted, half)
+            for s, f in enumerate(symbols):
+                diff = np.asarray(f(points), dtype=float) - bases[h][s]
+                lp = (np.sum(abs_power(diff, params.p), axis=-1) * grid.weight) ** (1.0 / params.p)
+                totals[h][s] += float(np.sum(w * lp**params.q / r ** (n + params.q * params.alpha)))
+    return [[total ** (1.0 / params.q) for total in row] for row in totals]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_diff_and_neumann_norms_match_point_major_nodes_bit_for_bit(n):
+    if n == 3:
+        grid = make_grid(3, ((-1.1, 0.9), (-1.3, 0.7), (-0.7, 1.3)), 8)
+        directions = np.array([*np.eye(3), *-np.eye(3), (1, 1, 1), (-1, 2, 0.5), (0.3, -1, -1)])
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        shifts = np.exp([-2.0, -1.4, -0.9, -0.5, 0.2])[:, None, None] * directions[None]
+    else:
+        grid = make_grid(n, BOX[:n], 24)
+        shifts = default_shift_grid(grid, 16, 16)
+    symbols = [
+        lambda p: _bump(p, (0.2,) * (n - 1) + (0.5,), 0.6),
+        lambda p: _bump(p, (-0.3,) * (n - 1) + (0.1,), 0.9),
+        lambda p: _bump(p, (0.1,) * (n - 1) + (-0.55,), 0.35),
+        lambda p: np.where(np.asarray(p)[..., -1] > 0, 1.25, -0.5),
+    ]
+    plus, minus = _difference_norms_point_major(symbols, PARAMS, grid, shifts, ("plus", "minus"))
+    norms = besov_neumann_norm(symbols, PARAMS, grid, shifts)
+    assert norms == [a + b for a, b in zip(plus, minus)]
+    assert min(norms[:3]) > 0.0 and norms[3] == 0.0
+    for f in symbols:
+        ((want,),) = _difference_norms_point_major([f], PARAMS, grid, shifts, (None,))
+        assert besov_diff_norm(f, PARAMS, grid, shifts) == want
+
+
+@pytest.mark.parametrize("N", [32, 40])
+def test_neumann_norm_matches_point_major_nodes_on_the_default_family(N):
+    grid = make_grid(2, BOX, N)
+    shifts = default_shift_grid(grid, 16, 16)
+    syms = symbol_family("default", 2)
+    plus, minus = _difference_norms_point_major(syms, PARAMS, grid, shifts, ("plus", "minus"))
+    norms = besov_neumann_norm(syms, PARAMS, grid, shifts)
+    assert norms == [a + b for a, b in zip(plus, minus)]
+    for sym, norm in zip(syms, norms):
+        assert norm == 0.0 if sym.kind == "perhalf-constant" else norm > 0.0, sym.name
 
 
 def test_neumann_norm_shares_each_folded_node_array_across_the_family():

@@ -564,6 +564,9 @@ def _reference_axis_matrices(t, grid, kernel):
         (((-1.0, 3.0), (-2.5, 1.5)), 40),
         (((-3.0, 3.0),) * 3, 8),
         (((-1.1, 0.9), (-1.3, 0.7), (-0.7, 1.3)), 12),
+        # the cell [-1, 0] holds one node, and at t = 37 sums 65 images
+        (((-1.0, 3.0),), 4),
+        (((-2.5, 1.5), (-1.0, 3.0)), 4),
     ],
 )
 def test_heat_axis_matrices_match_the_literal_formulas_bit_for_bit(box, N):
@@ -596,6 +599,9 @@ def test_box_kernel_fixes_constants_on_a_one_sided_box(box):
         (((-1.0, 3.0), (-2.5, 1.5)), 40),
         (((-3.0, 3.0),) * 3, 8),
         (((-1.1, 0.9), (-1.3, 0.7), (-0.7, 1.3)), 12),
+        # the cell [-1, 0] holds one node, and at t = 37 sums 65 images
+        (((-1.0, 3.0),), 4),
+        (((-2.5, 1.5), (-1.0, 3.0)), 4),
     ],
 )
 def test_heat_axis_matrices_on_a_t_array_match_the_per_t_calls(box, N):
