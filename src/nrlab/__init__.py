@@ -1,13 +1,7 @@
 """Half-space Neumann kernels, dyadic-Haar machinery, Besov and Schatten
 norms, and the commutator experiment harness."""
 
-from .besov import (
-    BesovParams,
-    besov_diff_norm,
-    besov_heat_norm,
-    besov_neumann_norm,
-    even_extension,
-)
+from .besov import BesovParams, besov_heat_norm, besov_neumann_norm
 from .discretize import (
     OperatorMatrix,
     QuadratureGrid,

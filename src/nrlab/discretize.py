@@ -111,11 +111,14 @@ def check_grid(n: int, box, N: int):
     """The box as an (n, 2) array and N as an int, or a ValueError naming
     the rule they break.
 
-    N must be an integer (a bool, a float or a string is refused, not
-    truncated or parsed) and at least 4; when the box crosses the
-    interface N must also keep every node off x_n = 0 (even N does, for a
-    symmetric box).
+    Grids have n >= 2 axes: every kernel and symbol family is at least
+    two-dimensional.  N must be an integer (a bool, a float or a string
+    is refused, not truncated or parsed) and at least 4; when the box
+    crosses the interface N must also keep every node off x_n = 0 (even
+    N does, for a symmetric box).
     """
+    if n < 2:
+        raise ValueError(f"grids need n >= 2 axes, got n = {n}")
     box = np.atleast_2d(np.asarray(box, dtype=float))
     if box.shape != (n, 2) or np.any(box[:, 1] <= box[:, 0]):
         raise ValueError("box must be n pairs lo < hi")
@@ -404,10 +407,8 @@ def apply_axis_matrices(values: np.ndarray, mats: list, grid: QuadratureGrid) ->
     one-field contraction bit for bit.  A contiguous copy of the view
     would change the operand layout BLAS sees, and with it the rounding.
     """
-    # a 1-d field is contracted as a column
-    shape = grid.shape if grid.dim > 1 else (*grid.shape, 1)
-    k = len(shape)
-    out = values.reshape(*values.shape[:-1], *shape)
+    k = grid.dim
+    out = values.reshape(*values.shape[:-1], *grid.shape)
     for j, mat in enumerate(mats):
         # the view keeps k - 2 grid axes in front of the contracted one;
         # a unit axis for each lines the matrices' leading axes up with

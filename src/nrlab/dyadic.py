@@ -125,30 +125,6 @@ class DyadicSystem:
     def generations(self) -> range:
         return range(self.k_min, self.k_max + 1)
 
-    def get(self, k: int, m: tuple):
-        """The admissible cube with index m in generation k, or None: its
-        position in `cubes[k]` is m's raveled offset in `blocks[k]`."""
-        if k not in self.blocks:
-            return None
-        first, shape = self.blocks[k]
-        offset = tuple(mi - lo for mi, lo in zip(m, first))
-        if not all(0 <= o < size for o, size in zip(offset, shape)):
-            return None
-        return self.cubes[k][np.ravel_multi_index(offset, shape)]
-
-    def children(self, Q: Cube) -> list:
-        """Admissible children present in the system (all 2^n for an
-        admissible parent inside the box)."""
-        kids = []
-        for s in itertools.product((0, 1), repeat=Q.n):
-            child = self.get(Q.k + 1, tuple(2 * mi + si for mi, si in zip(Q.m, s)))
-            if child is not None:
-                kids.append(child)
-        return kids
-
-    def parent(self, Q: Cube):
-        return self.get(Q.k - 1, tuple(mi // 2 for mi in Q.m))
-
     def labels(self, axes, k: int) -> np.ndarray:
         """Position in `cubes[k]` of the cube holding each node of the
         tensor grid with per-axis coordinates `axes` (nodes in C order,
@@ -156,36 +132,27 @@ class DyadicSystem:
 
         A node lies in a cube iff each of its coordinates lies in the
         cube's interval on that axis, so each axis's coordinates are
-        labelled once.  Floor division gives a coordinate's lattice index,
-        correct to +-1; testing those three candidates against the float
-        vertex shift + side * m, as `Cube.contains` does, settles it.
-        Where two float intervals overlap by an ulp, the later cube takes
-        the coordinate, as a last-write scan over `cubes[k]` would.  The
-        position is the raveled offset of the node's index in the
-        generation's recorded block.
+        labelled once, against the float vertices shift + side * m of the
+        generation's index window, as `Cube.contains` tests them.  The
+        last vertex at or below a coordinate names the cube that takes it,
+        if the coordinate lies below that cube's end: where two float
+        intervals overlap by an ulp, the later cube takes the coordinate,
+        as a last-write scan over `cubes[k]` would.  The position is the
+        raveled offset of the node's index in the generation's recorded
+        block.
         """
         first, shape = self.blocks[k]
         side = 2.0 ** (-k)
-        axes = [np.asarray(coords, dtype=float) for coords in axes]
-        sizes = [len(coords) for coords in axes]
-        # every axis's coordinates in one pass, each with its axis's shift
-        # and index window, one row per candidate
-        coords = np.concatenate(axes)
-        shift, lo, count = (np.repeat(np.asarray(v), sizes) for v in (self.shift, first, shape))
-        m = np.floor((coords - shift) / side) + np.array([[-1.0], [0.0], [1.0]])
-        vertex = shift + side * m
-        hit = (coords >= vertex) & (coords < vertex + side) & (m >= lo) & (m < lo + count)
-        # the last candidate holding a coordinate takes it
-        step = 2 - np.argmax(hit[::-1], axis=0)
-        offset = np.where(hit.any(axis=0), m[step, np.arange(len(coords))] - lo, -1).astype(np.int64)
         out = np.zeros((), dtype=np.int64)
         covered = np.ones((), dtype=bool)
-        end = 0
-        for length, size in zip(sizes, shape):
-            axis_offset = offset[end : end + length]
-            end += length
-            out = out[..., None] * size + axis_offset
-            covered = covered[..., None] & (axis_offset >= 0)
+        for coords, shift, lo, count in zip(axes, self.shift, first, shape):
+            coords = np.asarray(coords, dtype=float)
+            vertex = shift + side * np.arange(lo, lo + count, dtype=float)
+            i = np.searchsorted(vertex, coords, side="right") - 1
+            # a coordinate below the first vertex reads the -inf end at -1
+            ends = np.append(vertex + side, -np.inf)
+            out = out[..., None] * count + i
+            covered = covered[..., None] & (coords < ends[i])
         return np.where(covered, out, -1).ravel()
 
     def subcube_boxes(self, k: int, levels: int) -> np.ndarray:

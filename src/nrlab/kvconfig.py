@@ -35,15 +35,23 @@ def _parse_value(raw: str):
 
 
 def parse_kv_text(text: str) -> dict:
-    out = {}
+    """The pairs of `text`, or a ValueError naming the line that breaks
+    the format: one with no '=' or an empty key, or a key set before (both
+    lines named), which would otherwise drop the first value silently."""
+    out, lines = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         if "=" not in body:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, raw = body.split("=", 1)
-        out[key.strip()] = _parse_value(raw)
+        key, raw = (part.strip() for part in body.split("=", 1))
+        if not key:
+            raise ValueError(f"line {lineno}: empty key in {line!r}")
+        if key in lines:
+            raise ValueError(f"line {lineno}: key {key!r} is already set on line {lines[key]}")
+        lines[key] = lineno
+        out[key] = _parse_value(raw)
     return out
 
 

@@ -44,6 +44,7 @@ from nrlab.spectra import (
     singular_values,
     weak_schatten_norm,
 )
+from reference_forms import children, parent
 
 BOX = ((-2.0, 2.0), (-2.0, 2.0))
 
@@ -277,16 +278,16 @@ def test_criterion_09_dyadic_haar_suite():
                     for P in system.cubes[k - 1]
                     if np.all(Q.box[:, 0] >= P.box[:, 0]) and np.all(Q.box[:, 1] <= P.box[:, 1])
                 ]
-                ok &= len(parents) == 1 and system.parent(Q) == parents[0]
+                ok &= len(parents) == 1 and parent(system, Q) == parents[0]
         # (IV) children partition the parent exactly
         for k in range(k_lo, k_hi):
             sample = rng.choice(len(system.cubes[k]), size=min(40, len(system.cubes[k])), replace=False)
             for i in sample:
                 Q = system.cubes[k][i]
-                kids = system.children(Q)
+                kids = children(system, Q)
                 ok &= len(kids) == 4
                 ok &= abs(sum(c.volume for c in kids) - Q.volume) < 1e-15 * Q.volume
-                ok &= all(system.parent(c) == Q for c in kids)
+                ok &= all(parent(system, c) == Q for c in kids)
 
     # Haar Gram identity on sampled cubes
     system = build_system("plus", np.zeros(2), BOX, (k_lo, k_hi))

@@ -1,8 +1,9 @@
-"""Besov norms by the heat, difference and extension routes: zero
-detection on per-half constants, homogeneity, translation invariance,
+"""Besov norms by the heat and extension routes: zero detection on
+per-half constants, homogeneity, tangential translation invariance,
 self-refinement stability, the single-term extension reduction, the
 radius x direction shift sample against a per-shift reference loop, and
-the family extension route against per-symbol extensions."""
+the family extension route against per-symbol extensions and a
+point-major loop (`reference_forms`)."""
 
 import math
 import tracemalloc
@@ -14,17 +15,15 @@ from hypothesis import strategies as st
 
 from nrlab.besov import (
     BesovParams,
-    besov_diff_norm,
     besov_heat_norm,
     besov_neumann_norm,
     default_shift_grid,
     default_time_grid,
-    even_extension,
 )
 from nrlab.discretize import apply_semigroup, make_grid, row_blocks
 from nrlab.dyadic import SampledField
 from nrlab.harness import symbol_family
-from nrlab.spectra import abs_power
+from reference_forms import besov_diff_norm, difference_norms_point_major, even_extension
 
 BOX = ((-2.0, 2.0), (-2.0, 2.0))
 PARAMS = BesovParams(alpha=0.5, p=4.0, q=4.0)
@@ -73,7 +72,7 @@ def test_time_and_shift_grids():
 
 
 # ---------------------------------------------------------------------------
-# even extension
+# the even extension of the reference forms
 
 
 def test_even_extension_folds_coordinate():
@@ -228,48 +227,46 @@ def test_time_grid_refuses_an_infinite_t_max():
 
 
 # ---------------------------------------------------------------------------
-# difference route
+# extension route: difference norms of the two even extensions
 
 
 def test_diff_norm_vanishes_on_constants():
     grid = make_grid(2, BOX, 16)
-    val = besov_diff_norm(
-        lambda p: np.full(np.asarray(p).shape[:-1], 4.2), PARAMS, grid, default_shift_grid(grid, 16, 16)
+    val = besov_neumann_norm(
+        [lambda p: np.full(np.asarray(p).shape[:-1], 4.2)], PARAMS, grid, default_shift_grid(grid, 16, 16)
     )
-    assert val == 0.0
+    assert val == [0.0]
+
+
+def _gauss(points):
+    return np.exp(-np.sum(np.asarray(points) ** 2, axis=-1))
 
 
 def test_diff_norm_gaussian_self_refinement():
-    def gauss(points):
-        pts = np.asarray(points)
-        return np.exp(-np.sum(pts**2, axis=-1))
-
     coarse_grid = make_grid(2, BOX, 32)
     fine_grid = make_grid(2, BOX, 64)
-    coarse = besov_diff_norm(
-        gauss, PARAMS, coarse_grid, default_shift_grid(coarse_grid, 16, 16)
-    )
-    fine = besov_diff_norm(
-        gauss, PARAMS, fine_grid, default_shift_grid(fine_grid, 32, 32)
-    )
+    (coarse,) = besov_neumann_norm([_gauss], PARAMS, coarse_grid, default_shift_grid(coarse_grid, 16, 16))
+    (fine,) = besov_neumann_norm([_gauss], PARAMS, fine_grid, default_shift_grid(fine_grid, 32, 32))
     assert coarse > 0 and fine > 0
     assert abs(fine - coarse) / fine < 0.05
 
 
 def test_diff_norm_translation_invariance():
-    # shift radii capped so support + shift + v stays inside the box for
-    # both symbols; then the truncated integrals coincide and only float
-    # association noise remains
+    # a tangential move commutes with both folds; shift radii capped so
+    # support + shift + v stays inside the box for both symbols, so the
+    # truncated integrals coincide and only float association noise remains
     grid = make_grid(2, BOX, 32)
     dx = float(grid.spacing[0])
-    v = np.array([2 * dx, -3 * dx])
+    v = np.array([2 * dx, 0.0])
     radii = default_time_grid(2 * dx, 1.0, 12)
     theta = 2 * np.pi * np.arange(12) / 12
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     shifts = radii[:, None, None] * dirs[None]
-    base = besov_diff_norm(lambda p: _bump(p, (0.0, 0.0), 0.5), PARAMS, grid, shifts)
-    moved = besov_diff_norm(
-        lambda p: _bump(np.asarray(p) - v, (0.0, 0.0), 0.5), PARAMS, grid, shifts
+    base, moved = besov_neumann_norm(
+        [lambda p: _bump(p, (0.0, 0.0), 0.5), lambda p: _bump(np.asarray(p) - v, (0.0, 0.0), 0.5)],
+        PARAMS,
+        grid,
+        shifts,
     )
     assert base > 0
     assert abs(moved - base) / base < 1e-8
@@ -291,24 +288,7 @@ def test_diff_norm_error_paths():
     for match, grids in bad.items():
         for shift_grid in grids:
             with pytest.raises(ValueError, match=match):
-                besov_diff_norm(_bump, PARAMS, grid, shift_grid=shift_grid)
-            with pytest.raises(ValueError, match=match):
                 besov_neumann_norm([_bump], PARAMS, grid, shift_grid=shift_grid)
-
-
-def test_diff_norm_calls_the_symbol_once_per_radius():
-    grid = make_grid(2, BOX, 16)
-    shifts = default_shift_grid(grid, 8, 8)
-    shapes = []
-
-    def counted(points):
-        shapes.append(np.shape(points))
-        return _bump(points)
-
-    assert besov_diff_norm(counted, PARAMS, grid, shifts) > 0
-    assert len(shapes) == 1 + len(shifts)
-    assert shapes[0] == grid.nodes.shape
-    assert set(shapes[1:]) == {(8,) + grid.nodes.shape}
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +307,7 @@ def _decoded_shift_weights(shifts):
     which = np.searchsorted(uniq, np.round(np.log(radii), 9))
     counts = np.bincount(which, minlength=uniq.size)
     n = shifts.shape[1]
-    sphere = 2.0 if n == 1 else 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)
+    sphere = 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)
     return radii**n * dlog[which] * (sphere / counts[which])
 
 
@@ -352,8 +332,6 @@ def _neumann_norm_by_shift(b, params, grid, shifts):
 def test_diff_and_neumann_norms_match_the_per_shift_loop(N):
     grid = make_grid(2, BOX, N)
     shifts = default_shift_grid(grid, 16, 16)
-    got = besov_diff_norm(_bump, PARAMS, grid, shifts)
-    assert got == pytest.approx(_diff_norm_by_shift(_bump, PARAMS, grid, shifts), rel=1e-12, abs=0.0)
     for family in ("default", "divergence"):
         syms = symbol_family(family, 2)
         for sym, got in zip(syms, besov_neumann_norm(syms, PARAMS, grid, shifts), strict=True):
@@ -373,19 +351,19 @@ def test_diff_and_neumann_norms_match_the_per_shift_loop(N):
 def test_diff_norm_matches_the_per_shift_loop_on_any_sample(per_decade, angles, N):
     grid = make_grid(2, BOX, N)
     shifts = default_shift_grid(grid, per_decade, angles)
-    for f in (_bump, even_extension(lambda p: _bump(p, (0.3, -0.4), 0.9), "minus")):
-        want = _diff_norm_by_shift(f, PARAMS, grid, shifts)
-        assert besov_diff_norm(f, PARAMS, grid, shifts) == pytest.approx(want, rel=1e-12, abs=0.0)
+    symbols = [_bump, lambda p: _bump(p, (0.3, -0.4), 0.9)]
+    for f, got in zip(symbols, besov_neumann_norm(symbols, PARAMS, grid, shifts), strict=True):
+        want = _neumann_norm_by_shift(f, PARAMS, grid, shifts)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("n, sphere", [(3, 4.0 * math.pi), (4, 2.0 * math.pi**2)], ids=["n3", "n4"])
 def test_diff_norm_weights_carry_the_sphere_area(n, sphere):
     # radii e^-2, e^-1.5, e^-1, e^-0.5 along the 2n directions +-e_j: the
     # trapezoid in log r gives dlog = 0.25, 0.5, 0.5, 0.25, and each shift
-    # carries r^n dlog |S^{n-1}| / (2n)
-    def gauss(points):
-        return np.exp(-np.sum(np.asarray(points) ** 2, axis=-1))
-
+    # carries r^n dlog |S^{n-1}| / (2n).  The Gaussian reads x_n only as
+    # x_n^2, so it folds to itself bit for bit in either half, and its
+    # extension-route norm is exactly twice its unfolded norm
     grid = make_grid(n, ((-1.0, 1.0),) * n, 4)
     radii = np.exp([-2.0, -1.5, -1.0, -0.5])
     dlog = [0.25, 0.5, 0.5, 0.25]
@@ -394,15 +372,15 @@ def test_diff_norm_weights_carry_the_sphere_area(n, sphere):
     total = 0.0
     for r, dl in zip(radii, dlog):
         for d in directions:
-            diff = gauss(grid.nodes + r * d) - gauss(grid.nodes)
+            diff = _gauss(grid.nodes + r * d) - _gauss(grid.nodes)
             lp = float(np.sum(np.abs(diff) ** PARAMS.p) * grid.weight) ** (1.0 / PARAMS.p)
             total += r**n * dl * sphere / (2 * n) * lp**PARAMS.q / r ** (n + PARAMS.q * PARAMS.alpha)
     want = total ** (1.0 / PARAMS.q)
-    assert besov_diff_norm(gauss, PARAMS, grid, shifts) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert besov_neumann_norm([_gauss], PARAMS, grid, shifts) == [pytest.approx(2.0 * want, rel=1e-12, abs=0.0)]
 
 
 # ---------------------------------------------------------------------------
-# extension route
+# extension route against its reference forms
 
 
 def test_neumann_norm_vanishes_on_per_half_constants():
@@ -452,41 +430,7 @@ def test_neumann_norm_family_matches_per_symbol_extensions_bit_for_bit(N):
                 assert norm == 0.0, sym.name
 
 
-def _folded_copy(x, half):
-    folded = np.asarray(x, dtype=float).copy()
-    folded[..., -1] = (1.0 if half == "plus" else -1.0) * np.abs(folded[..., -1])
-    return folded
-
-
-def _difference_norms_point_major(symbols, params, grid, shifts, halves):
-    """out[h][s], the difference norm of symbols[s] on the nodes folded
-    into halves[h] (None leaves them unfolded), with each radius's
-    shifted nodes broadcast into one point-major (A, m, n) array and
-    folded into each half by a copy."""
-    n = grid.dim
-    radii = np.linalg.norm(shifts, axis=-1)
-    edged = np.pad(np.round(np.log(radii[:, 0]), 9), 1, mode="edge")
-    dlog = (edged[2:] - edged[:-2]) / 2.0
-    sphere = 2.0 if n == 1 else 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)
-    weights = radii**n * dlog[:, None] * (sphere / shifts.shape[1])
-
-    def place(x, half):
-        return x if half is None else _folded_copy(x, half)
-
-    bases = [[np.asarray(f(place(grid.nodes, half)), dtype=float) for f in symbols] for half in halves]
-    totals = [[0.0] * len(symbols) for _ in halves]
-    for row, r, w in zip(shifts, radii, weights):
-        shifted = grid.nodes + row[:, None, :]
-        for h, half in enumerate(halves):
-            points = place(shifted, half)
-            for s, f in enumerate(symbols):
-                diff = np.asarray(f(points), dtype=float) - bases[h][s]
-                lp = (np.sum(abs_power(diff, params.p), axis=-1) * grid.weight) ** (1.0 / params.p)
-                totals[h][s] += float(np.sum(w * lp**params.q / r ** (n + params.q * params.alpha)))
-    return [[total ** (1.0 / params.q) for total in row] for row in totals]
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3])
 def test_diff_and_neumann_norms_match_point_major_nodes_bit_for_bit(n):
     if n == 3:
         grid = make_grid(3, ((-1.1, 0.9), (-1.3, 0.7), (-0.7, 1.3)), 8)
@@ -502,13 +446,10 @@ def test_diff_and_neumann_norms_match_point_major_nodes_bit_for_bit(n):
         lambda p: _bump(p, (0.1,) * (n - 1) + (-0.55,), 0.35),
         lambda p: np.where(np.asarray(p)[..., -1] > 0, 1.25, -0.5),
     ]
-    plus, minus = _difference_norms_point_major(symbols, PARAMS, grid, shifts, ("plus", "minus"))
+    plus, minus = difference_norms_point_major(symbols, PARAMS, grid, shifts, ("plus", "minus"))
     norms = besov_neumann_norm(symbols, PARAMS, grid, shifts)
     assert norms == [a + b for a, b in zip(plus, minus)]
     assert min(norms[:3]) > 0.0 and norms[3] == 0.0
-    for f in symbols:
-        ((want,),) = _difference_norms_point_major([f], PARAMS, grid, shifts, (None,))
-        assert besov_diff_norm(f, PARAMS, grid, shifts) == want
 
 
 @pytest.mark.parametrize("N", [32, 40])
@@ -516,7 +457,7 @@ def test_neumann_norm_matches_point_major_nodes_on_the_default_family(N):
     grid = make_grid(2, BOX, N)
     shifts = default_shift_grid(grid, 16, 16)
     syms = symbol_family("default", 2)
-    plus, minus = _difference_norms_point_major(syms, PARAMS, grid, shifts, ("plus", "minus"))
+    plus, minus = difference_norms_point_major(syms, PARAMS, grid, shifts, ("plus", "minus"))
     norms = besov_neumann_norm(syms, PARAMS, grid, shifts)
     assert norms == [a + b for a, b in zip(plus, minus)]
     for sym, norm in zip(syms, norms):

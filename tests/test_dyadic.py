@@ -40,6 +40,7 @@ from nrlab.harness import (
     lattice_shift_sample,
     symbol_family,
 )
+from reference_forms import children, parent
 
 BOX2 = ((0.0, 2.0), (0.0, 2.0))
 
@@ -155,13 +156,13 @@ def test_lattice_properties_brute_force(half, shift):
     # (IV) every admissible cube splits into exactly 2^n admissible children
     for k in gens[:-1]:
         for Q in system.cubes[k]:
-            kids = system.children(Q)
+            kids = children(system, Q)
             assert len(kids) == 4
             assert sum(c.volume for c in kids) == pytest.approx(Q.volume, rel=1e-12)
             for c in kids:
                 assert np.all(c.vertex >= Q.vertex - 1e-12)
                 assert np.all(c.vertex + c.side <= Q.vertex + Q.side + 1e-12)
-                assert system.parent(c) == Q
+                assert parent(system, c) == Q
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Every public name is used: each name in a module's `__all__` is
 re-exported by `nrlab/__init__.py` or named in package code outside its
-own definition and its `__all__` entry.  A name only tests call is test
-code and belongs in the tests."""
+own definition and its `__all__` entry.  A re-export counts as a use, so
+a name that `__init__` re-exports and only tests call passes this check;
+such a name is test code all the same and belongs in the tests
+(`tests/reference_forms.py`)."""
 
 import ast
 from pathlib import Path

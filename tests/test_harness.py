@@ -1512,6 +1512,7 @@ _REFUSED_CONFIGS = [
     ({"seed": -1}, "seed must be >= 0, got -1"),
     ({"out_dir": 5}, "out_dir must be a path, got 5"),
     ({"out_dir": "file/o", **_SMOKE_KV}, "file/o"),
+    ({"n": 1, "box": [-2.0, 2.0]}, "grids need n >= 2 axes, got n = 1"),
 ]
 
 
@@ -1536,6 +1537,16 @@ def test_cli_refuses_config_input_on_one_line_with_exit_2(entries, named, tmp_pa
     assert cli_main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("nrlab ratio-study: error: ") and named in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_refuses_a_config_key_set_twice_with_exit_2(tmp_path, capsys):
+    path = tmp_path / "twice.cfg"
+    path.write_text("p = 4\np = 2\n")
+    assert cli_main(["ratio-study", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "nrlab ratio-study: error: line 2: key 'p' is already set on line 1\n"
     assert not (tmp_path / "o").exists()
 
 

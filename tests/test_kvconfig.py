@@ -47,7 +47,7 @@ def test_format_kv_refuses_values_it_would_mangle(value):
         format_kv({"field": value})
 
 
-@pytest.mark.parametrize("key", ["a=b", "a#b", " a", "a\nb"], ids=["equals", "hash", "blank", "newline"])
+@pytest.mark.parametrize("key", ["a=b", "a#b", " a", "a\nb", ""], ids=["equals", "hash", "blank", "newline", "empty"])
 def test_format_kv_refuses_keys_it_would_mangle(key):
     with pytest.raises(ValueError, match="would not read back"):
         format_kv({key: 1})
@@ -56,3 +56,16 @@ def test_format_kv_refuses_keys_it_would_mangle(key):
 @pytest.mark.parametrize("value", [[], [32], ["bump"], (1.5,)], ids=["empty", "int", "str", "float_tuple"])
 def test_short_lists_read_back_as_lists(value):
     assert parse_kv_text(format_kv({"k": value})) == {"k": list(value)}
+
+
+def test_parse_refuses_a_key_set_twice_naming_both_lines():
+    # the second value used to win silently
+    with pytest.raises(ValueError, match=r"line 3: key 'p' is already set on line 1"):
+        parse_kv_text("p = 4\n# the same key again\np = 2\n")
+
+
+@pytest.mark.parametrize("text", ["= 4", "  =", " # note\n = x"], ids=["value", "bare", "after_comment"])
+def test_parse_refuses_an_empty_key_naming_its_line(text):
+    lineno = text.count("\n") + 1
+    with pytest.raises(ValueError, match=rf"line {lineno}: empty key"):
+        parse_kv_text(text)
