@@ -149,7 +149,8 @@ class DyadicSystem:
             coords = np.asarray(coords, dtype=float)
             vertex = shift + side * np.arange(lo, lo + count, dtype=float)
             i = np.searchsorted(vertex, coords, side="right") - 1
-            # a coordinate below the first vertex reads the -inf end at -1
+            # a coordinate below the first vertex, or any in an empty
+            # window, reads the -inf end at -1
             ends = np.append(vertex + side, -np.inf)
             out = out[..., None] * count + i
             covered = covered[..., None] & (coords < ends[i])
