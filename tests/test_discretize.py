@@ -571,7 +571,10 @@ def _reference_axis_matrices(t, grid, kernel):
         (((-1.0, 3.0), (-2.5, 1.5)), 40),
         (((-3.0, 3.0),) * 3, 8),
         (((-1.1, 0.9), (-1.3, 0.7), (-0.7, 1.3)), 12),
-        # the cell [-1, 0] holds one node, and at t = 37 sums 65 images
+        # the cell [-1, 0] holds one node, and at t = 37 sums 65 images;
+        # the first axis has a node at 0 in the second of these and none
+        # in the first
+        (((-2.0, 2.0), (-1.0, 3.0)), 4),
         (((-2.5, 1.5), (-1.0, 3.0)), 4),
     ],
 )
@@ -605,7 +608,10 @@ def test_box_kernel_fixes_constants_on_a_one_sided_box(box):
         (((-1.0, 3.0), (-2.5, 1.5)), 40),
         (((-3.0, 3.0),) * 3, 8),
         (((-1.1, 0.9), (-1.3, 0.7), (-0.7, 1.3)), 12),
-        # the cell [-1, 0] holds one node, and at t = 37 sums 65 images
+        # the cell [-1, 0] holds one node, and at t = 37 sums 65 images;
+        # the first axis has a node at 0 in the second of these and none
+        # in the first
+        (((-2.0, 2.0), (-1.0, 3.0)), 4),
         (((-2.5, 1.5), (-1.0, 3.0)), 4),
     ],
 )
