@@ -13,7 +13,9 @@ The shifted, folded nodes do not depend on the symbol, so they are built
 once per (radius, half) for the whole family, stored coordinate-major;
 each symbol is called on the same array, once per radius, and keeps its
 own radius-ordered sum, so its norm does not depend on the family it
-comes with.
+comes with.  Each symbol is called only in the halves its
+`Symbol.support` reaches: in a half it misses it is constant, and every
+term there is exactly 0.0.
 
 All integrals are truncated to a box and to [t_min, t_max]; symbols are
 compactly supported with margin, which keeps the dropped tails small
@@ -73,6 +75,17 @@ def _fold_normal(normal: np.ndarray, half: str) -> None:
     np.abs(normal, out=normal)
     if half == "minus":
         np.negative(normal, out=normal)
+
+
+def _reaches(f, half: str) -> bool:
+    """Whether symbol f can differ from its constant on the open `half`:
+    always without a `Symbol.support`, else when one of its balls crosses
+    into it (c_n + r > 0 for 'plus', c_n - r < 0 for 'minus')."""
+    support = getattr(f, "support", None)
+    if support is None:
+        return True
+    sign = 1.0 if half == "plus" else -1.0
+    return any(sign * centre[-1] + radius > 0.0 for centre, radius in support)
 
 
 def default_time_grid(t_min: float, t_max: float, per_decade: int) -> np.ndarray:
@@ -179,9 +192,19 @@ def besov_neumann_norm(symbols, params: BesovParams, grid: QuadratureGrid, shift
     they read is contiguous.  The values are those of the point-major
     `nodes + shift` array, and a symbol that works per coordinate returns
     the same bits on either layout.  Per half, each symbol is called on
-    the nodes, then once per radius, 2 (1 + R) calls in all, and its
-    terms are summed in radius order, so a symbol's norm does not depend
-    on the family it comes with.
+    the nodes, then once per radius, at most 2 (1 + R) calls in all, and
+    its terms are summed in radius order, so a symbol's norm does not
+    depend on the family it comes with.
+
+    A symbol is called, and gets its nodes' values, only in the halves
+    its `Symbol.support` reaches (`_reaches`); a half no symbol reaches
+    builds no points.  Off its balls the symbol is constant on the open
+    half, so the full loop adds exactly 0.0 there and the norm keeps
+    every bit.  The exception is a shifted node that lands exactly on
+    the interface: folded into the minus half it reads -0.0, where a
+    per-half constant takes its plus value, so the full loop (support
+    None) gives the control a spurious minus-half term and the skip the
+    exact 0.0 of its constant even extension.
 
     Vanishes exactly on per-half constants (both extensions constant)
     and reduces to a single term when b is supported in one half.
@@ -205,21 +228,24 @@ def besov_neumann_norm(symbols, params: BesovParams, grid: QuadratureGrid, shift
     weights = radii**n * dlog[:, None] * (sphere / shifts.shape[1])
 
     halves = ("plus", "minus")
+    reached = [[s for s, f in enumerate(symbols) if _reaches(f, half)] for half in halves]
     bases = []
-    for half in halves:
+    for half, called in zip(halves, reached):
         nodes = grid.nodes.copy()
         _fold_normal(nodes[:, -1], half)
-        bases.append([np.asarray(f(nodes), dtype=float) for f in symbols])
+        bases.append({s: np.asarray(symbols[s](nodes), dtype=float) for s in called})
     totals = [[0.0] * len(symbols) for _ in halves]
     for row, r, w in zip(shifts, radii, weights):
         for h, half in enumerate(halves):
+            if not reached[h]:
+                continue
             coords = np.empty((n, len(row), len(grid.nodes)))
             for j in range(n):
                 np.add(grid.nodes[:, j], row[:, None, j], out=coords[j])
             _fold_normal(coords[-1], half)
             points = coords.transpose(1, 2, 0)
-            for s, f in enumerate(symbols):
-                diff = np.asarray(f(points), dtype=float) - bases[h][s]
+            for s in reached[h]:
+                diff = np.asarray(symbols[s](points), dtype=float) - bases[h][s]
                 lp = (np.sum(abs_power(diff, params.p), axis=-1) * grid.weight) ** (1.0 / params.p)
                 totals[h][s] += float(np.sum(w * lp**params.q / r ** (n + params.q * params.alpha)))
     return [plus ** (1.0 / params.q) + minus ** (1.0 / params.q) for plus, minus in zip(*totals)]

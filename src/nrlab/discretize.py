@@ -236,11 +236,36 @@ class Symbol:
     kind "perhalf-constant" marks controls (constant on each open half)
     whose commutator vanishes identically; studies report them but never
     divide by their zero norms.
+
+    support is a tuple of (centre, radius) balls outside whose union the
+    symbol is constant on each open half, or None when that is not known.
+    A bump carries its balls, a per-half constant the empty tuple.  The
+    extension route and the oscillation statistic read it to skip points
+    where the symbol adds exactly nothing, so it must never be too small;
+    it is checked here for its form (positive finite radii, finite
+    centres of one length n >= 2, empty for a per-half constant), not
+    against func.
     """
 
     name: str
     func: Callable
     kind: str = "generic"
+    support: tuple | None = None
+
+    def __post_init__(self):
+        if self.support is None:
+            return
+        balls = tuple((tuple(map(float, centre)), float(radius)) for centre, radius in self.support)
+        if balls and self.kind == "perhalf-constant":
+            raise ValueError(f"support of a perhalf-constant symbol must be empty, got {balls}")
+        if not all(np.isfinite(radius) and radius > 0.0 for _, radius in balls):
+            raise ValueError(f"support radii must be finite and positive, got {[r for _, r in balls]}")
+        lengths = sorted({len(centre) for centre, _ in balls})
+        if len(lengths) > 1 or lengths and lengths[0] < 2:
+            raise ValueError(f"support centres need one common length n >= 2, got lengths {lengths}")
+        if not all(np.all(np.isfinite(centre)) for centre, _ in balls):
+            raise ValueError(f"support centres must be finite, got {[c for c, _ in balls]}")
+        self.support = balls
 
     def __call__(self, x):
         return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)

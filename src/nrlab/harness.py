@@ -307,21 +307,22 @@ _FAMILIES = {
 def _bumps(row) -> tuple:
     """The (centre, radius) pairs of a family row's bumps."""
     _, kind, *args = row
-    return {"bump": (args,), "odd_bump": (args,), "halfconst": (), "sum": args[0]}[kind]
+    return {"bump": (tuple(args),), "odd_bump": (tuple(args),), "halfconst": (), "sum": args[0]}[kind]
 
 
 def _symbol(row) -> Symbol:
-    """The `Symbol` of one family row."""
+    """The `Symbol` of one family row; its support is the row's bumps."""
     name, kind, *args = row
     if kind == "halfconst":
         c_plus, c_minus = map(float, args)
-        return Symbol(name, lambda x: np.where(x[..., -1] >= 0.0, c_plus, c_minus), "perhalf-constant")
-    parts = [_mollifier(centre, radius) for centre, radius in _bumps(row)]
+        return Symbol(name, lambda x: np.where(x[..., -1] >= 0.0, c_plus, c_minus), "perhalf-constant", ())
+    balls = _bumps(row)
+    parts = [_mollifier(centre, radius) for centre, radius in balls]
     if kind == "sum":
-        return Symbol(name, lambda x: sum(part(x) for part in parts))
+        return Symbol(name, lambda x: sum(part(x) for part in parts), support=balls)
     if kind == "odd_bump":
-        return Symbol(name, lambda x: x[..., -1] * parts[0](x))
-    return Symbol(name, parts[0])
+        return Symbol(name, lambda x: x[..., -1] * parts[0](x), support=balls)
+    return Symbol(name, parts[0], support=balls)
 
 
 def symbol_family(name: str, n: int) -> list:
@@ -572,6 +573,18 @@ def _double_integral_statistic(fields: list, cfg: ExperimentConfig) -> list:
     return totals
 
 
+def _boxes_meeting(support: tuple, boxes: np.ndarray) -> np.ndarray:
+    """Mask of the closed boxes (cubes, n, 2) that meet one of the closed
+    balls of `support`: the box point nearest a centre lies within its
+    radius.  The distance is `squared_distance`'s, as in `_mollifier`,
+    so a box off the mask holds no point where a bump is non-zero."""
+    hit = np.zeros(len(boxes), dtype=bool)
+    for centre, radius in support:
+        nearest = np.clip(centre, boxes[..., 0], boxes[..., 1])
+        hit |= squared_distance(nearest, np.asarray(centre)) <= radius**2
+    return hit
+
+
 def _oscillation_partials(family: list, cfg: ExperimentConfig, systems: list) -> list:
     """Per symbol of `family`, in family order, a dict K -> the cumulative
     dyadic oscillation statistic up to top generation K: sup over lattice
@@ -583,7 +596,14 @@ def _oscillation_partials(family: list, cfg: ExperimentConfig, systems: list) ->
     grandchild are built once for the family; each symbol then makes one
     call on them, takes block means per grandchild (`box_midpoint_mean`
     on each grandchild, bit for bit) and one broadcast gap mean per cube,
-    and sums its osc_Q^n in cube order, as a one-symbol call does."""
+    and sums its osc_Q^n in cube order, as a one-symbol call does.
+
+    A symbol with a `support` is evaluated only on the cubes whose closed
+    box meets one of its balls (`_boxes_meeting`), and not at all where
+    none does.  A skipped cube lies in one half, off the balls, where the
+    symbol is constant: its osc_Q is exactly 0.0.  Each kept cube's means
+    are reductions over its own rows, so the sums are those of the full
+    loop bit for bit."""
     gens = range(cfg.k_min, cfg.stat_k_max + 1)
     per_shift = np.zeros((len(family), len(systems), len(gens)))
     for si, pair in enumerate(systems):
@@ -593,10 +613,14 @@ def _oscillation_partials(family: list, cfg: ExperimentConfig, systems: list) ->
                 if not system.cubes[k]:
                     continue
                 nodes = midpoint_nodes(system.subcube_boxes(k, 2), _OSCILLATION_PPA)
+                boxes = system.subcube_boxes(k, 0)[:, 0]
                 for s, sym in enumerate(family):
-                    means = sym(nodes.reshape(-1, cfg.n)).reshape(nodes.shape[:3]).mean(axis=-1)
+                    kept = nodes if sym.support is None else nodes[_boxes_meeting(sym.support, boxes)]
+                    if not len(kept):
+                        continue
+                    means = sym(kept.reshape(-1, cfg.n)).reshape(kept.shape[:3]).mean(axis=-1)
                     gaps = np.abs(means[:, :, None] - means[:, None, :])
-                    for osc in gaps.reshape(len(nodes), -1).mean(axis=-1).tolist():
+                    for osc in gaps.reshape(len(kept), -1).mean(axis=-1).tolist():
                         totals[s] += osc**cfg.n
             per_shift[:, si, ki] = totals
     return [

@@ -5,6 +5,7 @@ radius x direction shift sample against a per-shift reference loop, and
 the family extension route against per-symbol extensions and a
 point-major loop (`reference_forms`)."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -492,3 +493,56 @@ def test_neumann_norm_shares_each_folded_node_array_across_the_family():
         shapes = [p.shape for p in folded]
         assert shapes.count(grid.nodes.shape) == 1
         assert shapes.count((8,) + grid.nodes.shape) == len(shifts)
+
+
+@pytest.mark.parametrize("N", [16, 32, 40])
+@pytest.mark.parametrize("family", ["default", "divergence"])
+def test_neumann_norm_skips_unreached_halves_bit_for_bit(family, N):
+    # a half a symbol's support does not reach adds exactly 0.0 in the
+    # full loop too, so skipping it moves no bit
+    grid = make_grid(2, BOX, N)
+    shifts = default_shift_grid(grid, 16, 16)
+    syms = symbol_family(family, 2)
+    full = [dataclasses.replace(sym, support=None) for sym in syms]
+    assert besov_neumann_norm(syms, PARAMS, grid, shifts) == besov_neumann_norm(full, PARAMS, grid, shifts)
+
+
+def test_neumann_norm_calls_a_symbol_only_in_the_halves_its_support_reaches():
+    # folded into the minus half every normal coordinate has its sign bit
+    # set (-0.0 included), into the plus half none has
+    grid = make_grid(2, BOX, 16)
+    shifts = default_shift_grid(grid, 8, 8)
+    syms = {sym.name: sym for sym in symbol_family("default", 2)}
+    names = ("bump_a35", "bump_minus", "odd_bump", "halfconst", "uniform")
+    folds = {}
+
+    def recording(sym):
+        def f(points):
+            signs = np.signbit(points[..., -1])
+            assert np.all(signs) or not np.any(signs)
+            folds.setdefault(sym.name, []).append("minus" if signs.flat[0] else "plus")
+            return sym.func(points)
+
+        return dataclasses.replace(sym, func=f)
+
+    got = besov_neumann_norm([recording(syms[name]) for name in names], PARAMS, grid, shifts)
+    assert got == besov_neumann_norm([syms[name] for name in names], PARAMS, grid, shifts)
+    calls = 1 + len(shifts)
+    assert folds == {
+        "bump_a35": ["plus"] * calls,
+        "bump_minus": ["minus"] * calls,
+        "odd_bump": ["plus", "minus"] * calls,
+    }
+    assert got[3:] == [0.0, 0.0]
+
+
+def test_neumann_norm_of_a_control_is_zero_with_a_node_shifted_onto_the_interface():
+    # node -0.125 + shift 0.125 is 0.0, folded to -0.0 in the minus half,
+    # where the halfconst control reads its plus value; the skip never
+    # calls the control, so its norm is the exact 0.0 of two constant
+    # even extensions, and the full loop keeps its spurious term
+    grid = make_grid(2, BOX, 16)
+    shifts = np.array([[[0.0, 0.125]], [[0.0, 0.375]]])
+    control = next(sym for sym in symbol_family("default", 2) if sym.name == "halfconst")
+    assert besov_neumann_norm([control], PARAMS, grid, shifts) == [0.0]
+    assert besov_neumann_norm([dataclasses.replace(control, support=None)], PARAMS, grid, shifts)[0] > 0.0

@@ -21,6 +21,7 @@ from nrlab.besov import default_time_grid
 from nrlab.discretize import (
     OperatorMatrix,
     QuadratureGrid,
+    Symbol,
     apply_axis_matrices,
     apply_semigroup,
     assemble_commutator,
@@ -100,6 +101,36 @@ def test_grid_masks_and_mirror():
     flipped = grid.nodes[mirror]
     assert np.allclose(flipped[:, 0], grid.nodes[:, 0])
     assert np.allclose(flipped[:, 1], -grid.nodes[:, 1])
+
+
+# ---------------------------------------------------------------------------
+# symbols
+
+
+@pytest.mark.parametrize(
+    "kind, support, message",
+    [
+        pytest.param("generic", (((0.0, 0.5), 0.0),), "support radii", id="zero-radius"),
+        pytest.param("generic", (((0.0, 0.5), -0.3),), "support radii", id="negative-radius"),
+        pytest.param("generic", (((0.0, 0.5), math.inf),), "support radii", id="infinite-radius"),
+        pytest.param("generic", (((0.0, 0.5), math.nan),), "support radii", id="nan-radius"),
+        pytest.param("generic", (((0.5,), 0.3),), "support centres", id="one-coordinate-centre"),
+        pytest.param("generic", (((0.0, 0.5), 0.3), ((0.0, 0.5, 0.1), 0.3)), "support centres", id="mixed-lengths"),
+        pytest.param("generic", (((0.0, math.nan), 0.3),), "support centres", id="nan-centre"),
+        pytest.param("perhalf-constant", (((0.0, 0.5), 0.3),), "perhalf-constant", id="ball-on-a-control"),
+    ],
+)
+def test_symbol_refuses_a_malformed_support_naming_it(kind, support, message):
+    with pytest.raises(ValueError, match=message):
+        Symbol("s", np.zeros_like, kind, support)
+
+
+def test_symbol_support_is_stored_as_float_balls():
+    assert Symbol("s", np.zeros_like).support is None
+    assert Symbol("c", np.zeros_like, "perhalf-constant", ()).support == ()
+    sym = Symbol("b", np.zeros_like, support=[(np.array([0, 1]), 2)])
+    assert sym.support == (((0.0, 1.0), 2.0),)
+    assert all(type(v) is float for v in sym.support[0][0] + sym.support[0][1:])
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nrlab.besov import BesovParams, besov_neumann_norm, default_shift_grid
 from nrlab.cli import main as cli_main
 from nrlab.discretize import Symbol, assemble_commutator, ball_microgrid, make_grid, read_matrix, support_core
 from nrlab.dyadic import (
@@ -26,6 +27,7 @@ from nrlab.dyadic import (
     midpoint_nodes,
 )
 from nrlab.harness import (
+    _FAMILIES,
     ExperimentConfig,
     ReportRow,
     _double_integral_statistic,
@@ -670,6 +672,70 @@ def test_oscillation_statistic_matches_per_cube_means_bit_for_bit():
     systems = _lattice_systems(cfg, cfg.stat_k_max)
     for sym in symbol_family("divergence", 2):
         assert _oscillation_partials([sym], cfg, systems)[0] == _oscillation_per_cube(sym, cfg)
+
+
+# the divergence-study config of the benchmark's divergence-l2 workload
+DIVERGENCE_L2 = ExperimentConfig(p=2.0, ell=2, family="divergence", num_lattice_shifts=3)
+
+
+@pytest.mark.parametrize("family", ["default", "divergence"])
+def test_oscillation_skips_cubes_off_the_support_bit_for_bit(family):
+    # a cube whose closed box misses every ball adds osc = 0.0 in the
+    # full loop too, and each kept cube's means are its own rows'
+    systems = _lattice_systems(DIVERGENCE_L2, DIVERGENCE_L2.stat_k_max)
+    syms = symbol_family(family, 2)
+    full = [dataclasses.replace(sym, support=None) for sym in syms]
+    assert _oscillation_partials(syms, DIVERGENCE_L2, systems) == _oscillation_partials(full, DIVERGENCE_L2, systems)
+
+
+def test_oscillation_evaluates_each_symbol_only_on_cubes_its_support_meets():
+    # measured: 141,696 of 2,678,400 symbol points (5.3%); controls make
+    # no call at all
+    systems = _lattice_systems(DIVERGENCE_L2, DIVERGENCE_L2.stat_k_max)
+    counts = []
+    for keep in (False, True):
+        points = {}
+
+        def counted(sym):
+            def f(x):
+                points[sym.name] = points.get(sym.name, 0) + x.size // x.shape[-1]
+                return sym.func(x)
+
+            return dataclasses.replace(sym, func=f, support=sym.support if keep else None)
+
+        _oscillation_partials([counted(sym) for sym in symbol_family("divergence", 2)], DIVERGENCE_L2, systems)
+        counts.append(points)
+    full, skipped = counts
+    assert set(full) == {"multiscale", "bump_sharp", "odd_bump", "halfconst", "uniform"}
+    assert set(skipped) == {"multiscale", "bump_sharp", "odd_bump"}
+    assert sum(skipped.values()) <= 0.06 * sum(full.values())
+
+
+def test_divergence_study_runs_a_family_of_controls_only(monkeypatch):
+    # no cube meets an empty support: no symbol is called on the lattices
+    controls = tuple(row for row in _FAMILIES["divergence"] if row[1] == "halfconst")
+    monkeypatch.setitem(_FAMILIES, "controls", controls)
+    rep = divergence_study(ExperimentConfig(p=2.0, family="controls", grid_sizes=(8, 16)))
+    assert rep.passed and rep.summary["controls_zero"] is True
+    dyadic = [row for row in rep.rows if row.experiment == "divergence-dyadic"]
+    assert {row.symbol for row in dyadic} == {"halfconst", "uniform"}
+    assert all(row.aux["oscillation_lN"] == 0.0 for row in dyadic)
+
+
+def test_a_bump_outside_the_box_reads_exact_zeros(monkeypatch):
+    far = ("far", "bump", (5.0, 0.5), 0.3)
+    monkeypatch.setitem(_FAMILIES, "far", (far,))
+    rep = divergence_study(ExperimentConfig(p=2.0, family="far", grid_sizes=(8, 16)))
+    dyadic = [row for row in rep.rows if row.experiment == "divergence-dyadic"]
+    assert dyadic and all(row.aux["oscillation_lN"] == 0.0 for row in dyadic)
+    sym = symbol_family("far", 2)[0]
+    grid = make_grid(2, ExperimentConfig().box, 16)
+    shifts = default_shift_grid(grid, 16, 16)
+    params = BesovParams(0.5, 4.0, 4.0)
+    # shifted nodes leave the box and reach the ball, so the norm is not
+    # zero; only the minus half, which the ball misses, is skipped
+    full = besov_neumann_norm([dataclasses.replace(sym, support=None)], params, grid, shifts)
+    assert besov_neumann_norm([sym], params, grid, shifts) == full and full[0] > 0.0
 
 
 @pytest.mark.parametrize(

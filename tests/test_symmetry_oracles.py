@@ -17,7 +17,7 @@ import pytest
 
 from nrlab.besov import BesovParams, besov_neumann_norm, default_shift_grid
 from nrlab.discretize import assemble_commutator, make_grid
-from nrlab.harness import _FAMILIES, ExperimentConfig, _symbol, upper_bound_audit
+from nrlab.harness import _FAMILIES, ExperimentConfig, _bumps, _symbol, upper_bound_audit
 from nrlab.spectra import singular_values
 
 BOX = ((-2.0, 2.0), (-2.0, 2.0))
@@ -153,3 +153,37 @@ def test_upper_audit_is_dilation_invariant(monkeypatch, ell, lam):
         expected = [scale * want.schatten] + [scale * want.aux[key] for key in keys]
         actual = [got.schatten] + [got.aux[key] for key in keys]
         np.testing.assert_allclose(actual, expected, rtol=1e-14, atol=0.0, err_msg=want.symbol)
+
+
+# every row with its dilations by 1/2 and 2 and its x_n mirror
+TRANSFORMED = [variant for row in ROWS for variant in (row, _dilate(row, 0.5), _dilate(row, 2.0), _mirror(row))]
+
+
+def test_symbol_support_is_the_rows_bumps():
+    for row in TRANSFORMED:
+        assert _symbol(row).support == _bumps(row), row
+
+
+def test_symbols_are_their_half_constant_off_their_support():
+    # the extension route and the oscillation statistic skip points off
+    # Symbol.support, so a ball too small would change their outputs:
+    # seeded points and points just outside each ball's rim must read the
+    # per-half constant exactly
+    rng = np.random.default_rng(11)
+    theta = 2.0 * np.pi * np.arange(256) / 256
+    rim = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    for row in TRANSFORMED:
+        sym = _symbol(row)
+        balls = [(np.asarray(centre), radius) for centre, radius in sym.support]
+        points = np.concatenate(
+            [rng.uniform(-6.0, 6.0, size=(20000, 2))] + [c + r * (1.0 + 1e-9) * rim for c, r in balls]
+        )
+        points = points[points[:, -1] != 0.0]
+        for c, r in balls:
+            points = points[np.linalg.norm(points - c, axis=-1) > r]
+        assert len(points) > 18000, row
+        values, upper = sym(points), points[:, -1] > 0.0
+        if row[1] == "halfconst":
+            assert np.all(values[upper] == row[2]) and np.all(values[~upper] == row[3]), row
+        else:
+            assert np.all(values == 0.0), row
